@@ -12,8 +12,8 @@ Hessian is ``kron(phi, outer(x, x))`` whose ``(k, l)`` block is
 ``phi[k, l] * outer(x, x)``, and the loss gradient is ``-kron(s, x)``.
 
 All probabilities are computed with max-subtraction and all losses in
-log-space (log-sum-exp); nothing here exponentiates a probability and
-takes its logarithm afterwards. Probabilities can still underflow to
+log-space (a max-shifted log-sum-exp); nothing here exponentiates a
+probability and takes its logarithm afterwards. Probabilities can still underflow to
 exactly 0.0 once the spread of logits exceeds roughly 700; losses remain
 finite regardless.
 
@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Coefficients",
@@ -41,9 +40,8 @@ __all__ = [
     "phi",
     "psi",
     "loss_hessian",
+    "information",
     "fisher_info",
-    "vectorize_coefficients",
-    "coefficients_from_vector",
     "probability_matrix",
     "phi_matrices",
 ]
@@ -139,19 +137,6 @@ def _check_x(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return x
 
 
-def vectorize_coefficients(beta: Coefficients) -> np.ndarray:
-    """Canonical length ``K*d`` vector: rows of ``beta`` concatenated."""
-    return np.asarray(beta, dtype=float).reshape(-1)
-
-
-def coefficients_from_vector(vec: np.ndarray, K: int, d: int) -> Coefficients:
-    """Inverse of :func:`vectorize_coefficients`."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (K * d,):
-        raise ValueError(f"vector has shape {vec.shape}, expected ({K * d},)")
-    return vec.reshape(K, d)
-
-
 def _logit_matrix(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """All class logits, shape ``(n, K + 1)``, reference class first."""
     z = X @ beta.T
@@ -183,9 +168,17 @@ def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
 def _log_probability_of_label(
     beta: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """``log p_y`` per row, computed as ``z_y - logsumexp(z)``."""
+    """``log p_y`` per row, computed as ``z_y - m - log(sum(exp(z - m)))``.
+
+    ``m`` is the row maximum of the logits, so every exponent is at most 0
+    and the sum is at least 1: nothing overflows and the log is finite.
+    """
     z = _logit_matrix(beta, X)
-    return z[np.arange(X.shape[0]), y] - logsumexp(z, axis=1)
+    z_y = z[np.arange(X.shape[0]), y]
+    m = z.max(axis=1)
+    z -= m[:, None]
+    np.exp(z, out=z)
+    return z_y - m - np.log(z.sum(axis=1))
 
 
 def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
@@ -275,6 +268,55 @@ def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
     return np.kron(phi(beta, x), np.outer(x, x))
 
 
+def information(
+    beta: Coefficients,
+    X: np.ndarray,
+    w: np.ndarray | None = None,
+) -> np.ndarray:
+    """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
+
+    Block ``(k, l)`` equals ``(X * (w * phi_kl)[:, None]).T @ X / n`` with
+    ``phi_kl = [k == l] p_k - p_k p_l`` per row, so the matrix is built as
+    K(K+1)/2 GEMMs of ``(d, n) @ (n, d)``, one per block with ``k <= l``;
+    the blocks below the diagonal are their transposes, and the diagonal
+    blocks are mirrored from their upper triangles, so the result is
+    exactly symmetric. Extra memory is O(n*d + n*K + (K*d)^2): one scaled
+    copy of ``X`` is reused for every block. ``w`` defaults to all ones.
+    """
+    X = np.asarray(X, dtype=float)
+    P = probability_matrix(beta, X)[:, 1:]
+    n, d = X.shape
+    K = P.shape[1]
+    if n == 0:
+        raise ValueError("empty dataset")
+    if w is not None:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (n,):
+            raise ValueError("weights length mismatch")
+    # one scratch buffer serves every block, so the loop allocates no
+    # (n, d) array per block; rows of P.T are contiguous
+    Pt = np.ascontiguousarray(P.T)
+    scaled = np.empty_like(X)
+    m = np.empty((K * d, K * d))
+    for k in range(K):
+        rows = slice(k * d, (k + 1) * d)
+        for l in range(k, K):
+            c = -Pt[k] * Pt[l]
+            if k == l:
+                c += Pt[k]
+            if w is not None:
+                c *= w
+            np.multiply(X, c[:, None], out=scaled)
+            block = scaled.T @ X / n
+            cols = slice(l * d, (l + 1) * d)
+            if k == l:
+                m[rows, cols] = np.triu(block) + np.triu(block, 1).T
+            else:
+                m[rows, cols] = block
+                m[cols, rows] = block.T
+    return m
+
+
 def fisher_info(
     beta: Coefficients,
     data: Dataset,
@@ -282,24 +324,16 @@ def fisher_info(
 ) -> FisherInfo:
     """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset.
 
-    Labels are unused, so unlabeled datasets are accepted. A near-singular
-    result (smallest eigenvalue below ``1e-10`` times the largest) emits a
+    The matrix comes from :func:`information`: one GEMM per block
+    ``(k, l)``, ``k <= l``, of ``(X * phi_kl)^T X / n``, mirrored into an
+    exactly symmetric ``(K*d, K*d)`` matrix. Labels are unused, so
+    unlabeled datasets are accepted. A near-singular result (smallest
+    eigenvalue below ``1e-10`` times the largest) emits a
     ``RuntimeWarning``; downstream inversions apply a ridge instead of
     failing here.
     """
     beta = _check_beta(beta, data.d)
-    if data.n == 0:
-        raise ValueError("empty dataset")
-    PHI = phi_matrices(beta, data.X)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (data.n,):
-            raise ValueError("weights length mismatch")
-        PHI = PHI * weights[:, None, None]
-    K, d = beta.shape
-    blocks = np.einsum("nkl,ni,nj->kilj", PHI, data.X, data.X) / data.n
-    m = blocks.reshape(K * d, K * d)
-    m = 0.5 * (m + m.T)
+    m = information(beta, data.X, weights)
     eigs = np.linalg.eigvalsh(m)
     near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))
     if near_singular:

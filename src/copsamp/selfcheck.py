@@ -1,9 +1,9 @@
 """Built-in invariant checks behind the ``selfcheck`` CLI command.
 
 Each check recomputes a core identity through an independent route
-(finite differences, exhaustive label expectation, random-search
-optimality, Monte-Carlo ensemble calibration) and compares against the
-library implementation at a fixed tolerance.
+(finite differences, exhaustive label expectation, per-sample Kronecker
+Hessians, random-search optimality, Monte-Carlo ensemble calibration)
+and compares against the library implementation at a fixed tolerance.
 """
 
 from __future__ import annotations
@@ -108,6 +108,21 @@ def check_hessian_fd(rng: np.random.Generator) -> CheckResult:
     return CheckResult("hessian vs finite differences", "<= 1e-5", worst, worst <= 1e-5)
 
 
+def check_fisher_kron(rng: np.random.Generator) -> CheckResult:
+    """Blockwise information matrix vs the mean of per-sample kron Hessians."""
+    worst = 0.0
+    for K in (1, 2, 4):
+        d = int(rng.integers(1, 6))
+        beta = rng.normal(scale=0.8, size=(K, d))
+        X = rng.normal(size=(40, d))
+        m = fisher_info(beta, Dataset(X, None, K)).m
+        oracle = np.mean([loss_hessian(beta, x) for x in X], axis=0)
+        worst = max(worst, float(np.abs(m - oracle).max() / np.abs(oracle).max()))
+    return CheckResult(
+        "information matrix vs mean per-sample hessian", "<= 1e-12", worst, worst <= 1e-12
+    )
+
+
 def check_sampling_optimality(rng: np.random.Generator) -> CheckResult:
     u = rng.uniform(0.1, 5.0, size=20)
     best = subsample_objective(u, u / u.sum())
@@ -163,6 +178,7 @@ def run_selfcheck(quick: bool = False, seed: int = 0) -> list[CheckResult]:
         check_label_expectation(rng),
         check_gradient_fd(rng),
         check_hessian_fd(rng),
+        check_fisher_kron(rng),
         check_sampling_optimality(rng),
     ]
     if not quick:

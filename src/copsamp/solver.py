@@ -4,9 +4,14 @@ The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
-objective. Each Newton step solves ``(H + ridge * I) step = grad`` via a
-Cholesky factorization and is halved until the objective decreases, so
-the objective is non-increasing across accepted steps. Iteration starts
+objective. The Hessian ``H`` is :func:`copsamp.model.information` of the
+mean-one weights: K(K+1)/2 GEMMs ``(X * w phi_kl)^T X / n``, one per
+distinct ``(d, d)`` block, mirrored into the symmetric ``(K*d, K*d)``
+matrix. Each Newton step solves ``(H + ridge * I) step = grad`` via a
+Cholesky factorization, falling back to a general LU solve (counted in
+``FitReport.cholesky_fallbacks``) when the factorization fails, and is
+halved until the objective decreases, so the objective is
+non-increasing across accepted steps. Iteration starts
 at ``beta = 0``; the objective is convex, so the optimum does not depend
 on that choice, only reproducibility does.
 """
@@ -16,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError, cholesky
+from scipy.linalg import solve_triangular
 
 from copsamp.model import (
     Coefficients,
     Dataset,
     _log_probability_of_label,
-    phi_matrices,
+    information,
     probability_matrix,
 )
 
@@ -51,6 +57,9 @@ class FitReport:
     internally normalized (mean-one-weight) objective; ``final_loss`` is
     the caller's objective ``(1/n) sum_i w_i * loss_i`` at ``beta``.
     ``converged`` implies ``final_grad_norm <= grad_tol``.
+    ``cholesky_fallbacks`` counts the Newton steps whose ridged Hessian
+    was not positive definite and were solved by LU instead; such a step
+    need not be a descent direction.
     """
 
     beta: Coefficients
@@ -58,6 +67,7 @@ class FitReport:
     final_grad_norm: float
     converged: bool
     final_loss: float
+    cholesky_fallbacks: int = 0
 
 
 def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
@@ -76,18 +86,20 @@ def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     return grad_mat.reshape(-1)
 
 
-def _hessian(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
-    PHI = phi_matrices(beta, data.X) * w[:, None, None]
-    K, d = beta.shape
-    blocks = np.einsum("nkl,ni,nj->kilj", PHI, data.X, data.X) / data.n
-    return blocks.reshape(K * d, K * d)
+def _newton_solve(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Solve ``H step = g``; the flag is True when Cholesky failed.
 
-
-def _newton_solve(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    The factorization is numpy's, like the Hessian GEMMs: numpy and scipy
+    may link separate BLAS builds, and alternating between two BLAS
+    thread pools on every Newton iteration made each factorization
+    several times slower with more than one BLAS thread.
+    """
     try:
-        return cho_solve(cho_factor(H), g)
+        L = cholesky(H)
     except LinAlgError:
-        return np.linalg.solve(H, g)
+        return np.linalg.solve(H, g), True
+    y = solve_triangular(L, g, lower=True)
+    return solve_triangular(L, y, lower=True, trans="T"), False
 
 
 def fit_weighted_mle(
@@ -122,6 +134,7 @@ def fit_weighted_mle(
     beta = np.zeros((K, d))
     loss = _objective(beta, data, w)
     iterations = 0
+    fallbacks = 0
     eye = np.eye(K * d)
 
     for _ in range(config.max_iters):
@@ -129,8 +142,10 @@ def fit_weighted_mle(
         grad_norm = float(np.abs(g).max())
         if grad_norm <= config.grad_tol:
             break
-        H = _hessian(beta, data, w) + config.ridge * eye
-        step = _newton_solve(H, g).reshape(K, d)
+        H = information(beta, data.X, w) + config.ridge * eye
+        step, fell_back = _newton_solve(H, g)
+        fallbacks += fell_back
+        step = step.reshape(K, d)
         t = 1.0
         accepted = False
         for _ in range(config.step_halving_max + 1):
@@ -153,13 +168,10 @@ def fit_weighted_mle(
         final_grad_norm=final_grad_norm,
         converged=final_grad_norm <= config.grad_tol,
         final_loss=float(weights @ -_log_probability_of_label(beta, data.X, data.y) / data.n),
+        cholesky_fallbacks=fallbacks,
     )
 
 
 def fit_mle(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
     """Maximum-likelihood fit (all weights one)."""
-    if not data.labeled:
-        raise ValueError("fitting requires labels")
-    if np.unique(data.y).size < 2:
-        raise ValueError("need samples of at least 2 distinct classes")
     return fit_weighted_mle(data, np.ones(data.n), config)

@@ -2,9 +2,14 @@
 
 Exact scores are trace quantities under the inverse Fisher information:
 ``Tr((psi kron xx^T) M^-1)`` when the label is known (coreset selection)
-and ``Tr((phi kron xx^T) M^-1)`` when it is not (active learning). Both
-reduce to quadratic forms and are evaluated through a Cholesky
-factorization of the ridge-stabilized information matrix.
+and ``Tr((phi kron xx^T) M^-1)`` when it is not (active learning). The
+per-sample functions evaluate them as quadratic forms of ``kron(v, x)``
+against a Cholesky factorization of the ridge-stabilized information
+matrix. The batched :func:`exact_scores` instead forms the K x K grid
+of ``(d, d)`` blocks of ``M^-1`` once from that factor and sums
+``C[k, l] * x^T (M^-1)_kl x`` over the blocks, with ``C = s s^T`` or
+``phi``: one code path for both kinds, one GEMM per block pair, and
+O(n*K^2 + n*d + (K*d)^2) memory.
 
 Ensemble scores avoid the ``(K*d, K*d)`` inverse entirely: fit M probe
 models, form the sample covariance of their logit vectors at ``x``, and
@@ -293,8 +298,14 @@ def exact_scores(
 ) -> np.ndarray:
     """Vectorized exact scores over every row of ``data``.
 
-    Shares one factorization of the ridged information matrix across all
-    rows; agrees with the per-sample functions to round-off.
+    Both kinds are ``Tr((C_i kron x_i x_i^T) M^-1) = sum_kl C_i[k, l]
+    q_kl(x_i)`` with ``q_kl(x) = x^T (M^-1)_kl x`` over the ``(d, d)``
+    blocks of the inverse of the ridged information matrix; ``C_i`` is
+    ``s_i s_i^T`` for coreset scores and ``phi_i`` for active ones. The
+    inverse is formed once from the shared Cholesky factor, and each
+    ``q_kl`` with ``k <= l`` costs one ``(n, d) @ (d, d)`` GEMM, so peak
+    memory is O(n*K^2 + n*d + (K*d)^2). Agrees with the per-sample
+    functions to round-off.
     """
     factor = _factorize(info, ridge)
     X = data.X
@@ -309,14 +320,19 @@ def exact_scores(
         rows = np.arange(n)
         labeled = data.y >= 1
         S[rows[labeled], data.y[labeled] - 1] += 1.0
-        G = np.einsum("nk,nd->nkd", S, X).reshape(n, K * d)
-        sol = cho_solve(factor, G.T)
-        return _clamp(np.einsum("nq,qn->n", G, sol))
-    if kind == "active":
-        eigvals, eigvecs = np.linalg.eigh(phi_matrices(beta, X))
-        # rows of G: kron(v_j, x) for each eigenvector j of each sample
-        G = np.einsum("nkj,nd->njkd", eigvecs, X).reshape(n * K, K * d)
-        sol = cho_solve(factor, G.T)
-        quads = np.einsum("nq,qn->n", G, sol).reshape(n, K)
-        return _clamp(np.sum(np.maximum(eigvals, 0.0) * quads, axis=1))
-    raise ValueError(f"unknown score kind {kind!r}")
+        C = S[:, :, None] * S[:, None, :]
+    elif kind == "active":
+        C = phi_matrices(beta, X)
+    else:
+        raise ValueError(f"unknown score kind {kind!r}")
+    m_inv = cho_solve(factor, np.eye(K * d))
+    u = np.zeros(n)
+    xm = np.empty_like(X)  # reused by every block: no (n, d) allocation per GEMM
+    for k in range(K):
+        for l in range(k, K):
+            block = m_inv[k * d : (k + 1) * d, l * d : (l + 1) * d]
+            np.matmul(X, block, out=xm)
+            q = np.einsum("nd,nd->n", xm, X)
+            # C and M^-1 are symmetric: the (l, k) term equals the (k, l) one
+            u += (1.0 if k == l else 2.0) * C[:, k, l] * q
+    return _clamp(u)

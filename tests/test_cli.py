@@ -269,7 +269,7 @@ class TestSelfcheck:
     def test_quick_passes(self, capsys):
         assert run(["selfcheck", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") == 4 and "FAIL" not in out
+        assert out.count("PASS") == 5 and "FAIL" not in out
 
     def test_seed_does_not_change_outcome(self, capsys):
         assert run(["selfcheck", "--quick", "--seed", 123]) == 0

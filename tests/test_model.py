@@ -13,9 +13,11 @@ from copsamp.model import (
     cross_entropy,
     dataset_loss,
     fisher_info,
+    information,
     loss_gradient,
     loss_hessian,
     phi,
+    phi_matrices,
     probability_matrix,
     psi,
     score_vector,
@@ -287,6 +289,35 @@ class TestHessianAndFisher:
     def test_fisher_empty_rejected(self):
         with pytest.raises(ValueError):
             fisher_info(np.zeros((1, 2)), Dataset(np.empty((0, 2)), None, 1))
+
+
+def einsum_information(beta, X, w=None):
+    """Direct 3-operand contraction of (1/n) sum_i w_i kron(phi_i, x_i x_i^T)."""
+    PHI = phi_matrices(beta, X)
+    if w is not None:
+        PHI = PHI * w[:, None, None]
+    K, d = beta.shape
+    return (np.einsum("nkl,ni,nj->kilj", PHI, X, X) / X.shape[0]).reshape(K * d, K * d)
+
+
+class TestInformation:
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_einsum_oracle(self, K, weighted):
+        rng = np.random.default_rng(100 + K)
+        d = 4
+        X = rng.normal(size=(300, d))
+        beta = rng.normal(scale=0.8, size=(K, d))
+        w = rng.uniform(0.0, 3.0, size=300) if weighted else None
+        m = information(beta, X, w)
+        oracle = einsum_information(beta, X, w)
+        assert m.shape == (K * d, K * d)
+        npt.assert_array_equal(m, m.T)
+        assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_weights_length_rejected(self):
+        with pytest.raises(ValueError):
+            information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
 
 
 def test_probability_matrix_matches_pointwise():

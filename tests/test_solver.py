@@ -3,7 +3,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from numpy.linalg import LinAlgError
 
+from copsamp import solver
 from copsamp.model import Dataset, dataset_loss, probability_matrix
 from copsamp.simulation import SimulationSpec, generate_dataset
 from copsamp.solver import FitConfig, fit_mle, fit_weighted_mle
@@ -93,6 +95,20 @@ def test_non_convergence_reported():
     data, _ = synthetic(8, 500, 2, 4)
     rep = fit_mle(data, FitConfig(max_iters=1, grad_tol=1e-14))
     assert not rep.converged
+
+
+def test_cholesky_fallback_counted(monkeypatch):
+    data, _ = synthetic(13, 600, 2, 3)
+    assert fit_mle(data).cholesky_fallbacks == 0
+
+    def failing_cholesky(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(solver, "cholesky", failing_cholesky)
+    rep = fit_mle(data)
+    assert rep.converged
+    assert rep.cholesky_fallbacks >= 1
+    assert rep.cholesky_fallbacks == rep.iterations
 
 
 def test_single_class_rejected():

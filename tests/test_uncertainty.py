@@ -1,5 +1,7 @@
 """Uncertainty scores: ensemble machinery, exact traces, and their agreement."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -243,6 +245,19 @@ class TestExactScores:
             npt.assert_allclose(
                 u_act[i], exact_score_active(beta, info, data.X[i]), rtol=1e-10
             )
+
+    @pytest.mark.parametrize("kind", ["coreset", "active"])
+    def test_batch_peak_memory_bounded(self, kind):
+        # n=20k, d=30, K=6: an (n*K, K*d) or (n, K*d) matrix alone is 173 or 29 MB
+        data, beta = synthetic(21, 20_000, 6, 30, scale=0.2)
+        info = fisher_info(beta, data)
+        tracemalloc.start()
+        try:
+            exact_scores(beta, info, data, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"{kind}: peak {peak / 1e6:.1f} MB"
 
     def test_singular_information_raises(self):
         info = FisherInfo(m=np.zeros((2, 2)), n=1)
