@@ -42,6 +42,7 @@ from copsamp.sampler import (
     cops_coreset,
     draw_subsample,
     make_plan,
+    subsample_and_refit,
     subsample_objective,
 )
 from copsamp.simulation import (
@@ -86,6 +87,7 @@ __all__ = [
     "make_plan",
     "draw_subsample",
     "subsample_objective",
+    "subsample_and_refit",
     "cops_coreset",
     "cops_active",
     "Method",

@@ -25,12 +25,12 @@ from typing import Any
 import numpy as np
 
 from copsamp import __version__
-from copsamp.model import Dataset, fisher_info
+from copsamp.model import Dataset
 from copsamp.sampler import SamplingConfig, draw_subsample, make_plan
 from copsamp.selfcheck import run_selfcheck
 from copsamp.simulation import Method, SimulationSpec, run_experiment
-from copsamp.solver import FitConfig, fit_mle, fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, exact_scores
+from copsamp.solver import FitConfig, fit_weighted_mle
+from copsamp.uncertainty import ProbeEnsemble, score_rows
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -198,10 +198,8 @@ def load_ensemble(path: str) -> ProbeEnsemble:
     except json.JSONDecodeError as err:
         raise CliError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
     try:
-        members = np.asarray(doc["members"], dtype=float)
         ensemble = ProbeEnsemble(
-            members=members,
-            mean=members.mean(axis=0),
+            members=np.asarray(doc["members"], dtype=float),
             probe_size=int(doc["probe_size"]),
             mode=str(doc.get("mode", "independent_splits")),
         )
@@ -369,11 +367,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     config = FitConfig(
         grad_tol=args.grad_tol, max_iters=args.max_iters, ridge=args.ridge
     )
+    if weights is None:
+        weights = np.ones(data.n)
     try:
-        if weights is None:
-            report = fit_mle(data, config)
-        else:
-            report = fit_weighted_mle(data, weights, config)
+        report = fit_weighted_mle(data, weights, config)
     except ValueError as err:
         raise CliError(str(err)) from err
     out_path = args.out or "fit.json"
@@ -417,11 +414,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         )
     data = Dataset(data.X, data.y if args.kind == "coreset" else None, ensemble.K)
     try:
-        if args.estimator == "ensemble":
-            u = ensemble_scores(ensemble, data, args.kind)
-        else:
-            info = fisher_info(ensemble.mean, data)
-            u = exact_scores(ensemble.mean, info, data, args.kind)
+        u = score_rows(ensemble, data, args.kind, args.estimator)
     except Exception as err:
         raise CliError(f"scoring failed: {err}", EXIT_RUNTIME) from err
     out_path = args.out or "scores.csv"
@@ -541,21 +534,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="copsamp",
         description="Uncertainty-based optimal subsampling for softmax regression",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-    common.add_argument("--out", type=str, default=None,
-                        help="output path (directory for simulate)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run the corruption simulation experiment")
+    p = sub.add_parser("simulate", help="run the corruption simulation experiment")
     p.add_argument("config", help="experiment config JSON")
     p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", parents=[common],
-                       help="fit softmax regression on a CSV dataset")
+    p = sub.add_parser("fit", help="fit softmax regression on a CSV dataset")
     p.add_argument("data", help="dataset CSV (x0..x{d-1},y)")
     p.add_argument("--weights-col", type=str, default=None)
     p.add_argument("--strict", action="store_true",
@@ -563,29 +552,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-8)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--out", type=str, default=None, help="fit document path")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("score", parents=[common],
-                       help="score rows with a probe ensemble")
+    p = sub.add_parser("score", help="score rows with a probe ensemble")
     p.add_argument("data", help="dataset CSV")
     p.add_argument("ensemble", help="ensemble JSON document")
     p.add_argument("--kind", choices=["coreset", "active"], default="coreset")
     p.add_argument("--estimator", choices=["ensemble", "exact"], default="ensemble")
+    p.add_argument("--out", type=str, default=None, help="scores CSV path")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("sample", parents=[common],
-                       help="draw a weighted subsample from scores")
+    p = sub.add_parser("sample", help="draw a weighted subsample from scores")
     p.add_argument("scores", help="scores CSV (index,u)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha-mult", type=float, default=None)
     p.add_argument("--beta-floor", type=float, default=0.1)
     p.add_argument("--transform", choices=["sqrt", "identity"], default="sqrt")
+    p.add_argument("--seed", type=int, default=None, help="draw seed")
+    p.add_argument("--out", type=str, default=None, help="output prefix")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("selfcheck", parents=[common],
-                       help="run built-in invariant checks")
+    p = sub.add_parser("selfcheck", help="run built-in invariant checks")
     p.add_argument("--quick", action="store_true",
                    help="skip the ensemble-calibration Monte Carlo")
+    p.add_argument("--seed", type=int, default=None, help="master seed")
     p.set_defaults(func=cmd_selfcheck)
     return parser
 

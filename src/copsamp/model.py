@@ -43,6 +43,7 @@ __all__ = [
     "information",
     "fisher_info",
     "probability_matrix",
+    "residual_matrix",
     "phi_matrices",
 ]
 
@@ -156,6 +157,19 @@ def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     return z
+
+
+def residual_matrix(beta: Coefficients, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Score vectors of every row, shape ``(n, K)``: ``indicator(y_i == k) - p_k(x_i)``.
+
+    Row ``i`` is :func:`score_vector` at ``(x_i, y_i)``, i.e. the one-hot
+    label minus the probabilities of classes ``1..K``.
+    """
+    S = -probability_matrix(beta, X)[:, 1:]
+    y = np.asarray(y, dtype=int)
+    labeled = y >= 1
+    S[np.flatnonzero(labeled), y[labeled] - 1] += 1.0
+    return S
 
 
 def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:

@@ -26,9 +26,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset, fisher_info
+from copsamp.model import Coefficients, Dataset
 from copsamp.solver import FitConfig, FitReport, fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, exact_scores
+from copsamp.uncertainty import ProbeEnsemble, score_rows
 
 __all__ = [
     "SamplingConfig",
@@ -39,6 +39,7 @@ __all__ = [
     "make_plan",
     "draw_subsample",
     "subsample_objective",
+    "subsample_and_refit",
     "cops_coreset",
     "cops_active",
 ]
@@ -173,37 +174,45 @@ class PipelineResult:
     labels_queried: int | None = None
 
 
-def _score(
+def subsample_and_refit(
     data: Dataset,
-    ensemble: ProbeEnsemble,
-    kind: Literal["coreset", "active"],
-    config: SamplingConfig,
-) -> np.ndarray:
-    if config.estimator == "ensemble":
-        return ensemble_scores(ensemble, data, kind)
-    info = fisher_info(ensemble.mean, data)
-    return exact_scores(ensemble.mean, info, data, kind)
-
-
-def _finish(
-    data: Dataset,
-    y: np.ndarray,
     u: np.ndarray,
-    plan: SamplingPlan,
-    sub: Subsample,
-    fit_config: FitConfig,
-    labels_queried: int | None = None,
+    config: SamplingConfig,
+    fit_config: FitConfig = FitConfig(),
+    label_oracle: Callable[[int], int] | None = None,
 ) -> PipelineResult:
-    picked = Dataset(data.X[sub.indices], y, data.K)
-    report = fit_weighted_mle(picked, sub.weights, fit_config)
-    hist = np.histogram(u[sub.indices], bins=10)
+    """Plan from scores ``u``, draw r rows, label them, refit with 1/pi_reweight weights.
+
+    Labels come from ``data.y`` unless ``label_oracle`` is given; the
+    oracle is asked once per distinct drawn row and ``labels_queried``
+    records how many rows it labeled.
+    """
+    u = np.asarray(u, dtype=float)
+    plan = make_plan(u, config)
+    sub = draw_subsample(plan, data.n, config.subsample_size, config.seed)
+    labels_queried = None
+    if label_oracle is None:
+        if not data.labeled:
+            raise ValueError("unlabeled data needs a label oracle")
+        y = data.y[sub.indices]
+    else:
+        distinct = np.unique(sub.indices)
+        labels: dict[int, int] = {}
+        for idx in distinct:
+            try:
+                labels[int(idx)] = int(label_oracle(int(idx)))
+            except Exception as err:
+                raise LabelingError(f"label oracle failed on index {idx}") from err
+        y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
+        labels_queried = len(distinct)
+    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights, fit_config)
     return PipelineResult(
         subsample=sub,
         beta_bar=report.beta,
         fit=report,
         scores=u,
         plan=plan,
-        score_histogram=hist,
+        score_histogram=np.histogram(u[sub.indices], bins=10),
         labels_queried=labels_queried,
     )
 
@@ -217,10 +226,8 @@ def cops_coreset(
     """Score labeled data, draw r rows, and refit with 1/pi_reweight weights."""
     if not data.labeled:
         raise ValueError("coreset selection needs labels")
-    u = _score(data, ensemble, "coreset", config)
-    plan = make_plan(u, config)
-    sub = draw_subsample(plan, data.n, config.subsample_size, config.seed)
-    return _finish(data, data.y[sub.indices], u, plan, sub, fit_config)
+    u = score_rows(ensemble, data, "coreset", config.estimator)
+    return subsample_and_refit(data, u, config, fit_config)
 
 
 def cops_active(
@@ -231,17 +238,5 @@ def cops_active(
     fit_config: FitConfig = FitConfig(),
 ) -> PipelineResult:
     """Score by features alone, draw, then query labels for drawn rows only."""
-    u = _score(data_x, ensemble, "active", config)
-    plan = make_plan(u, config)
-    sub = draw_subsample(plan, data_x.n, config.subsample_size, config.seed)
-    distinct = np.unique(sub.indices)
-    labels: dict[int, int] = {}
-    for idx in distinct:
-        try:
-            labels[int(idx)] = int(label_oracle(int(idx)))
-        except Exception as err:
-            raise LabelingError(f"label oracle failed on index {idx}") from err
-    y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
-    return _finish(
-        data_x, y, u, plan, sub, fit_config, labels_queried=len(distinct)
-    )
+    u = score_rows(ensemble, data_x, "active", config.estimator)
+    return subsample_and_refit(data_x, u, config, fit_config, label_oracle)

@@ -9,12 +9,13 @@ replica, scores a second corrupted replica, draws ``r`` rows, refits,
 and evaluates the result against ``beta_star`` and against a freshly
 generated clean test set of the same atom counts.
 
-Because all rows at an atom share the same features (and sampling
-probabilities are constant within an (atom, label) cell), fitting,
-scoring and loss evaluation collapse to per-cell computations with
-count weights. That fast path is the default; ``aggregate=False``
-switches to literal row-level computation through the generic
-pipelines, and both give identical results for the same seeds.
+All rows at an atom share the same features, so a trial works on one
+table of (atom, label) cells: probe members are fitted to per-shard cell
+counts, scores are computed per cell and looked up per row, and test
+regret weighs per-cell losses by the test counts. The draw and the
+refit run row by row through :func:`copsamp.sampler.subsample_and_refit`.
+A test rebuilds the trial from the row-level public functions and checks
+that both give the same results.
 
 Everything is deterministic given the master seed: per-trial seeds are
 derived by hashing (seed, case label, trial index), and the draw seed
@@ -37,15 +38,10 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.special import expit
 
-from copsamp.model import (
-    Coefficients,
-    Dataset,
-    _log_probability_of_label,
-    dataset_loss,
-)
-from copsamp.sampler import SamplingConfig, draw_subsample, make_plan
+from copsamp.model import Coefficients, Dataset, _log_probability_of_label
+from copsamp.sampler import SamplingConfig, subsample_and_refit
 from copsamp.solver import FitConfig, fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, shard_indices, train_ensemble
+from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, shard_indices
 
 __all__ = [
     "SimulationSpec",
@@ -194,69 +190,26 @@ def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Datase
     return Dataset(spec.atom_x[atom_idx], y, K=1)
 
 
-def regret(beta_bar: Coefficients, beta_star: Coefficients, test: Dataset) -> float:
-    """Excess mean test loss of ``beta_bar`` over ``beta_star``."""
-    return dataset_loss(beta_bar, test) - dataset_loss(beta_star, test)
-
-
-def _cell_dataset(spec: SimulationSpec) -> Dataset:
-    """One row per (atom, label) cell: atom a appears with labels 0 and 1."""
-    A = spec.atom_x.shape[0]
-    X = np.repeat(spec.atom_x, 2, axis=0)
-    y = np.tile([0, 1], A)
-    return Dataset(X, y, K=1)
-
-
-def _cell_counts(spec: SimulationSpec, data: Dataset) -> np.ndarray:
-    cells = spec.atom_of_row() * 2 + data.y
-    return np.bincount(cells, minlength=2 * spec.atom_x.shape[0])
-
-
-def _fit_cells(
-    spec: SimulationSpec, cell_counts: np.ndarray, fit_config: FitConfig
-) -> Coefficients:
-    """Weighted fit on the cell table; equals the row-level fit on expanded data."""
-    return fit_weighted_mle(
-        _cell_dataset(spec), cell_counts.astype(float), fit_config
-    ).beta
-
-
-def _mean_loss_cells(
-    spec: SimulationSpec, beta: Coefficients, cell_counts: np.ndarray
+def regret(
+    beta_bar: Coefficients,
+    beta_star: Coefficients,
+    test: Dataset,
+    counts: np.ndarray | None = None,
 ) -> float:
-    cells = _cell_dataset(spec)
-    losses = -_log_probability_of_label(np.asarray(beta, float), cells.X, cells.y)
-    return float(cell_counts @ losses / cell_counts.sum())
+    """Excess mean test loss of ``beta_bar`` over ``beta_star``.
 
+    ``counts``, when given, is the multiplicity of each row of ``test``,
+    so a table of distinct rows stands for the expanded test set.
+    """
+    if not test.labeled:
+        raise ValueError("regret needs labeled test data")
+    w = np.ones(test.n) if counts is None else np.asarray(counts, dtype=float)
 
-def _probe_ensemble_cells(
-    spec: SimulationSpec, probe: Dataset, shard_seed: int, fit_config: FitConfig
-) -> ProbeEnsemble:
-    """Disjoint-shard ensemble fitted via per-shard cell counts."""
-    M = spec.probe_members
-    atom_idx = spec.atom_of_row()
-    members = np.empty((M, 1, spec.atom_x.shape[1]))
-    for m, idx in enumerate(shard_indices(probe.n, M, shard_seed)):
-        counts = np.bincount(
-            atom_idx[idx] * 2 + probe.y[idx], minlength=2 * spec.atom_x.shape[0]
-        )
-        members[m] = _fit_cells(spec, counts, fit_config)
-    return ProbeEnsemble(
-        members=members,
-        mean=members.mean(axis=0),
-        probe_size=probe.n // M,
-        mode="independent_splits",
-    )
+    def mean_loss(beta: Coefficients) -> float:
+        losses = -_log_probability_of_label(np.asarray(beta, float), test.X, test.y)
+        return float(w @ losses / w.sum())
 
-
-def _sampling_config(spec: SimulationSpec, method: Method, draw_seed: int) -> SamplingConfig:
-    return SamplingConfig(
-        subsample_size=spec.r,
-        seed=draw_seed,
-        score_transform=spec.score_transform,
-        alpha_multiplier=method.clip_multiplier if method.scheme == "clip" else None,
-        beta_floor=spec.beta_floor,
-    )
+    return mean_loss(beta_bar) - mean_loss(beta_star)
 
 
 def run_trial(
@@ -266,7 +219,6 @@ def run_trial(
     case: str = "base",
     trial_index: int = 0,
     fit_config: FitConfig = FitConfig(),
-    aggregate: bool = True,
 ) -> TrialResult:
     """One probe/score/draw/refit/evaluate cycle for one method.
 
@@ -283,50 +235,46 @@ def run_trial(
     probe = generate_dataset(spec, probe_seed, corrupted=True)
     sampling = generate_dataset(spec, sampling_seed, corrupted=True)
     test = generate_dataset(spec, test_seed, corrupted=False)
-    config = _sampling_config(spec, method, draw_seed)
-    atom_idx = spec.atom_of_row()
+    config = SamplingConfig(
+        subsample_size=spec.r,
+        seed=draw_seed,
+        score_transform=spec.score_transform,
+        alpha_multiplier=method.clip_multiplier,
+        beta_floor=spec.beta_floor,
+    )
 
-    # Ensemble scores are put on the exact-trace scale by the per-member
-    # training size n', so the absolute reweighting floor keeps the
-    # meaning it has for exact scores.
-    if aggregate:
-        ensemble = _probe_ensemble_cells(spec, probe, shard_seed, fit_config)
-        if method.scheme == "uniform":
-            u = np.ones(sampling.n)
-        elif method.with_labels:
-            u_cell = ensemble_scores(ensemble, _cell_dataset(spec), "coreset")
+    # one row per (atom, label) cell: row 2a + y holds atom a with label y
+    A = spec.atom_x.shape[0]
+    atom_idx = spec.atom_of_row()
+    cells = Dataset(np.repeat(spec.atom_x, 2, axis=0), np.tile([0, 1], A), K=1)
+
+    def cell_counts(data: Dataset, rows=slice(None)) -> np.ndarray:
+        return np.bincount(atom_idx[rows] * 2 + data.y[rows], minlength=2 * A)
+
+    if method.scheme == "uniform":
+        u = np.ones(sampling.n)
+    else:
+        # each member's fit to its shard's cell counts is the row-level fit
+        M = spec.probe_members
+        members = np.stack([
+            fit_weighted_mle(cells, cell_counts(probe, idx).astype(float), fit_config).beta
+            for idx in shard_indices(probe.n, M, shard_seed)
+        ])
+        ensemble = ProbeEnsemble(members, probe_size=probe.n // M, mode="independent_splits")
+        # Ensemble scores are put on the exact-trace scale by the per-member
+        # training size n', so the absolute reweighting floor keeps the
+        # meaning it has for exact scores.
+        if method.with_labels:
+            u_cell = ensemble_scores(ensemble, cells, "coreset")
             u = (u_cell * ensemble.probe_size)[atom_idx * 2 + sampling.y]
         else:
-            u_atom = ensemble_scores(
-                ensemble, Dataset(spec.atom_x, None, K=1), "active"
-            )
+            u_atom = ensemble_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active")
             u = (u_atom * ensemble.probe_size)[atom_idx]
-    else:
-        ensemble = train_ensemble(
-            probe, spec.probe_members, "independent_splits", shard_seed, fit_config
-        )
-        if method.scheme == "uniform":
-            u = np.ones(sampling.n)
-        elif method.with_labels:
-            u = ensemble_scores(ensemble, sampling, "coreset") * ensemble.probe_size
-        else:
-            unlabeled = Dataset(sampling.X, None, K=1)
-            u = ensemble_scores(ensemble, unlabeled, "active") * ensemble.probe_size
 
-    plan = make_plan(u, config)
-    sub = draw_subsample(plan, sampling.n, spec.r, draw_seed)
-    # without-label methods only ever read labels of the drawn rows,
-    # which is the stored-label oracle of the generic active pipeline
-    picked = Dataset(sampling.X[sub.indices], sampling.y[sub.indices], 1)
-    beta_bar = fit_weighted_mle(picked, sub.weights, fit_config).beta
-
-    if aggregate:
-        test_counts = _cell_counts(spec, test)
-        reg = _mean_loss_cells(spec, beta_bar, test_counts) - _mean_loss_cells(
-            spec, spec.beta_star, test_counts
-        )
-    else:
-        reg = regret(beta_bar, spec.beta_star, test)
+    # without-label methods only ever read labels of the drawn rows, so the
+    # stored labels act as the label oracle of the active pipeline
+    beta_bar = subsample_and_refit(sampling, u, config, fit_config).beta_bar
+    reg = regret(beta_bar, spec.beta_star, cells, cell_counts(test))
 
     errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
     return TrialResult(

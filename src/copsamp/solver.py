@@ -29,7 +29,7 @@ from copsamp.model import (
     Dataset,
     _log_probability_of_label,
     information,
-    probability_matrix,
+    residual_matrix,
 )
 
 __all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_mle"]
@@ -77,11 +77,7 @@ def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
 
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     """Gradient of the weighted mean loss w.r.t. vec(beta), shape (K*d,)."""
-    P = probability_matrix(beta, data.X)[:, 1:]
-    S = -P
-    rows = np.arange(data.n)
-    labeled = data.y >= 1
-    S[rows[labeled], data.y[labeled] - 1] += 1.0
+    S = residual_matrix(beta, data.X, data.y)
     grad_mat = -(w[:, None] * S).T @ data.X / data.n
     return grad_mat.reshape(-1)
 

@@ -28,15 +28,17 @@ from typing import Literal
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError, cholesky
+from scipy.linalg import cho_solve
 
 from copsamp.model import (
     Coefficients,
     Dataset,
     FisherInfo,
+    fisher_info,
     phi,
     phi_matrices,
-    probability_matrix,
+    residual_matrix,
     score_vector,
 )
 from copsamp.solver import FitConfig, fit_mle
@@ -52,6 +54,7 @@ __all__ = [
     "exact_score_coreset",
     "exact_score_active",
     "exact_scores",
+    "score_rows",
 ]
 
 EnsembleMode = Literal["independent_splits", "bootstrap"]
@@ -63,14 +66,13 @@ class SingularInformationError(RuntimeError):
 
 @dataclass
 class ProbeEnsemble:
-    """M probe-model coefficient matrices plus their arithmetic mean.
+    """M probe-model coefficient matrices; ``mean`` is their arithmetic mean.
 
     ``probe_size`` is the per-member training-set size n', the scale
     factor linking ensemble scores to exact ones.
     """
 
     members: np.ndarray
-    mean: Coefficients
     probe_size: int
     mode: str
 
@@ -78,9 +80,10 @@ class ProbeEnsemble:
         self.members = np.asarray(self.members, dtype=float)
         if self.members.ndim != 3 or self.members.shape[0] < 2:
             raise ValueError("members must be (M, K, d) with M >= 2")
-        self.mean = np.asarray(self.mean, dtype=float)
-        if self.mean.shape != self.members.shape[1:]:
-            raise ValueError("mean shape does not match members")
+
+    @property
+    def mean(self) -> Coefficients:
+        return self.members.mean(axis=0)
 
     @property
     def M(self) -> int:
@@ -152,12 +155,7 @@ def train_ensemble(
                 stacklevel=2,
             )
         members[m] = report.beta
-    return ProbeEnsemble(
-        members=members,
-        mean=members.mean(axis=0),
-        probe_size=probe_size,
-        mode=mode,
-    )
+    return ProbeEnsemble(members=members, probe_size=probe_size, mode=mode)
 
 
 def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
@@ -223,10 +221,7 @@ def ensemble_scores(
     if kind == "coreset":
         if not data.labeled:
             raise ValueError("coreset scoring needs labels")
-        S = -probability_matrix(ensemble.mean, X)[:, 1:]
-        rows = np.arange(data.n)
-        labeled = data.y >= 1
-        S[rows[labeled], data.y[labeled] - 1] += 1.0
+        S = residual_matrix(ensemble.mean, X, data.y)
         u = np.einsum("nk,nkl,nl->n", S, sigma, S)
     elif kind == "active":
         PHI = phi_matrices(ensemble.mean, X)
@@ -241,11 +236,17 @@ def _default_ridge(info: FisherInfo) -> float:
     return 1e-10 * float(np.trace(info.m)) / Kd
 
 
-def _factorize(info: FisherInfo, ridge: float | None):
+def _factorize(info: FisherInfo, ridge: float | None) -> np.ndarray:
+    """Lower Cholesky factor of the ridged information matrix.
+
+    The factorization is numpy's, like the GEMMs around it: numpy and
+    scipy may link separate BLAS builds, and switching thread pools
+    between them made the factorization intermittently slow.
+    """
     if ridge is None:
         ridge = _default_ridge(info)
     try:
-        return cho_factor(info.m + ridge * np.eye(info.m.shape[0]))
+        return cholesky(info.m + ridge * np.eye(info.m.shape[0]))
     except LinAlgError as err:
         raise SingularInformationError(
             f"information matrix not positive definite with ridge {ridge:.3e}"
@@ -267,7 +268,7 @@ def exact_score_coreset(
     g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
     if g.shape[0] != info.m.shape[0]:
         raise ValueError("beta/x dimensions do not match the information matrix")
-    return float(_clamp(g @ cho_solve(factor, g)))
+    return float(_clamp(g @ cho_solve((factor, True), g)))
 
 
 def exact_score_active(
@@ -285,7 +286,7 @@ def exact_score_active(
         if lam <= 0:
             continue
         g = np.kron(v, x)
-        u += lam * float(g @ cho_solve(factor, g))
+        u += lam * float(g @ cho_solve((factor, True), g))
     return float(_clamp(u))
 
 
@@ -316,16 +317,14 @@ def exact_scores(
     if kind == "coreset":
         if not data.labeled:
             raise ValueError("coreset scoring needs labels")
-        S = -probability_matrix(beta, X)[:, 1:]
-        rows = np.arange(n)
-        labeled = data.y >= 1
-        S[rows[labeled], data.y[labeled] - 1] += 1.0
+        S = residual_matrix(beta, X, data.y)
         C = S[:, :, None] * S[:, None, :]
     elif kind == "active":
         C = phi_matrices(beta, X)
     else:
         raise ValueError(f"unknown score kind {kind!r}")
-    m_inv = cho_solve(factor, np.eye(K * d))
+    factor_inv = np.linalg.inv(factor)
+    m_inv = factor_inv.T @ factor_inv
     u = np.zeros(n)
     xm = np.empty_like(X)  # reused by every block: no (n, d) allocation per GEMM
     for k in range(K):
@@ -336,3 +335,22 @@ def exact_scores(
             # C and M^-1 are symmetric: the (l, k) term equals the (k, l) one
             u += (1.0 if k == l else 2.0) * C[:, k, l] * q
     return _clamp(u)
+
+
+def score_rows(
+    ensemble: ProbeEnsemble,
+    data: Dataset,
+    kind: Literal["coreset", "active"],
+    estimator: Literal["ensemble", "exact"] = "ensemble",
+) -> np.ndarray:
+    """Scores of every row of ``data`` by the ensemble or the exact estimator.
+
+    The exact estimator evaluates the information matrix of ``data`` at the
+    ensemble mean and takes its trace scores there.
+    """
+    if estimator == "ensemble":
+        return ensemble_scores(ensemble, data, kind)
+    if estimator != "exact":
+        raise ValueError(f"unknown estimator {estimator!r}")
+    beta = ensemble.mean
+    return exact_scores(beta, fisher_info(beta, data), data, kind)

@@ -80,6 +80,14 @@ class TestFit:
         assert run(["fit", bad]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+    def test_flag_of_another_command_exit_2(self, flag, capsys):
+        # only simulate reads --threads; fit draws nothing, so it takes no seed
+        with pytest.raises(SystemExit) as err:
+            run(["fit", FIXTURES / "tiny_binary.csv"] + flag)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_strict_flag_on_nonconvergence(self, tmp_path):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=1, n=300, K=2, d=3)
@@ -96,8 +104,7 @@ class TestScore:
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=2)
         beta = np.array([[0.4, -0.2]])
-        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), beta, 50,
-                            "independent_splits")
+        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50, "independent_splits")
         ens_path = tmp_path / "ens.json"
         write_ensemble(ens_path, ens)
         out = tmp_path / "scores.csv"
@@ -165,8 +172,7 @@ class TestScore:
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=5, d=3)
         beta = np.array([[0.4, -0.2]])
-        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), beta, 50,
-                            "independent_splits")
+        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50, "independent_splits")
         ens_path = tmp_path / "ens.json"
         write_ensemble(ens_path, ens)
         assert run(["score", data_path, ens_path]) == 2

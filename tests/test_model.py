@@ -273,12 +273,7 @@ class TestHessianAndFisher:
             p = class_probabilities(beta, x)[1]
             oracle += c * (p - p * p) * np.outer(x, x)
         oracle /= counts.sum()
-        npt.assert_allclose(info.m, oracle, rtol=1e-10)
-        frozen = [
-            [0.0017176832395313446, 0.0011953270932402169],
-            [0.0011953270932402169, 0.053430941721939268],
-        ]
-        npt.assert_allclose(info.m, frozen, rtol=1e-12)
+        npt.assert_allclose(info.m, oracle, rtol=1e-11)
 
     def test_fisher_near_singular_warns(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])

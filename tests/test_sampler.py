@@ -3,6 +3,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copsamp.model import Dataset, probability_matrix
 from copsamp.sampler import (
@@ -12,10 +13,11 @@ from copsamp.sampler import (
     cops_coreset,
     draw_subsample,
     make_plan,
+    subsample_and_refit,
     subsample_objective,
 )
 from copsamp.solver import fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, train_ensemble
+from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, train_ensemble
 
 
 def synthetic(seed, n, K, d):
@@ -143,6 +145,32 @@ class TestDrawSubsample:
             draw_subsample(plan, 3, 5, seed=0)
 
 
+class TestPlanAndDrawProperties:
+    scores = st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=1, max_size=50
+    )
+    configs = st.builds(
+        cfg,
+        score_transform=st.sampled_from(["sqrt", "identity"]),
+        alpha_multiplier=st.one_of(st.none(), st.floats(1.01, 100.0)),
+        beta_floor=st.floats(0.0, 10.0),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores, configs, st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_invariants(self, u, config, r, seed):
+        u = np.array(u)
+        n = u.size
+        plan = make_plan(u, config)
+        for dist in (plan.pi, plan.pi_reweight):
+            assert dist.min() >= 0
+            assert abs(dist.sum() - 1) <= 1e-12
+        assert plan.uniform_fallback == (not np.any(u > 0))
+        sub = draw_subsample(plan, n, r, seed)
+        assert np.all(plan.pi[sub.indices] > 0)
+        assert np.all(sub.weights <= n * plan.max_weight_ratio * (1 + 1e-12))
+
+
 class TestObjective:
     def test_uniform_formula(self):
         n, val = 8, 0.7
@@ -174,8 +202,7 @@ class TestObjective:
 
 def constant_ensemble(beta, M=4, probe_size=100):
     members = np.repeat(np.asarray(beta)[None, :, :], M, axis=0)
-    return ProbeEnsemble(members, np.asarray(beta, float).copy(), probe_size,
-                         "independent_splits")
+    return ProbeEnsemble(members, probe_size, "independent_splits")
 
 
 class TestPipelines:
@@ -265,3 +292,28 @@ class TestPipelines:
         counts, edges = res.score_histogram
         assert counts.sum() == 40
         assert edges.shape == (11,)
+
+    def test_stored_label_oracle_matches_labeled_path(self):
+        data, _ = synthetic(8, 400, 2, 3)
+        ens = train_ensemble(data, 4, seed=5)
+        u = ensemble_scores(ens, data, "active") * ens.probe_size
+        config = cfg(subsample_size=70, seed=3, score_transform="sqrt",
+                     alpha_multiplier=3.0)
+        labeled = subsample_and_refit(data, u, config)
+        asked = []
+        def oracle(i):
+            asked.append(i)
+            return int(data.y[i])
+        queried = subsample_and_refit(Dataset(data.X, None, 2), u, config,
+                                      label_oracle=oracle)
+        npt.assert_array_equal(queried.subsample.indices, labeled.subsample.indices)
+        npt.assert_array_equal(queried.subsample.weights, labeled.subsample.weights)
+        npt.assert_array_equal(queried.beta_bar, labeled.beta_bar)
+        assert labeled.labels_queried is None
+        assert queried.labels_queried == len(asked)
+        assert len(asked) == np.unique(labeled.subsample.indices).size
+
+    def test_unlabeled_without_oracle_rejected(self):
+        data, _ = synthetic(9, 100, 1, 2)
+        with pytest.raises(ValueError, match="oracle"):
+            subsample_and_refit(Dataset(data.X, None, 1), np.ones(100), cfg())

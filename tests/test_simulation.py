@@ -6,6 +6,8 @@ import pytest
 from scipy.special import expit
 
 import copsamp.simulation as sim
+from copsamp.model import Dataset
+from copsamp.sampler import SamplingConfig, subsample_and_refit
 from copsamp.simulation import (
     Method,
     SimulationSpec,
@@ -16,6 +18,7 @@ from copsamp.simulation import (
     run_experiment,
     run_trial,
 )
+from copsamp.uncertainty import ensemble_scores, train_ensemble
 
 
 def paper_spec(**kw):
@@ -135,7 +138,6 @@ class TestRegret:
     def test_duplication_invariance(self):
         spec = small_spec()
         test = generate_dataset(spec, seed=2, corrupted=False)
-        from copsamp.model import Dataset
         doubled = Dataset(np.vstack([test.X, test.X]),
                           np.concatenate([test.y, test.y]), 1)
         b = np.array([[1.0, 1.5]])
@@ -154,18 +156,36 @@ class TestRunTrial:
         assert np.isfinite(res.regret)
 
     def test_aggregate_matches_row_level(self):
-        # atom-structure exploitation is an optimization only
+        # the cell table is an optimization only: rebuild each trial row by
+        # row from the public functions and compare
         spec = small_spec()
         for method in (Method("uniform"), Method("vanilla"),
                        Method("vanilla", with_labels=False), Method("clip", 3.0)):
             seed = derive_seed(2, "equiv", method.id)
-            fast = run_trial(spec, method, seed, aggregate=True)
-            slow = run_trial(spec, method, seed, aggregate=False)
-            npt.assert_allclose(fast.regret, slow.regret, atol=1e-10)
-            npt.assert_allclose(fast.param_error_l2, slow.param_error_l2, atol=1e-10)
-            npt.assert_allclose(
-                fast.param_error_components, slow.param_error_components, atol=1e-10
+            fast = run_trial(spec, method, seed)
+            probe = generate_dataset(spec, derive_seed(seed, "probe"), corrupted=True)
+            sampling = generate_dataset(spec, derive_seed(seed, "sampling"), corrupted=True)
+            test = generate_dataset(spec, derive_seed(seed, "test"), corrupted=False)
+            ensemble = train_ensemble(probe, spec.probe_members, seed=derive_seed(seed, "shards"))
+            if method.scheme == "uniform":
+                u = np.ones(sampling.n)
+            elif method.with_labels:
+                u = ensemble_scores(ensemble, sampling, "coreset") * ensemble.probe_size
+            else:
+                unlabeled = Dataset(sampling.X, None, K=1)
+                u = ensemble_scores(ensemble, unlabeled, "active") * ensemble.probe_size
+            config = SamplingConfig(
+                subsample_size=spec.r,
+                seed=derive_seed(seed, "draw", method.id),
+                score_transform=spec.score_transform,
+                alpha_multiplier=method.clip_multiplier,
+                beta_floor=spec.beta_floor,
             )
+            beta_bar = subsample_and_refit(sampling, u, config).beta_bar
+            errs = np.abs(beta_bar - spec.beta_star).reshape(-1)
+            npt.assert_allclose(fast.regret, regret(beta_bar, spec.beta_star, test), atol=1e-10)
+            npt.assert_allclose(fast.param_error_l2, np.linalg.norm(errs), atol=1e-10)
+            npt.assert_allclose(fast.param_error_components, errs, atol=1e-10)
 
     def test_methods_share_datasets_within_trial(self):
         # paired comparisons: same trial seed, different methods, same data

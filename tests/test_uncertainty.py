@@ -39,8 +39,7 @@ def synthetic(seed, n, K, d, scale=0.8):
 
 def constant_ensemble(beta, M=4, probe_size=100):
     members = np.repeat(beta[None, :, :], M, axis=0)
-    return ProbeEnsemble(members=members, mean=beta.copy(), probe_size=probe_size,
-                         mode="independent_splits")
+    return ProbeEnsemble(members=members, probe_size=probe_size, mode="independent_splits")
 
 
 class TestTrainEnsemble:
@@ -64,7 +63,7 @@ class TestTrainEnsemble:
         # fit on the two identical halves directly
         a = fit_mle(Dataset(data.X, data.y, 1)).beta
         members = np.stack([a, a])
-        ens = ProbeEnsemble(members, a, probe_size=200, mode="independent_splits")
+        ens = ProbeEnsemble(members, probe_size=200, mode="independent_splits")
         for x in both.X[:5]:
             npt.assert_allclose(logit_covariance(ens, x), 0.0, atol=1e-30)
 
@@ -106,7 +105,7 @@ class TestLogitCovariance:
     def test_two_member_variance(self):
         # K=1 logits {a, b}: covariance is (a-b)^2 / 2
         m1, m2 = np.array([[1.0, 0.0]]), np.array([[3.0, 1.0]])
-        ens = ProbeEnsemble(np.stack([m1, m2]), (m1 + m2) / 2, 10, "independent_splits")
+        ens = ProbeEnsemble(np.stack([m1, m2]), 10, "independent_splits")
         x = np.array([2.0, -1.0])
         a, b = float((m1 @ x)[0]), float((m2 @ x)[0])
         npt.assert_allclose(logit_covariance(ens, x), [[(a - b) ** 2 / 2]], rtol=1e-14)
@@ -130,7 +129,7 @@ class TestEnsembleScores:
         ens = train_ensemble(data, 5, seed=3)
         inflated = ProbeEnsemble(
             ens.mean + np.sqrt(2.0) * (ens.members - ens.mean),
-            ens.mean, ens.probe_size, ens.mode,
+            ens.probe_size, ens.mode,
         )
         x = data.X[0]
         for y in range(3):
@@ -263,6 +262,8 @@ class TestExactScores:
         info = FisherInfo(m=np.zeros((2, 2)), n=1)
         with pytest.raises(SingularInformationError):
             exact_score_coreset(np.zeros((1, 2)), info, np.ones(2), 1)
+        with pytest.raises(SingularInformationError):
+            exact_scores(np.zeros((1, 2)), info, Dataset(np.ones((3, 2)), None, 1), "active")
 
     def test_scores_nonnegative(self):
         data, beta = synthetic(19, 400, 3, 3)
