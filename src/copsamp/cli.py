@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from typing import Any
 
@@ -183,13 +184,13 @@ def ensemble_to_doc(ensemble: ProbeEnsemble) -> dict:
         "format": "copsamp-ensemble",
         "k": ensemble.K,
         "d": ensemble.d,
-        "mode": ensemble.mode,
         "probe_size": ensemble.probe_size,
         "members": ensemble.members,
     }
 
 
 def load_ensemble(path: str) -> ProbeEnsemble:
+    """Read an ensemble document; a ``mode`` key of older documents is ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -201,11 +202,11 @@ def load_ensemble(path: str) -> ProbeEnsemble:
         ensemble = ProbeEnsemble(
             members=np.asarray(doc["members"], dtype=float),
             probe_size=int(doc["probe_size"]),
-            mode=str(doc.get("mode", "independent_splits")),
         )
+        declared = (int(doc["k"]), int(doc["d"]))
     except (KeyError, ValueError, TypeError) as err:
         raise CliError(f"{path}: invalid ensemble document: {err}") from err
-    if ensemble.K != int(doc["k"]) or ensemble.d != int(doc["d"]):
+    if (ensemble.K, ensemble.d) != declared:
         raise CliError(f"{path}: members shape disagrees with declared k/d")
     return ensemble
 
@@ -239,7 +240,19 @@ def load_simulation_config(path: str) -> dict:
     return cfg
 
 
-def build_spec(cfg: dict) -> tuple[SimulationSpec, list[Method], dict]:
+#: optional config keys and their conversions; an absent key takes
+#: SimulationSpec's default
+_OPTIONAL_SPEC_FIELDS = {
+    "clip_multipliers": lambda v: tuple(float(m) for m in v),
+    "trials": int,
+    "seed": int,
+    "probe_members": int,
+    "score_transform": str,
+    "beta_floor": float,
+}
+
+
+def build_spec(cfg: dict) -> tuple[SimulationSpec, list[Method] | None, dict]:
     atoms = _require(cfg, "atoms")
     beta_star = np.asarray(_require(cfg, "beta_star"), dtype=float)
     zeta_cases_raw = _require(cfg, "zeta_cases")
@@ -265,22 +278,16 @@ def build_spec(cfg: dict) -> tuple[SimulationSpec, list[Method], dict]:
             beta_star=beta_star,
             zeta=next(iter(zeta_cases.values())),
             r=int(_require(cfg, "r")),
-            clip_multipliers=tuple(float(m) for m in cfg.get("clip_multipliers", [3.0, 10.0])),
-            trials=int(cfg.get("trials", 50)),
-            seed=int(cfg.get("seed", 0)),
-            probe_members=int(cfg.get("probe_members", 10)),
-            score_transform=str(cfg.get("score_transform", "sqrt")),
-            beta_floor=float(cfg.get("beta_floor", 0.1)),
+            **{key: convert(cfg[key])
+               for key, convert in _OPTIONAL_SPEC_FIELDS.items() if key in cfg},
         )
-    except ValueError as err:
+        for zeta in zeta_cases.values():
+            replace(spec, zeta=zeta)  # each case passes the spec's own checks
+        methods = [Method.parse(m) for m in cfg["methods"]] if "methods" in cfg else None
+        if methods is not None:
+            spec.check_methods(methods)
+    except (TypeError, ValueError) as err:
         raise CliError(f"config: {err}") from err
-    if "methods" in cfg:
-        try:
-            methods = [Method.parse(m) for m in cfg["methods"]]
-        except ValueError as err:
-            raise CliError(f"config: {err}") from err
-    else:
-        methods = None
     return spec, methods, zeta_cases
 
 
@@ -470,7 +477,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     try:
         config = SamplingConfig(
             subsample_size=args.r,
-            seed=args.seed or 0,
+            seed=args.seed,
             score_transform=args.transform,
             alpha_multiplier=args.alpha_mult,
             beta_floor=args.beta_floor,
@@ -549,9 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-col", type=str, default=None)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the fit does not converge")
-    p.add_argument("--grad-tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--ridge", type=float, default=1e-8)
+    p.add_argument("--grad-tol", type=float, default=FitConfig.grad_tol)
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    p.add_argument("--ridge", type=float, default=FitConfig.ridge)
     p.add_argument("--out", type=str, default=None, help="fit document path")
     p.set_defaults(func=cmd_fit)
 
@@ -559,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="dataset CSV")
     p.add_argument("ensemble", help="ensemble JSON document")
     p.add_argument("--kind", choices=["coreset", "active"], default="coreset")
-    p.add_argument("--estimator", choices=["ensemble", "exact"], default="ensemble")
+    p.add_argument("--estimator", choices=["ensemble", "exact"],
+                   default=SamplingConfig.estimator)
     p.add_argument("--out", type=str, default=None, help="scores CSV path")
     p.set_defaults(func=cmd_score)
 
@@ -567,9 +575,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scores", help="scores CSV (index,u)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--alpha-mult", type=float, default=None)
-    p.add_argument("--beta-floor", type=float, default=0.1)
-    p.add_argument("--transform", choices=["sqrt", "identity"], default="sqrt")
-    p.add_argument("--seed", type=int, default=None, help="draw seed")
+    p.add_argument("--beta-floor", type=float, default=SamplingConfig.beta_floor)
+    p.add_argument("--transform", choices=["sqrt", "identity"],
+                   default=SamplingConfig.score_transform)
+    p.add_argument("--seed", type=int, default=SamplingConfig.seed, help="draw seed")
     p.add_argument("--out", type=str, default=None, help="output prefix")
     p.set_defaults(func=cmd_sample)
 

@@ -110,11 +110,10 @@ class FisherInfo:
     """Averaged loss Hessian ``(1/n) sum_i kron(phi_i, x_i x_i^T)``.
 
     ``m`` is ``(K*d, K*d)`` symmetric positive semidefinite up to
-    round-off; ``n`` records how many samples were averaged.
+    round-off.
     """
 
     m: np.ndarray
-    n: int
     near_singular: bool = field(default=False)
 
 
@@ -358,4 +357,4 @@ def fisher_info(
             RuntimeWarning,
             stacklevel=2,
         )
-    return FisherInfo(m=m, n=data.n, near_singular=near_singular)
+    return FisherInfo(m=m, near_singular=near_singular)

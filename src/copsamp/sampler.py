@@ -27,7 +27,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from copsamp.model import Coefficients, Dataset
-from copsamp.solver import FitConfig, FitReport, fit_weighted_mle
+from copsamp.solver import FitReport, fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, score_rows
 
 __all__ = [
@@ -69,10 +69,11 @@ class SamplingConfig:
     def __post_init__(self) -> None:
         if self.subsample_size < 1:
             raise ValueError("subsample_size must be >= 1")
-        if self.alpha_multiplier is not None and self.alpha_multiplier <= 1:
-            raise ValueError("alpha_multiplier must exceed 1")
-        if self.beta_floor < 0:
-            raise ValueError("beta_floor must be >= 0")
+        # written so that NaN fails each comparison and is rejected
+        if self.alpha_multiplier is not None and not self.alpha_multiplier > 1:
+            raise ValueError(f"alpha_multiplier must exceed 1, got {self.alpha_multiplier}")
+        if not 0 <= self.beta_floor < np.inf:
+            raise ValueError(f"beta_floor must be finite and >= 0, got {self.beta_floor}")
         if self.score_transform not in ("sqrt", "identity"):
             raise ValueError(f"unknown score_transform {self.score_transform!r}")
 
@@ -83,8 +84,9 @@ class SamplingPlan:
 
     ``uniform_fallback`` flags the degenerate all-zero-score case where
     both distributions fall back to uniform. ``max_weight_ratio`` is the
-    largest inverse-probability weight relative to uniform sampling, a
-    bounded-moments diagnostic.
+    largest inverse-probability weight of a row that can be drawn
+    (``pi > 0``) relative to uniform sampling, a bounded-moments
+    diagnostic.
     """
 
     pi: np.ndarray
@@ -122,8 +124,8 @@ def make_plan(u: np.ndarray, config: SamplingConfig) -> SamplingPlan:
     pi = sampling / sampling.sum()
     floored = np.maximum(v, config.beta_floor)
     pi_reweight = floored / floored.sum()
-    positive = pi_reweight[pi_reweight > 0]
-    max_weight_ratio = float(1.0 / (n * positive.min()))
+    # rows with pi = 0 are never drawn, so their weights never occur
+    max_weight_ratio = float(1.0 / (n * pi_reweight[pi > 0].min()))
     return SamplingPlan(
         pi=pi,
         pi_reweight=pi_reweight,
@@ -178,7 +180,6 @@ def subsample_and_refit(
     data: Dataset,
     u: np.ndarray,
     config: SamplingConfig,
-    fit_config: FitConfig = FitConfig(),
     label_oracle: Callable[[int], int] | None = None,
 ) -> PipelineResult:
     """Plan from scores ``u``, draw r rows, label them, refit with 1/pi_reweight weights.
@@ -205,7 +206,7 @@ def subsample_and_refit(
                 raise LabelingError(f"label oracle failed on index {idx}") from err
         y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
         labels_queried = len(distinct)
-    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights, fit_config)
+    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights)
     return PipelineResult(
         subsample=sub,
         beta_bar=report.beta,
@@ -221,13 +222,12 @@ def cops_coreset(
     data: Dataset,
     ensemble: ProbeEnsemble,
     config: SamplingConfig,
-    fit_config: FitConfig = FitConfig(),
 ) -> PipelineResult:
     """Score labeled data, draw r rows, and refit with 1/pi_reweight weights."""
     if not data.labeled:
         raise ValueError("coreset selection needs labels")
     u = score_rows(ensemble, data, "coreset", config.estimator)
-    return subsample_and_refit(data, u, config, fit_config)
+    return subsample_and_refit(data, u, config)
 
 
 def cops_active(
@@ -235,8 +235,7 @@ def cops_active(
     label_oracle: Callable[[int], int],
     ensemble: ProbeEnsemble,
     config: SamplingConfig,
-    fit_config: FitConfig = FitConfig(),
 ) -> PipelineResult:
     """Score by features alone, draw, then query labels for drawn rows only."""
     u = score_rows(ensemble, data_x, "active", config.estimator)
-    return subsample_and_refit(data_x, u, config, fit_config, label_oracle)
+    return subsample_and_refit(data_x, u, config, label_oracle)

@@ -157,7 +157,7 @@ def check_ensemble_calibration(rng: np.random.Generator) -> CheckResult:
 
     probe = draw(M * n_shard, int(rng.integers(2**32)))
     big = draw(60_000, int(rng.integers(2**32)))
-    ensemble = train_ensemble(probe, M, "independent_splits", seed=0)
+    ensemble = train_ensemble(probe, M, seed=0)
     beta_hat = fit_mle(big).beta
     info = fisher_info(beta_hat, big)
     eval_data = big.subset(np.arange(200))

@@ -40,7 +40,7 @@ from scipy.special import expit
 
 from copsamp.model import Coefficients, Dataset, _log_probability_of_label
 from copsamp.sampler import SamplingConfig, subsample_and_refit
-from copsamp.solver import FitConfig, fit_weighted_mle
+from copsamp.solver import fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, shard_indices
 
 __all__ = [
@@ -106,7 +106,8 @@ class SimulationSpec:
 
     ``atom_x`` is (A, d); ``counts`` gives the number of rows per atom;
     ``zeta`` holds the per-atom corruption offsets of one corruption
-    case. Binary labels only (K = 1).
+    case. Binary labels only (K = 1). ``score_transform`` and
+    ``beta_floor`` default to :class:`~copsamp.sampler.SamplingConfig`'s.
     """
 
     atom_x: np.ndarray
@@ -118,8 +119,8 @@ class SimulationSpec:
     trials: int = 50
     seed: int = 0
     probe_members: int = 10
-    score_transform: str = "sqrt"
-    beta_floor: float = 0.1
+    score_transform: str = SamplingConfig.score_transform
+    beta_floor: float = SamplingConfig.beta_floor
 
     def __post_init__(self) -> None:
         self.atom_x = np.asarray(self.atom_x, dtype=float)
@@ -137,6 +138,30 @@ class SimulationSpec:
             raise ValueError("zeta must be finite, one offset per atom")
         if self.r < 1 or self.trials < 1:
             raise ValueError("r and trials must be >= 1")
+        if self.probe_members < 2:
+            raise ValueError(f"probe_members must be >= 2, got {self.probe_members}")
+        # the trials' own SamplingConfigs check score_transform and
+        # beta_floor, then each clip multiplier, before any trial runs
+        self.sampling_config(Method("uniform"))
+        self.check_methods(default_methods(self))
+
+    def sampling_config(self, method: Method, seed: int = 0) -> SamplingConfig:
+        """The plan settings of ``method``'s trials, drawing with ``seed``."""
+        return SamplingConfig(
+            subsample_size=self.r,
+            seed=seed,
+            score_transform=self.score_transform,
+            alpha_multiplier=method.clip_multiplier,
+            beta_floor=self.beta_floor,
+        )
+
+    def check_methods(self, methods: Iterable[Method]) -> None:
+        """Raise ``ValueError`` naming the first method whose plan settings are invalid."""
+        for method in methods:
+            try:
+                self.sampling_config(method)
+            except ValueError as err:
+                raise ValueError(f"method {method.id}: {err}") from err
 
     @property
     def n_total(self) -> int:
@@ -218,7 +243,6 @@ def run_trial(
     seed: int,
     case: str = "base",
     trial_index: int = 0,
-    fit_config: FitConfig = FitConfig(),
 ) -> TrialResult:
     """One probe/score/draw/refit/evaluate cycle for one method.
 
@@ -235,13 +259,7 @@ def run_trial(
     probe = generate_dataset(spec, probe_seed, corrupted=True)
     sampling = generate_dataset(spec, sampling_seed, corrupted=True)
     test = generate_dataset(spec, test_seed, corrupted=False)
-    config = SamplingConfig(
-        subsample_size=spec.r,
-        seed=draw_seed,
-        score_transform=spec.score_transform,
-        alpha_multiplier=method.clip_multiplier,
-        beta_floor=spec.beta_floor,
-    )
+    config = spec.sampling_config(method, draw_seed)
 
     # one row per (atom, label) cell: row 2a + y holds atom a with label y
     A = spec.atom_x.shape[0]
@@ -257,10 +275,10 @@ def run_trial(
         # each member's fit to its shard's cell counts is the row-level fit
         M = spec.probe_members
         members = np.stack([
-            fit_weighted_mle(cells, cell_counts(probe, idx).astype(float), fit_config).beta
+            fit_weighted_mle(cells, cell_counts(probe, idx).astype(float)).beta
             for idx in shard_indices(probe.n, M, shard_seed)
         ])
-        ensemble = ProbeEnsemble(members, probe_size=probe.n // M, mode="independent_splits")
+        ensemble = ProbeEnsemble(members, probe_size=probe.n // M)
         # Ensemble scores are put on the exact-trace scale by the per-member
         # training size n', so the absolute reweighting floor keeps the
         # meaning it has for exact scores.
@@ -273,7 +291,7 @@ def run_trial(
 
     # without-label methods only ever read labels of the drawn rows, so the
     # stored labels act as the label oracle of the active pipeline
-    beta_bar = subsample_and_refit(sampling, u, config, fit_config).beta_bar
+    beta_bar = subsample_and_refit(sampling, u, config).beta_bar
     reg = regret(beta_bar, spec.beta_star, cells, cell_counts(test))
 
     errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
@@ -321,43 +339,35 @@ def aggregate_rows(rows: Iterable[TrialResult]) -> dict[str, dict[str, dict[str,
 def run_experiment(
     spec: SimulationSpec,
     methods: Iterable[Method] | None = None,
-    trials: int | None = None,
-    seed: int | None = None,
     zeta_cases: Mapping[str, np.ndarray] | None = None,
-    fit_config: FitConfig = FitConfig(),
     threads: int = 1,
 ) -> ExperimentReport:
-    """Run trials x methods x corruption cases and aggregate.
+    """Run ``spec.trials`` trials x methods x corruption cases and aggregate.
 
-    Trial failures are recorded and skipped, never fatal. Per-trial seeds
-    hash (seed, case, trial index); method order is immaterial. Trials
-    are independent given their derived seeds, so ``threads > 1`` runs
-    them concurrently; results are assembled in deterministic order
+    Invalid method settings raise ``ValueError`` before any trial runs;
+    trial failures are recorded and skipped, never fatal. Per-trial seeds
+    hash (``spec.seed``, case, trial index); method order is immaterial.
+    Trials are independent given their derived seeds, so ``threads > 1``
+    runs them concurrently; results are assembled in deterministic order
     regardless.
     """
     methods = list(methods) if methods is not None else default_methods(spec)
-    trials = spec.trials if trials is None else trials
-    seed = spec.seed if seed is None else seed
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    spec.check_methods(methods)
     if zeta_cases is None:
         zeta_cases = {"base": spec.zeta}
 
     tasks = []
     for case_label in zeta_cases:
         case_spec = replace(spec, zeta=np.asarray(zeta_cases[case_label], dtype=float))
-        for t in range(trials):
-            trial_seed = derive_seed(seed, case_label, t)
+        for t in range(spec.trials):
+            trial_seed = derive_seed(spec.seed, case_label, t)
             for method in methods:
                 tasks.append((case_spec, method, trial_seed, case_label, t))
 
     def work(task):
         case_spec, method, trial_seed, case_label, t = task
         try:
-            return run_trial(
-                case_spec, method, trial_seed,
-                case=case_label, trial_index=t, fit_config=fit_config,
-            )
+            return run_trial(case_spec, method, trial_seed, case=case_label, trial_index=t)
         except Exception as err:  # noqa: BLE001 - recorded, not fatal
             return {
                 "case": case_label,
@@ -377,10 +387,10 @@ def run_experiment(
     rows = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if not isinstance(o, TrialResult)]
     return ExperimentReport(
-        trials=trials,
+        trials=spec.trials,
         methods=tuple(m.id for m in methods),
         cases=tuple(zeta_cases),
-        seed=seed,
+        seed=spec.seed,
         rows=rows,
         aggregates=aggregate_rows(rows),
         failures=failures,

@@ -34,6 +34,9 @@ from copsamp.model import (
 
 __all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_mle"]
 
+#: halvings of a Newton step before the fit stops as numerically stationary
+STEP_HALVING_MAX = 30
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -42,10 +45,9 @@ class FitConfig:
     grad_tol: float = 1e-8
     max_iters: int = 100
     ridge: float = 1e-8
-    step_halving_max: int = 30
 
     def __post_init__(self) -> None:
-        if min(self.grad_tol, self.max_iters, self.ridge, self.step_halving_max) <= 0:
+        if min(self.grad_tol, self.max_iters, self.ridge) <= 0:
             raise ValueError("all FitConfig fields must be positive")
 
 
@@ -144,7 +146,7 @@ def fit_weighted_mle(
         step = step.reshape(K, d)
         t = 1.0
         accepted = False
-        for _ in range(config.step_halving_max + 1):
+        for _ in range(STEP_HALVING_MAX + 1):
             candidate = beta - t * step
             candidate_loss = _objective(candidate, data, w)
             if candidate_loss < loss:

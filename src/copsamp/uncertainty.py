@@ -41,7 +41,7 @@ from copsamp.model import (
     residual_matrix,
     score_vector,
 )
-from copsamp.solver import FitConfig, fit_mle
+from copsamp.solver import fit_mle
 
 __all__ = [
     "ProbeEnsemble",
@@ -57,9 +57,6 @@ __all__ = [
     "score_rows",
 ]
 
-EnsembleMode = Literal["independent_splits", "bootstrap"]
-
-
 class SingularInformationError(RuntimeError):
     """Fisher information could not be factorized even after the ridge."""
 
@@ -74,7 +71,6 @@ class ProbeEnsemble:
 
     members: np.ndarray
     probe_size: int
-    mode: str
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=float)
@@ -109,44 +105,25 @@ def shard_indices(n: int, M: int, seed: int) -> list[np.ndarray]:
     return [perm[m * shard_size : (m + 1) * shard_size] for m in range(M)]
 
 
-def train_ensemble(
-    probe: Dataset,
-    M: int,
-    mode: EnsembleMode = "independent_splits",
-    seed: int = 0,
-    config: FitConfig = FitConfig(),
-) -> ProbeEnsemble:
-    """Fit M probe models on shards or bootstrap resamples of ``probe``.
+def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
+    """Fit M probe models, one per disjoint equal shard of ``probe``.
 
-    ``independent_splits`` partitions the probe set into M disjoint equal
-    shards (shuffled by ``seed``) and fits one member per shard;
-    ``bootstrap`` draws M with-replacement resamples of the full probe
-    set, member m using seed ``seed + m``.
+    The shards come from :func:`shard_indices` shuffled by ``seed``; each
+    member is a plain maximum-likelihood fit of its shard.
     """
     if M < 2:
         raise ValueError("M must be >= 2")
     if not probe.labeled:
         raise ValueError("probe data must be labeled")
-    if mode == "independent_splits":
-        if probe.n // M < probe.K + probe.d:
-            raise ValueError(
-                f"probe too small: shards of {probe.n // M} rows for K+d="
-                f"{probe.K + probe.d}"
-            )
-        parts = shard_indices(probe.n, M, seed)
-        probe_size = probe.n // M
-    elif mode == "bootstrap":
-        parts = [
-            np.random.default_rng(seed + m).integers(0, probe.n, size=probe.n)
-            for m in range(M)
-        ]
-        probe_size = probe.n
-    else:
-        raise ValueError(f"unknown ensemble mode {mode!r}")
+    probe_size = probe.n // M
+    if probe_size < probe.K + probe.d:
+        raise ValueError(
+            f"probe too small: shards of {probe_size} rows for K+d={probe.K + probe.d}"
+        )
 
     members = np.empty((M, probe.K, probe.d))
-    for m, idx in enumerate(parts):
-        report = fit_mle(probe.subset(idx), config)
+    for m, idx in enumerate(shard_indices(probe.n, M, seed)):
+        report = fit_mle(probe.subset(idx))
         if not report.converged:
             warnings.warn(
                 f"ensemble member {m} did not converge "
@@ -155,7 +132,7 @@ def train_ensemble(
                 stacklevel=2,
             )
         members[m] = report.beta
-    return ProbeEnsemble(members=members, probe_size=probe_size, mode=mode)
+    return ProbeEnsemble(members=members, probe_size=probe_size)
 
 
 def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
@@ -231,20 +208,14 @@ def ensemble_scores(
     return _clamp(u)
 
 
-def _default_ridge(info: FisherInfo) -> float:
-    Kd = info.m.shape[0]
-    return 1e-10 * float(np.trace(info.m)) / Kd
-
-
-def _factorize(info: FisherInfo, ridge: float | None) -> np.ndarray:
-    """Lower Cholesky factor of the ridged information matrix.
+def _factorize(info: FisherInfo) -> np.ndarray:
+    """Lower Cholesky factor of ``M + ridge * I``, ``ridge = 1e-10 * Tr(M) / (K*d)``.
 
     The factorization is numpy's, like the GEMMs around it: numpy and
     scipy may link separate BLAS builds, and switching thread pools
     between them made the factorization intermittently slow.
     """
-    if ridge is None:
-        ridge = _default_ridge(info)
+    ridge = 1e-10 * float(np.trace(info.m)) / info.m.shape[0]
     try:
         return cholesky(info.m + ridge * np.eye(info.m.shape[0]))
     except LinAlgError as err:
@@ -258,13 +229,9 @@ def exact_score_coreset(
     info: FisherInfo,
     x: np.ndarray,
     y: int,
-    ridge: float | None = None,
 ) -> float:
-    """``Tr((psi kron xx^T) M^-1)`` as the quadratic form of ``kron(s, x)``.
-
-    ``ridge`` defaults to ``1e-10 * Tr(M) / (K*d)``.
-    """
-    factor = _factorize(info, ridge)
+    """``Tr((psi kron xx^T) M^-1)`` as the quadratic form of ``kron(s, x)``."""
+    factor = _factorize(info)
     g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
     if g.shape[0] != info.m.shape[0]:
         raise ValueError("beta/x dimensions do not match the information matrix")
@@ -275,10 +242,9 @@ def exact_score_active(
     beta: Coefficients,
     info: FisherInfo,
     x: np.ndarray,
-    ridge: float | None = None,
 ) -> float:
     """``Tr((phi kron xx^T) M^-1)`` via the eigendecomposition of phi."""
-    factor = _factorize(info, ridge)
+    factor = _factorize(info)
     x = np.asarray(x, dtype=float)
     eigvals, eigvecs = np.linalg.eigh(phi(beta, x))
     u = 0.0
@@ -295,7 +261,6 @@ def exact_scores(
     info: FisherInfo,
     data: Dataset,
     kind: Literal["coreset", "active"],
-    ridge: float | None = None,
 ) -> np.ndarray:
     """Vectorized exact scores over every row of ``data``.
 
@@ -308,7 +273,7 @@ def exact_scores(
     memory is O(n*K^2 + n*d + (K*d)^2). Agrees with the per-sample
     functions to round-off.
     """
-    factor = _factorize(info, ridge)
+    factor = _factorize(info)
     X = data.X
     n, d = X.shape
     K = data.K
@@ -341,7 +306,7 @@ def score_rows(
     ensemble: ProbeEnsemble,
     data: Dataset,
     kind: Literal["coreset", "active"],
-    estimator: Literal["ensemble", "exact"] = "ensemble",
+    estimator: Literal["ensemble", "exact"],
 ) -> np.ndarray:
     """Scores of every row of ``data`` by the ensemble or the exact estimator.
 

@@ -132,7 +132,7 @@ def test_criterion_4_ensemble_exact_correspondence():
 
     probe = draw(M * shard, 1)
     big = draw(200_000, 2)
-    ensemble = train_ensemble(probe, M, "independent_splits", seed=3)
+    ensemble = train_ensemble(probe, M, seed=3)
     beta_hat = fit_mle(big).beta
     info = fisher_info(beta_hat, big)
     eval_data = big.subset(np.arange(500))

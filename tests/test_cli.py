@@ -104,7 +104,7 @@ class TestScore:
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=2)
         beta = np.array([[0.4, -0.2]])
-        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50, "independent_splits")
+        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50)
         ens_path = tmp_path / "ens.json"
         write_ensemble(ens_path, ens)
         out = tmp_path / "scores.csv"
@@ -168,11 +168,40 @@ class TestScore:
                          for r in out.read_text().strip().splitlines()[1:]])
         assert vals.shape == (300,) and np.all(vals >= 0) and vals.max() > 0
 
+    def test_legacy_mode_key_ignored(self, tmp_path):
+        # documents written with a "mode" key still load and score the same
+        data_path = tmp_path / "data.csv"
+        data = synthetic_csv(data_path, seed=7, n=80)
+        doc = ensemble_to_doc(train_ensemble(data, 3, seed=1))
+        assert "mode" not in doc
+        current, legacy = tmp_path / "ens.json", tmp_path / "legacy.json"
+        current.write_text(json_text(doc))
+        legacy.write_text(json_text({**doc, "mode": "bootstrap"}))
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for ens_path, out in zip((current, legacy), outs):
+            assert run(["score", data_path, ens_path, "--out", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("broken", ["missing-k", "missing-d", "array"])
+    def test_malformed_ensemble_document_exit_2(self, tmp_path, capsys, broken):
+        data_path = tmp_path / "data.csv"
+        synthetic_csv(data_path, seed=8, n=30)
+        beta = np.array([[0.4, -0.2]])
+        doc = ensemble_to_doc(ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50))
+        if broken == "array":
+            doc = [doc]
+        else:
+            del doc[broken.split("-")[1]]
+        ens_path = tmp_path / "ens.json"
+        ens_path.write_text(json_text(doc))
+        assert run(["score", data_path, ens_path]) == 2
+        assert "invalid ensemble document" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=5, d=3)
         beta = np.array([[0.4, -0.2]])
-        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50, "independent_splits")
+        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50)
         ens_path = tmp_path / "ens.json"
         write_ensemble(ens_path, ens)
         assert run(["score", data_path, ens_path]) == 2
@@ -212,6 +241,25 @@ class TestSample:
         assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
         assert (tmp_path / "p1_plan.json").read_bytes() == (tmp_path / "p2_plan.json").read_bytes()
 
+    @pytest.mark.parametrize("flag, field", [
+        (["--beta-floor", "nan"], "beta_floor"),
+        (["--beta-floor", "inf"], "beta_floor"),
+        (["--alpha-mult", "nan"], "alpha_multiplier"),
+    ])
+    def test_non_finite_setting_exit_2(self, tmp_path, capsys, flag, field):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("index,u\n0,1.0\n1,2.0\n")
+        assert run(["sample", scores, "--r", 2] + flag) == 2
+        assert field in capsys.readouterr().err
+
+    def test_drawable_rows_set_max_weight_ratio(self, tmp_path):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("index,u\n0,0\n1,1\n2,1\n3,1\n")
+        assert run(["sample", scores, "--r", 5, "--transform", "identity",
+                    "--out", tmp_path / "sub"]) == 0
+        plan = json.loads((tmp_path / "sub_plan.json").read_text())
+        assert plan["max_weight_ratio"] == pytest.approx(0.775, rel=1e-15)
+
     def test_negative_scores_exit_2(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("index,u\n0,-1.0\n")
@@ -245,6 +293,27 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         assert run(["simulate", path]) == 2
         assert "beta_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("beta_floor", -1, "beta_floor"),
+        ("beta_floor", "nan", "beta_floor"),
+        ("score_transform", "log", "score_transform"),
+        ("probe_members", 1, "probe_members"),
+        ("clip_multipliers", [1.0], "clip1"),
+        ("methods", ["uniform", "cops-clip0.5-withY"], "clip0.5"),
+        ("zeta_cases", {"clean": [0.0, 0.0, 0.0], "bad": [float("nan"), 0.0, 0.0]}, "zeta"),
+    ])
+    def test_bad_bundled_config_exit_2(self, tmp_path, capsys, key, value, field):
+        # rejected before any trial runs: no output directory is written
+        cfg = json.loads(Path(bundled_config_path()).read_text())
+        cfg[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["simulate", path, "--trials", 1, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config:" in err and field in err
+        assert not out.exists()
 
     def test_json_syntax_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "syntax.json"

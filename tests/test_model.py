@@ -257,7 +257,6 @@ class TestHessianAndFisher:
         a = fisher_info(beta, Dataset(X, None, 2))
         b = fisher_info(beta, Dataset(np.vstack([X, X]), None, 2))
         npt.assert_allclose(a.m, b.m, atol=1e-13)
-        assert b.n == 40
 
     def test_fisher_simulation_atoms(self):
         # Table of three feature atoms with counts; independent summation oracle

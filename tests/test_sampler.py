@@ -111,6 +111,22 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             cfg(score_transform="cubic")
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_multiplier", np.nan),
+        ("beta_floor", np.nan),
+        ("beta_floor", np.inf),
+    ])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            cfg(**{field: value})
+
+    def test_max_weight_ratio_counts_drawable_rows(self):
+        # the zero-score row is floored for reweighting but never drawn:
+        # drawable rows have weight 1 / (4 * 1/3.1) = 0.775 of uniform
+        plan = make_plan(np.array([0.0, 1.0, 1.0, 1.0]), cfg(beta_floor=0.1))
+        assert plan.pi[0] == 0.0
+        assert plan.max_weight_ratio == pytest.approx(0.775, rel=1e-15)
+
 
 class TestDrawSubsample:
     def test_point_mass(self):
@@ -156,6 +172,7 @@ class TestPlanAndDrawProperties:
         beta_floor=st.floats(0.0, 10.0),
     )
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=200, deadline=None)
     @given(scores, configs, st.integers(1, 200), st.integers(0, 2**32 - 1))
     def test_invariants(self, u, config, r, seed):
@@ -202,7 +219,7 @@ class TestObjective:
 
 def constant_ensemble(beta, M=4, probe_size=100):
     members = np.repeat(np.asarray(beta)[None, :, :], M, axis=0)
-    return ProbeEnsemble(members, probe_size, "independent_splits")
+    return ProbeEnsemble(members, probe_size)
 
 
 class TestPipelines:

@@ -122,6 +122,14 @@ class TestGenerateDataset:
             paper_spec(zeta=np.array([np.inf, 0.0, 0.0]))
         with pytest.raises(ValueError):
             paper_spec(r=0)
+        with pytest.raises(ValueError, match="probe_members"):
+            paper_spec(probe_members=1)
+        with pytest.raises(ValueError, match="beta_floor"):
+            paper_spec(beta_floor=-1.0)
+        with pytest.raises(ValueError, match="score_transform"):
+            paper_spec(score_transform="log")
+        with pytest.raises(ValueError, match="cops-clip1-withY"):
+            paper_spec(clip_multipliers=(1.0,))
 
 
 class TestRegret:
@@ -197,9 +205,16 @@ class TestRunTrial:
 
 
 class TestRunExperiment:
+    def test_invalid_method_rejected_before_any_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sim, "run_trial", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ValueError, match="cops-clip0.5-withY"):
+            run_experiment(small_spec(), methods=[Method("uniform"), Method("clip", 0.5)])
+        assert calls == []
+
     def test_single_trial_aggregates_match_row(self):
         spec = small_spec(trials=1)
-        report = run_experiment(spec, methods=[Method("uniform")], trials=1)
+        report = run_experiment(spec, methods=[Method("uniform")])
         row = report.rows[0]
         agg = report.aggregates["base/uniform"]
         assert agg["regret"]["mean"] == pytest.approx(row.regret)
@@ -209,8 +224,8 @@ class TestRunExperiment:
     def test_method_order_invariance(self):
         spec = small_spec(trials=2)
         methods = [Method("uniform"), Method("vanilla"), Method("clip", 3.0)]
-        a = run_experiment(spec, methods=methods, trials=2)
-        b = run_experiment(spec, methods=methods[::-1], trials=2)
+        a = run_experiment(spec, methods=methods)
+        b = run_experiment(spec, methods=methods[::-1])
         assert a.aggregates == b.aggregates
 
     def test_aggregates_recomputable_from_rows(self):

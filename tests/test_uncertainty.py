@@ -39,7 +39,7 @@ def synthetic(seed, n, K, d, scale=0.8):
 
 def constant_ensemble(beta, M=4, probe_size=100):
     members = np.repeat(beta[None, :, :], M, axis=0)
-    return ProbeEnsemble(members=members, probe_size=probe_size, mode="independent_splits")
+    return ProbeEnsemble(members=members, probe_size=probe_size)
 
 
 class TestTrainEnsemble:
@@ -63,7 +63,7 @@ class TestTrainEnsemble:
         # fit on the two identical halves directly
         a = fit_mle(Dataset(data.X, data.y, 1)).beta
         members = np.stack([a, a])
-        ens = ProbeEnsemble(members, probe_size=200, mode="independent_splits")
+        ens = ProbeEnsemble(members, probe_size=200)
         for x in both.X[:5]:
             npt.assert_allclose(logit_covariance(ens, x), 0.0, atol=1e-30)
 
@@ -77,14 +77,6 @@ class TestTrainEnsemble:
         data, _ = synthetic(4, 30, 2, 4)
         with pytest.raises(ValueError, match="too small"):
             train_ensemble(data, 10, seed=0)
-
-    def test_bootstrap_mode(self):
-        data, _ = synthetic(5, 300, 1, 2)
-        ens = train_ensemble(data, 3, mode="bootstrap", seed=2)
-        assert ens.probe_size == 300
-        assert ens.mode == "bootstrap"
-        spread = np.abs(ens.members - ens.mean).max()
-        assert spread > 0
 
     def test_m_below_two_rejected(self):
         data, _ = synthetic(6, 100, 1, 2)
@@ -105,7 +97,7 @@ class TestLogitCovariance:
     def test_two_member_variance(self):
         # K=1 logits {a, b}: covariance is (a-b)^2 / 2
         m1, m2 = np.array([[1.0, 0.0]]), np.array([[3.0, 1.0]])
-        ens = ProbeEnsemble(np.stack([m1, m2]), 10, "independent_splits")
+        ens = ProbeEnsemble(np.stack([m1, m2]), 10)
         x = np.array([2.0, -1.0])
         a, b = float((m1 @ x)[0]), float((m2 @ x)[0])
         npt.assert_allclose(logit_covariance(ens, x), [[(a - b) ** 2 / 2]], rtol=1e-14)
@@ -129,7 +121,7 @@ class TestEnsembleScores:
         ens = train_ensemble(data, 5, seed=3)
         inflated = ProbeEnsemble(
             ens.mean + np.sqrt(2.0) * (ens.members - ens.mean),
-            ens.probe_size, ens.mode,
+            ens.probe_size,
         )
         x = data.X[0]
         for y in range(3):
@@ -259,7 +251,7 @@ class TestExactScores:
         assert peak < 32e6, f"{kind}: peak {peak / 1e6:.1f} MB"
 
     def test_singular_information_raises(self):
-        info = FisherInfo(m=np.zeros((2, 2)), n=1)
+        info = FisherInfo(m=np.zeros((2, 2)))
         with pytest.raises(SingularInformationError):
             exact_score_coreset(np.zeros((1, 2)), info, np.ones(2), 1)
         with pytest.raises(SingularInformationError):
