@@ -24,6 +24,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ __all__ = [
     "fisher_info",
     "probability_matrix",
     "residual_matrix",
-    "phi_matrices",
+    "pair_coefficients",
 ]
 
 # Coefficients are plain (K, d) float arrays; the alias documents intent
@@ -246,26 +247,13 @@ def loss_gradient(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
     return -np.kron(s, x)
 
 
-def _phi_from_p(p_nonref: np.ndarray) -> np.ndarray:
-    return np.diag(p_nonref) - np.outer(p_nonref, p_nonref)
-
-
 def phi(beta: Coefficients, x: np.ndarray) -> np.ndarray:
     """``(K, K)`` matrix ``diag(p_1..p_K) - p p^T`` over non-reference classes.
 
     Symmetric PSD; row sums equal ``p_k * p_0``.
     """
-    p = class_probabilities(beta, x)
-    return _phi_from_p(p[1:])
-
-
-def phi_matrices(beta: Coefficients, X: np.ndarray) -> np.ndarray:
-    """Stacked ``phi`` for every row of ``X``, shape ``(n, K, K)``."""
-    P = probability_matrix(beta, X)[:, 1:]
-    K = P.shape[1]
-    out = -P[:, :, None] * P[:, None, :]
-    out[:, np.arange(K), np.arange(K)] += P
-    return out
+    p = class_probabilities(beta, x)[1:]
+    return np.diag(p) - np.outer(p, p)
 
 
 def psi(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
@@ -281,6 +269,29 @@ def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
     return np.kron(phi(beta, x), np.outer(x, x))
 
 
+def pair_coefficients(
+    beta: Coefficients,
+    X: np.ndarray,
+    y: np.ndarray | None = None,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Per-row coefficients of every class pair ``k <= l``, as ``(k, l, c)``.
+
+    With labels ``c = s_k s_l`` from the score vectors (the entries of
+    ``psi``); without, ``c = phi_kl = [k == l] p_k - p_k p_l``. Each ``c``
+    is a fresh length-n array that the caller may overwrite.
+    """
+    rows = probability_matrix(beta, X)[:, 1:] if y is None else residual_matrix(beta, X, y)
+    cols = np.ascontiguousarray(rows.T)  # one contiguous length-n column per class
+    for k in range(len(cols)):
+        for l in range(k, len(cols)):
+            c = cols[k] * cols[l]
+            if y is None:
+                np.negative(c, out=c)
+                if k == l:
+                    c += cols[k]
+            yield k, l, c
+
+
 def information(
     beta: Coefficients,
     X: np.ndarray,
@@ -289,7 +300,7 @@ def information(
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
     Block ``(k, l)`` equals ``(X * (w * phi_kl)[:, None]).T @ X / n`` with
-    ``phi_kl = [k == l] p_k - p_k p_l`` per row, so the matrix is built as
+    ``phi_kl`` from :func:`pair_coefficients`, so the matrix is built as
     K(K+1)/2 GEMMs of ``(d, n) @ (n, d)``, one per block with ``k <= l``;
     the blocks below the diagonal are their transposes, and the diagonal
     blocks are mirrored from their upper triangles, so the result is
@@ -297,36 +308,29 @@ def information(
     copy of ``X`` is reused for every block. ``w`` defaults to all ones.
     """
     X = np.asarray(X, dtype=float)
-    P = probability_matrix(beta, X)[:, 1:]
     n, d = X.shape
-    K = P.shape[1]
     if n == 0:
         raise ValueError("empty dataset")
     if w is not None:
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise ValueError("weights length mismatch")
-    # one scratch buffer serves every block, so the loop allocates no
-    # (n, d) array per block; rows of P.T are contiguous
-    Pt = np.ascontiguousarray(P.T)
+    K = _check_beta(beta, d).shape[0]
+    # one scratch buffer serves every block: no (n, d) allocation per block
     scaled = np.empty_like(X)
     m = np.empty((K * d, K * d))
-    for k in range(K):
+    for k, l, c in pair_coefficients(beta, X):
+        if w is not None:
+            c *= w
+        np.multiply(X, c[:, None], out=scaled)
+        block = scaled.T @ X / n
         rows = slice(k * d, (k + 1) * d)
-        for l in range(k, K):
-            c = -Pt[k] * Pt[l]
-            if k == l:
-                c += Pt[k]
-            if w is not None:
-                c *= w
-            np.multiply(X, c[:, None], out=scaled)
-            block = scaled.T @ X / n
-            cols = slice(l * d, (l + 1) * d)
-            if k == l:
-                m[rows, cols] = np.triu(block) + np.triu(block, 1).T
-            else:
-                m[rows, cols] = block
-                m[cols, rows] = block.T
+        cols = slice(l * d, (l + 1) * d)
+        if k == l:
+            m[rows, cols] = np.triu(block) + np.triu(block, 1).T
+        else:
+            m[rows, cols] = block
+            m[cols, rows] = block.T
     return m
 
 
@@ -335,17 +339,13 @@ def fisher_info(
     data: Dataset,
     weights: np.ndarray | None = None,
 ) -> FisherInfo:
-    """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset.
+    """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset, by :func:`information`.
 
-    The matrix comes from :func:`information`: one GEMM per block
-    ``(k, l)``, ``k <= l``, of ``(X * phi_kl)^T X / n``, mirrored into an
-    exactly symmetric ``(K*d, K*d)`` matrix. Labels are unused, so
-    unlabeled datasets are accepted. A near-singular result (smallest
-    eigenvalue below ``1e-10`` times the largest) emits a
-    ``RuntimeWarning``; downstream inversions apply a ridge instead of
-    failing here.
+    Labels are unused, so unlabeled datasets are accepted. A
+    near-singular result (smallest eigenvalue below ``1e-10`` times the
+    largest) emits a ``RuntimeWarning``; downstream inversions apply a
+    ridge instead of failing here.
     """
-    beta = _check_beta(beta, data.d)
     m = information(beta, data.X, weights)
     eigs = np.linalg.eigvalsh(m)
     near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))

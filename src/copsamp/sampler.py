@@ -40,6 +40,7 @@ __all__ = [
     "draw_subsample",
     "subsample_objective",
     "subsample_and_refit",
+    "plan_scores",
     "cops_coreset",
     "cops_active",
 ]
@@ -76,6 +77,8 @@ class SamplingConfig:
             raise ValueError(f"beta_floor must be finite and >= 0, got {self.beta_floor}")
         if self.score_transform not in ("sqrt", "identity"):
             raise ValueError(f"unknown score_transform {self.score_transform!r}")
+        if self.estimator not in ("ensemble", "exact"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass
@@ -172,7 +175,6 @@ class PipelineResult:
     fit: FitReport
     scores: np.ndarray
     plan: SamplingPlan
-    score_histogram: tuple[np.ndarray, np.ndarray]
     labels_queried: int | None = None
 
 
@@ -213,9 +215,19 @@ def subsample_and_refit(
         fit=report,
         scores=u,
         plan=plan,
-        score_histogram=np.histogram(u[sub.indices], bins=10),
         labels_queried=labels_queried,
     )
+
+
+def plan_scores(
+    ensemble: ProbeEnsemble, data: Dataset, kind: str, estimator: str
+) -> np.ndarray:
+    """:func:`score_rows` on the exact-trace scale, where ``beta_floor`` is set.
+
+    Ensemble scores are multiplied by the per-member training size n'.
+    """
+    u = score_rows(ensemble, data, kind, estimator)
+    return u * ensemble.probe_size if estimator == "ensemble" else u
 
 
 def cops_coreset(
@@ -226,7 +238,7 @@ def cops_coreset(
     """Score labeled data, draw r rows, and refit with 1/pi_reweight weights."""
     if not data.labeled:
         raise ValueError("coreset selection needs labels")
-    u = score_rows(ensemble, data, "coreset", config.estimator)
+    u = plan_scores(ensemble, data, "coreset", config.estimator)
     return subsample_and_refit(data, u, config)
 
 
@@ -237,5 +249,5 @@ def cops_active(
     config: SamplingConfig,
 ) -> PipelineResult:
     """Score by features alone, draw, then query labels for drawn rows only."""
-    u = score_rows(ensemble, data_x, "active", config.estimator)
+    u = plan_scores(ensemble, data_x, "active", config.estimator)
     return subsample_and_refit(data_x, u, config, label_oracle)

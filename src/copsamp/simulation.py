@@ -39,9 +39,9 @@ import numpy as np
 from scipy.special import expit
 
 from copsamp.model import Coefficients, Dataset, _log_probability_of_label
-from copsamp.sampler import SamplingConfig, subsample_and_refit
+from copsamp.sampler import SamplingConfig, plan_scores, subsample_and_refit
 from copsamp.solver import fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, shard_indices
+from copsamp.uncertainty import ProbeEnsemble, shard_indices
 
 __all__ = [
     "SimulationSpec",
@@ -279,15 +279,13 @@ def run_trial(
             for idx in shard_indices(probe.n, M, shard_seed)
         ])
         ensemble = ProbeEnsemble(members, probe_size=probe.n // M)
-        # Ensemble scores are put on the exact-trace scale by the per-member
-        # training size n', so the absolute reweighting floor keeps the
-        # meaning it has for exact scores.
+        # scores per cell (with labels) or per atom, looked up per row
         if method.with_labels:
-            u_cell = ensemble_scores(ensemble, cells, "coreset")
-            u = (u_cell * ensemble.probe_size)[atom_idx * 2 + sampling.y]
+            u_cell = plan_scores(ensemble, cells, "coreset", "ensemble")
+            u = u_cell[atom_idx * 2 + sampling.y]
         else:
-            u_atom = ensemble_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active")
-            u = (u_atom * ensemble.probe_size)[atom_idx]
+            atoms = Dataset(spec.atom_x, None, K=1)
+            u = plan_scores(ensemble, atoms, "active", "ensemble")[atom_idx]
 
     # without-label methods only ever read labels of the drawn rows, so the
     # stored labels act as the label oracle of the active pipeline

@@ -10,10 +10,11 @@ distinct ``(d, d)`` block, mirrored into the symmetric ``(K*d, K*d)``
 matrix. Each Newton step solves ``(H + ridge * I) step = grad`` via a
 Cholesky factorization, falling back to a general LU solve (counted in
 ``FitReport.cholesky_fallbacks``) when the factorization fails, and is
-halved until the objective decreases, so the objective is
-non-increasing across accepted steps. Iteration starts
-at ``beta = 0``; the objective is convex, so the optimum does not depend
-on that choice, only reproducibility does.
+halved until the objective decreases, so the objective is non-increasing
+across accepted steps; a step whose predicted decrease is within a few
+ulps of the objective, where rounding alone would decide, is taken
+whole. Iteration starts at ``beta = 0``; the objective is convex, so the
+optimum does not depend on that choice, only reproducibility does.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ class FitReport:
 
 def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
     losses = -_log_probability_of_label(beta, data.X, data.y)
-    return float(w @ losses / data.n)
+    # numpy's pairwise sum, not a BLAS dot: its rounding is smaller and
+    # does not depend on the BLAS thread count
+    return float(np.sum(w * losses) / data.n)
 
 
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
@@ -143,13 +146,16 @@ def fit_weighted_mle(
         H = information(beta, data.X, w) + config.ridge * eye
         step, fell_back = _newton_solve(H, g)
         fallbacks += fell_back
+        # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is
+        # below the line search's resolution: the whole step is taken
+        negligible = not fell_back and 0.5 * (g @ step) <= 8 * np.finfo(float).eps * loss
         step = step.reshape(K, d)
         t = 1.0
         accepted = False
         for _ in range(STEP_HALVING_MAX + 1):
             candidate = beta - t * step
             candidate_loss = _objective(candidate, data, w)
-            if candidate_loss < loss:
+            if candidate_loss < loss or negligible:
                 beta, loss = candidate, candidate_loss
                 accepted = True
                 break
@@ -165,7 +171,7 @@ def fit_weighted_mle(
         iterations=iterations,
         final_grad_norm=final_grad_norm,
         converged=final_grad_norm <= config.grad_tol,
-        final_loss=float(weights @ -_log_probability_of_label(beta, data.X, data.y) / data.n),
+        final_loss=_objective(beta, data, weights),
         cholesky_fallbacks=fallbacks,
     )
 

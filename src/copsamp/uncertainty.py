@@ -1,24 +1,20 @@
 """Per-sample uncertainty scores, exact and ensemble-based.
 
-Exact scores are trace quantities under the inverse Fisher information:
-``Tr((psi kron xx^T) M^-1)`` when the label is known (coreset selection)
-and ``Tr((phi kron xx^T) M^-1)`` when it is not (active learning). The
-per-sample functions evaluate them as quadratic forms of ``kron(v, x)``
-against a Cholesky factorization of the ridge-stabilized information
-matrix. The batched :func:`exact_scores` instead forms the K x K grid
-of ``(d, d)`` blocks of ``M^-1`` once from that factor and sums
-``C[k, l] * x^T (M^-1)_kl x`` over the blocks, with ``C = s s^T`` or
-``phi``: one code path for both kinds, one GEMM per block pair, and
-O(n*K^2 + n*d + (K*d)^2) memory.
+Both estimators are one trace, ``sum_kl C[k, l] x^T V_kl x`` over the
+``(d, d)`` blocks of a ``(K*d, K*d)`` matrix ``V``, with ``C = s s^T``
+when the label is known (coreset selection) and ``C = phi`` when it is
+not (active learning). Exact scores take ``V = M^-1``, the inverse of
+the ridge-stabilized Fisher information. Ensemble scores take the sample
+covariance ``V = Cov(vec beta_m)`` of M probe models, whose logit
+covariance at ``x`` is ``(I kron x)^T V (I kron x)``, and ``C`` at the
+ensemble mean. Each member fits n' rows and ``n' * Cov(vec beta_m) ~
+M^-1``, so ensemble scores times n' approach the exact ones; the
+subsampling pipelines plan on that scale.
 
-Ensemble scores avoid the ``(K*d, K*d)`` inverse entirely: fit M probe
-models, form the sample covariance of their logit vectors at ``x``, and
-take the same traces against that ``(K, K)`` covariance at the ensemble
-mean. Scaled by the per-member training size n', the ensemble scores
-converge to the exact ones.
-
-Scoring is pure and thread-safe; ensemble members can be trained
-concurrently since they share nothing.
+Both batched scorers run one kernel, a ``(n, d) @ (d, d)`` GEMM per
+block pair ``k <= l`` into one reused buffer, so their memory is
+O(n*d + (K*d)^2) for any M. The per-sample functions take independent
+routes and serve as oracles. Scoring is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -36,9 +32,8 @@ from copsamp.model import (
     Dataset,
     FisherInfo,
     fisher_info,
+    pair_coefficients,
     phi,
-    phi_matrices,
-    residual_matrix,
     score_vector,
 )
 from copsamp.solver import fit_mle
@@ -80,6 +75,16 @@ class ProbeEnsemble:
     @property
     def mean(self) -> Coefficients:
         return self.members.mean(axis=0)
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Sample covariance (M-1 divisor) of the members' ``vec(beta)``, ``(K*d, K*d)``.
+
+        Round-off deviations are stripped, so identical members give exactly 0.
+        """
+        B = self.members.reshape(self.M, -1)
+        dev = _strip_roundoff(B - B.mean(axis=0), B, axis=0)
+        return dev.T @ dev / (self.M - 1)
 
     @property
     def M(self) -> int:
@@ -160,10 +165,10 @@ def _clamp(u: np.ndarray | float) -> np.ndarray | float:
 
 
 def _strip_roundoff(dev: np.ndarray, Z: np.ndarray, axis: int) -> np.ndarray:
-    """Zero logit deviations within a few ulps of the logit magnitude.
+    """Zero deviations within a few ulps of the magnitude of the values.
 
     A spread that small is indistinguishable from identical members
-    (the mean of M identical logits need not be bit-exact), and its
+    (the mean of M identical values need not be bit-exact), and its
     squared contribution to the covariance is pure rounding noise.
     """
     tol = 8 * np.finfo(float).eps * np.abs(Z).max(axis=axis, keepdims=True)
@@ -183,29 +188,38 @@ def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
     return float(_clamp(np.sum(phi(ensemble.mean, x) * sigma)))
 
 
+def _trace_scores(
+    beta: Coefficients, V: np.ndarray, data: Dataset, kind: str
+) -> np.ndarray:
+    """``u_i = sum_kl c_kl(x_i) x_i^T V_kl x_i`` with ``c`` from :func:`pair_coefficients`.
+
+    ``V`` is symmetric, so each pair ``k < l`` counts twice.
+    """
+    if kind not in ("coreset", "active"):
+        raise ValueError(f"unknown score kind {kind!r}")
+    if kind == "coreset" and not data.labeled:
+        raise ValueError("coreset scoring needs labels")
+    X, d = data.X, data.d
+    if data.K * d != V.shape[0]:
+        raise ValueError("data dimensions do not match the score matrix")
+    u = np.zeros(data.n)
+    xm = np.empty_like(X)  # reused by every block: no (n, d) allocation per GEMM
+    for k, l, c in pair_coefficients(beta, X, data.y if kind == "coreset" else None):
+        np.matmul(X, V[k * d : (k + 1) * d, l * d : (l + 1) * d], out=xm)
+        q = np.einsum("nd,nd->n", xm, X)
+        u += (1.0 if k == l else 2.0) * c * q
+    return _clamp(u)
+
+
 def ensemble_scores(
     ensemble: ProbeEnsemble,
     data: Dataset,
     kind: Literal["coreset", "active"],
 ) -> np.ndarray:
-    """Vectorized ensemble scores over every row of ``data``."""
-    X = data.X
+    """Vectorized ensemble scores: traces against the members' coefficient covariance."""
     if data.d != ensemble.d:
         raise ValueError(f"data dimension {data.d} != ensemble dimension {ensemble.d}")
-    Z = np.einsum("nd,mkd->nmk", X, ensemble.members)
-    dev = _strip_roundoff(Z - Z.mean(axis=1, keepdims=True), Z, axis=1)
-    sigma = np.einsum("nmk,nml->nkl", dev, dev) / (ensemble.M - 1)
-    if kind == "coreset":
-        if not data.labeled:
-            raise ValueError("coreset scoring needs labels")
-        S = residual_matrix(ensemble.mean, X, data.y)
-        u = np.einsum("nk,nkl,nl->n", S, sigma, S)
-    elif kind == "active":
-        PHI = phi_matrices(ensemble.mean, X)
-        u = np.einsum("nkl,nkl->n", PHI, sigma)
-    else:
-        raise ValueError(f"unknown score kind {kind!r}")
-    return _clamp(u)
+    return _trace_scores(ensemble.mean, ensemble.covariance, data, kind)
 
 
 def _factorize(info: FisherInfo) -> np.ndarray:
@@ -262,44 +276,12 @@ def exact_scores(
     data: Dataset,
     kind: Literal["coreset", "active"],
 ) -> np.ndarray:
-    """Vectorized exact scores over every row of ``data``.
+    """Vectorized exact scores ``Tr((C_i kron x_i x_i^T) M^-1)`` over every row.
 
-    Both kinds are ``Tr((C_i kron x_i x_i^T) M^-1) = sum_kl C_i[k, l]
-    q_kl(x_i)`` with ``q_kl(x) = x^T (M^-1)_kl x`` over the ``(d, d)``
-    blocks of the inverse of the ridged information matrix; ``C_i`` is
-    ``s_i s_i^T`` for coreset scores and ``phi_i`` for active ones. The
-    inverse is formed once from the shared Cholesky factor, and each
-    ``q_kl`` with ``k <= l`` costs one ``(n, d) @ (d, d)`` GEMM, so peak
-    memory is O(n*K^2 + n*d + (K*d)^2). Agrees with the per-sample
-    functions to round-off.
+    ``M^-1`` is formed once from the Cholesky factor of the ridged matrix.
     """
-    factor = _factorize(info)
-    X = data.X
-    n, d = X.shape
-    K = data.K
-    if K * d != info.m.shape[0]:
-        raise ValueError("data dimensions do not match the information matrix")
-    if kind == "coreset":
-        if not data.labeled:
-            raise ValueError("coreset scoring needs labels")
-        S = residual_matrix(beta, X, data.y)
-        C = S[:, :, None] * S[:, None, :]
-    elif kind == "active":
-        C = phi_matrices(beta, X)
-    else:
-        raise ValueError(f"unknown score kind {kind!r}")
-    factor_inv = np.linalg.inv(factor)
-    m_inv = factor_inv.T @ factor_inv
-    u = np.zeros(n)
-    xm = np.empty_like(X)  # reused by every block: no (n, d) allocation per GEMM
-    for k in range(K):
-        for l in range(k, K):
-            block = m_inv[k * d : (k + 1) * d, l * d : (l + 1) * d]
-            np.matmul(X, block, out=xm)
-            q = np.einsum("nd,nd->n", xm, X)
-            # C and M^-1 are symmetric: the (l, k) term equals the (k, l) one
-            u += (1.0 if k == l else 2.0) * C[:, k, l] * q
-    return _clamp(u)
+    factor_inv = np.linalg.inv(_factorize(info))
+    return _trace_scores(beta, factor_inv.T @ factor_inv, data, kind)
 
 
 def score_rows(
@@ -311,7 +293,8 @@ def score_rows(
     """Scores of every row of ``data`` by the ensemble or the exact estimator.
 
     The exact estimator evaluates the information matrix of ``data`` at the
-    ensemble mean and takes its trace scores there.
+    ensemble mean and takes its trace scores there. Ensemble scores are
+    unscaled: times ``ensemble.probe_size`` they are on the exact scale.
     """
     if estimator == "ensemble":
         return ensemble_scores(ensemble, data, kind)

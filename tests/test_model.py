@@ -16,8 +16,8 @@ from copsamp.model import (
     information,
     loss_gradient,
     loss_hessian,
+    pair_coefficients,
     phi,
-    phi_matrices,
     probability_matrix,
     psi,
     score_vector,
@@ -287,7 +287,7 @@ class TestHessianAndFisher:
 
 def einsum_information(beta, X, w=None):
     """Direct 3-operand contraction of (1/n) sum_i w_i kron(phi_i, x_i x_i^T)."""
-    PHI = phi_matrices(beta, X)
+    PHI = np.stack([phi(beta, x) for x in X])
     if w is not None:
         PHI = PHI * w[:, None, None]
     K, d = beta.shape
@@ -312,6 +312,22 @@ class TestInformation:
     def test_weights_length_rejected(self):
         with pytest.raises(ValueError):
             information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_pair_coefficients_match_pointwise(K, labeled):
+    # each k <= l pair once, equal to the per-sample psi or phi entry
+    rng = np.random.default_rng(30 + K)
+    beta = rng.normal(size=(K, 3))
+    X = rng.normal(size=(40, 3))
+    y = rng.integers(0, K + 1, size=40) if labeled else None
+    pairs = list(pair_coefficients(beta, X, y))
+    assert [(k, l) for k, l, _ in pairs] == [(k, l) for k in range(K) for l in range(k, K)]
+    for i in range(0, 40, 7):
+        C = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
+        for k, l, c in pairs:
+            npt.assert_allclose(c[i], C[k, l], rtol=1e-13, atol=1e-16)
 
 
 def test_probability_matrix_matches_pointwise():

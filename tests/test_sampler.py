@@ -120,6 +120,10 @@ class TestMakePlan:
         with pytest.raises(ValueError, match=field):
             cfg(**{field: value})
 
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="estimator"):
+            cfg(estimator="exactt")
+
     def test_max_weight_ratio_counts_drawable_rows(self):
         # the zero-score row is floored for reweighting but never drawn:
         # drawable rows have weight 1 / (4 * 1/3.1) = 0.775 of uniform
@@ -301,14 +305,30 @@ class TestPipelines:
         assert res.fit.converged
         assert np.all(res.scores >= 0)
 
-    def test_histogram_covers_drawn_scores(self):
-        data, _ = synthetic(7, 300, 1, 2)
-        ens = train_ensemble(data, 4, seed=4)
-        res = cops_coreset(data, ens, cfg(subsample_size=40, seed=6,
-                                          score_transform="sqrt"))
-        counts, edges = res.score_histogram
-        assert counts.sum() == 40
-        assert edges.shape == (11,)
+    def test_ensemble_pipelines_plan_on_exact_scale(self):
+        data, _ = synthetic(10, 600, 2, 3)
+        unlabeled = Dataset(data.X, None, 2)
+        ens = train_ensemble(data, 4, seed=6)
+        config = cfg(subsample_size=50, seed=1, score_transform="sqrt")
+        core = cops_coreset(data, ens, config)
+        act = cops_active(unlabeled, lambda i: int(data.y[i]), ens, config)
+        npt.assert_array_equal(
+            core.scores, ensemble_scores(ens, data, "coreset") * ens.probe_size)
+        npt.assert_array_equal(
+            act.scores, ensemble_scores(ens, unlabeled, "active") * ens.probe_size)
+
+    def test_beta_floor_rarely_binds_on_ensemble_scores(self):
+        # M=10 members on a 10k-row probe (n' = 1000), K=2, d=5: unscaled,
+        # most square-rooted ensemble scores would sit under the floor
+        data, _ = synthetic(11, 30_000, 2, 5)
+        probe = data.subset(np.arange(10_000))
+        pool = data.subset(np.arange(10_000, 30_000))
+        ens = train_ensemble(probe, 10, seed=0)
+        config = cfg(subsample_size=1000, seed=2, score_transform="sqrt")
+        raw = ensemble_scores(ens, pool, "coreset")
+        assert np.mean(np.sqrt(raw) < config.beta_floor) > 0.5
+        res = cops_coreset(pool, ens, config)
+        assert np.mean(np.sqrt(res.scores) < config.beta_floor) < 0.01
 
     def test_stored_label_oracle_matches_labeled_path(self):
         data, _ = synthetic(8, 400, 2, 3)

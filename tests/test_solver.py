@@ -1,5 +1,11 @@
 """Newton solver: convergence, monotonicity, weighting semantics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -138,16 +144,42 @@ def test_weighted_fit_minimizes_weighted_loss():
         assert dataset_loss(perturbed, data, w) >= base - 1e-12
 
 
+ATOM_DESIGN = dict(
+    atom_x=np.array([[1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]),
+    counts=np.array([1000, 100000, 100000]),
+    beta_star=np.array([[2.0, 2.0]]),
+    zeta=np.zeros(3),
+    r=1000,
+)
+
+
 def test_full_data_fit_recovers_truth_on_atom_design():
     # three-atom binary design, 201k rows, well specified
-    spec = SimulationSpec(
-        atom_x=np.array([[1.0, 0.0], [0.1, 0.1], [0.0, 1.0]]),
-        counts=np.array([1000, 100000, 100000]),
-        beta_star=np.array([[2.0, 2.0]]),
-        zeta=np.zeros(3),
-        r=1000,
-    )
+    spec = SimulationSpec(**ATOM_DESIGN)
     data = generate_dataset(spec, seed=12345, corrupted=False)
     rep = fit_mle(data)
     assert rep.converged
     npt.assert_allclose(rep.beta, spec.beta_star, atol=0.1)
+
+
+def test_atom_design_fit_converges_with_one_blas_thread():
+    # BLAS thread count sets the rounding of BLAS reductions; the Newton
+    # line search must not stall on it
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        sys.path.insert(0, sys.argv[1])
+        from test_solver import ATOM_DESIGN
+        from copsamp.simulation import SimulationSpec, generate_dataset
+        from copsamp.solver import fit_mle
+        data = generate_dataset(SimulationSpec(**ATOM_DESIGN), seed=12345, corrupted=False)
+        rep = fit_mle(data)
+        print(rep.converged, rep.iterations, rep.final_grad_norm)
+    """)
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(here)], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert out[0] == "True", f"not converged: iterations {out[1]}, grad norm {out[2]}"

@@ -136,6 +136,43 @@ class TestEnsembleScores:
             avg = sum(p[y] * ensemble_score_coreset(ens, x, y) for y in range(3))
             npt.assert_allclose(avg, ensemble_score_active(ens, x), atol=1e-12)
 
+    def test_identical_members_zero_batch_scores(self):
+        # the mean of 7 copies of 0.1 is not bit-exact 0.1: round-off is stripped
+        beta = np.array([[0.1, 0.7], [1.1, -0.3]])
+        ens = constant_ensemble(beta, M=7)
+        assert not np.array_equal(ens.mean, beta)
+        data = Dataset(np.random.default_rng(24).normal(size=(50, 2)),
+                       np.arange(50) % 3, 2)
+        npt.assert_array_equal(ens.covariance, 0.0)
+        npt.assert_array_equal(ensemble_scores(ens, data, "coreset"), 0.0)
+        npt.assert_array_equal(ensemble_scores(ens, data, "active"), 0.0)
+
+    def test_covariance_of_vectorized_members(self):
+        data, _ = synthetic(25, 600, 2, 3)
+        ens = train_ensemble(data, 5, seed=2)
+        oracle = np.cov(ens.members.reshape(5, -1), rowvar=False)
+        npt.assert_allclose(ens.covariance, oracle, rtol=1e-12, atol=1e-18)
+        # the logit covariance at x is (I kron x)^T Cov(vec beta) (I kron x)
+        x = data.X[0]
+        lift = np.kron(np.eye(2), x[:, None])
+        npt.assert_allclose(lift.T @ ens.covariance @ lift, logit_covariance(ens, x),
+                            rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["coreset", "active"])
+    @pytest.mark.parametrize("M", [5, 50])
+    def test_batch_peak_memory_independent_of_members(self, kind, M):
+        # n=100k, d=10, K=2: one (n, M, K) logit tensor alone is 8*M MB
+        data, beta = synthetic(26, 100_000, 2, 10, scale=0.3)
+        rng = np.random.default_rng(M)
+        ens = ProbeEnsemble(beta + rng.normal(scale=0.05, size=(M, 2, 10)), 100)
+        tracemalloc.start()
+        try:
+            ensemble_scores(ens, data, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, f"{kind}, M={M}: peak {peak / 1e6:.1f} MB"
+
     def test_batch_matches_pointwise(self):
         data, _ = synthetic(11, 200, 2, 3)
         ens = train_ensemble(data, 4, seed=6)
