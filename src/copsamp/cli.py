@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import replace
 from importlib import resources
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -94,6 +94,15 @@ def json_text(obj: Any) -> str:
     _json_render(obj, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+    """CSV text with LF line ends; floats are written by :func:`fmt_float`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -243,52 +252,53 @@ def load_simulation_config(path: str) -> dict:
 #: optional config keys and their conversions; an absent key takes
 #: SimulationSpec's default
 _OPTIONAL_SPEC_FIELDS = {
-    "clip_multipliers": lambda v: tuple(float(m) for m in v),
+    "methods": lambda v: tuple(Method.parse(m) for m in v),
     "trials": int,
     "seed": int,
     "probe_members": int,
     "score_transform": str,
     "beta_floor": float,
 }
+_REQUIRED_FIELDS = ("atoms", "beta_star", "zeta_cases", "r")
 
 
-def build_spec(cfg: dict) -> tuple[SimulationSpec, list[Method] | None, dict]:
-    atoms = _require(cfg, "atoms")
-    beta_star = np.asarray(_require(cfg, "beta_star"), dtype=float)
-    zeta_cases_raw = _require(cfg, "zeta_cases")
+def build_spec(cfg: dict) -> tuple[SimulationSpec, dict[str, np.ndarray], dict]:
+    """The spec, the zeta cases and the resolved config of a simulation config.
+
+    The resolved config is ``cfg`` with every optional field filled from
+    the spec and methods given by their canonical ids.
+    """
+    unknown = sorted(set(cfg) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_SPEC_FIELDS))
+    if unknown:
+        raise CliError(f"config: unknown keys {unknown}")
+    atoms, beta_star, zeta_cases, r = (_require(cfg, key) for key in _REQUIRED_FIELDS)
+    if not isinstance(zeta_cases, dict) or not zeta_cases:
+        raise CliError("config: 'zeta_cases' must be a non-empty object")
     try:
         atom_x = np.array([a["x"] for a in atoms], dtype=float)
         counts = np.array([a["count"] for a in atoms], dtype=int)
     except (KeyError, TypeError, ValueError) as err:
         raise CliError(f"config: invalid 'atoms' entries: {err}") from err
-    zeta_cases = {}
-    for label, zeta in zeta_cases_raw.items():
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (atom_x.shape[0],):
-            raise CliError(
-                f"config: zeta case '{label}' needs one offset per atom"
-            )
-        zeta_cases[str(label)] = zeta
-    if not zeta_cases:
-        raise CliError("config: 'zeta_cases' must not be empty")
     try:
         spec = SimulationSpec(
             atom_x=atom_x,
             counts=counts,
-            beta_star=beta_star,
-            zeta=next(iter(zeta_cases.values())),
-            r=int(_require(cfg, "r")),
+            beta_star=np.asarray(beta_star, dtype=float),
+            zeta=np.zeros(len(atom_x)),  # the clean case; each case is checked below
+            r=int(r),
             **{key: convert(cfg[key])
                for key, convert in _OPTIONAL_SPEC_FIELDS.items() if key in cfg},
         )
-        for zeta in zeta_cases.values():
-            replace(spec, zeta=zeta)  # each case passes the spec's own checks
-        methods = [Method.parse(m) for m in cfg["methods"]] if "methods" in cfg else None
-        if methods is not None:
-            spec.check_methods(methods)
     except (TypeError, ValueError) as err:
         raise CliError(f"config: {err}") from err
-    return spec, methods, zeta_cases
+    for label, zeta in zeta_cases.items():
+        try:
+            replace(spec, zeta=zeta)
+        except (TypeError, ValueError) as err:
+            raise CliError(f"config: zeta case '{label}': {err}") from err
+    resolved = {**cfg, **{key: getattr(spec, key) for key in _OPTIONAL_SPEC_FIELDS}}
+    resolved["methods"] = [method.id for method in spec.methods]
+    return spec, zeta_cases, resolved
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -298,13 +308,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg["trials"] = args.trials
     if args.seed is not None:
         cfg["seed"] = args.seed
-    spec, methods, zeta_cases = build_spec(cfg)
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
+    spec, zeta_cases, resolved = build_spec(cfg)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     try:
-        report = run_experiment(
-            spec, methods=methods, zeta_cases=zeta_cases, threads=args.threads
-        )
+        report = run_experiment(spec, zeta_cases=zeta_cases, threads=args.threads)
     except Exception as err:
         raise CliError(f"simulation failed: {err}", EXIT_RUNTIME) from err
 
@@ -323,7 +333,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report_doc = {
         "format": "copsamp-simulation-report",
         "version": __version__,
-        "config": cfg,
+        "config": resolved,
         "seed": report.seed,
         "trials": report.trials,
         "methods": list(report.methods),
@@ -336,23 +346,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     atomic_write(report_path, json_text(report_doc))
 
     ncomp = len(report.rows[0].param_error_components) if report.rows else spec.beta_star.size
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    trials_path = os.path.join(out_dir, "trials.csv")
+    atomic_write(trials_path, _csv_text(
         ["method", "case"]
         + [f"param_error_d{j + 1}" for j in range(ncomp)]
-        + ["param_error_l2", "regret", "seed"]
-    )
-    for row in report.rows:
-        writer.writerow(
-            [row.method_id, row.case]
-            + [fmt_float(e) for e in row.param_error_components]
-            + [fmt_float(row.param_error_l2), fmt_float(row.regret), row.seed]
-        )
-    trials_path = os.path.join(out_dir, "trials.csv")
-    atomic_write(trials_path, buf.getvalue())
+        + ["param_error_l2", "regret", "seed"],
+        ([row.method_id, row.case, *row.param_error_components,
+          row.param_error_l2, row.regret, row.seed] for row in report.rows),
+    ))
     write_manifest(
-        out_dir, "manifest.json", "simulate", cfg, report.seed,
+        out_dir, "manifest.json", "simulate", resolved, report.seed,
         [os.path.abspath(args.config)],
         [os.path.abspath(report_path), os.path.abspath(trials_path)],
         started,
@@ -425,12 +428,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     except Exception as err:
         raise CliError(f"scoring failed: {err}", EXIT_RUNTIME) from err
     out_path = args.out or "scores.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "u"])
-    for i, val in enumerate(u):
-        writer.writerow([i, fmt_float(val)])
-    atomic_write(out_path, buf.getvalue())
+    atomic_write(out_path, _csv_text(["index", "u"], enumerate(u.tolist())))
     write_manifest(
         os.path.dirname(os.path.abspath(out_path)) or ".",
         os.path.basename(out_path) + ".manifest.json",
@@ -489,12 +487,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     out_prefix = args.out or "subsample"
     sub_path = f"{out_prefix}.csv"
     plan_path = f"{out_prefix}_plan.json"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["draw_index", "source_row", "weight"])
-    for j, (idx, w) in enumerate(zip(sub.indices, sub.weights)):
-        writer.writerow([j, int(idx), fmt_float(w)])
-    atomic_write(sub_path, buf.getvalue())
+    atomic_write(sub_path, _csv_text(
+        ["draw_index", "source_row", "weight"],
+        zip(range(len(sub.indices)), sub.indices.tolist(), sub.weights.tolist()),
+    ))
     plan_doc = {
         "format": "copsamp-plan",
         "version": __version__,

@@ -195,6 +195,15 @@ def _log_probability_of_label(
     return z_y - m - np.log(z.sum(axis=1))
 
 
+def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+    """``sum_i w_i * cross_entropy_i``, the one weighted-loss reduction.
+
+    numpy's pairwise sum, not a BLAS dot: its rounding is smaller and
+    does not depend on the BLAS thread count.
+    """
+    return float(np.sum(w * -_log_probability_of_label(beta, X, y)))
+
+
 def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
     """Negative log-probability of label ``y`` at ``x``."""
     beta = _check_beta(beta)
@@ -219,15 +228,12 @@ def dataset_loss(
         raise ValueError("dataset_loss needs labels")
     if data.n == 0:
         raise ValueError("empty dataset")
-    losses = -_log_probability_of_label(beta, data.X, data.y)
-    if weights is None:
-        return float(losses.mean())
-    weights = np.asarray(weights, dtype=float)
+    weights = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != (data.n,):
         raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    return float(weights @ losses / data.n)
+    return _loss_sum(beta, data.X, data.y, weights) / data.n
 
 
 def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:

@@ -32,13 +32,14 @@ per-trial signs.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 from scipy.special import expit
 
-from copsamp.model import Coefficients, Dataset, _log_probability_of_label
+from copsamp.model import Coefficients, Dataset, _loss_sum
 from copsamp.sampler import SamplingConfig, plan_scores, subsample_and_refit
 from copsamp.solver import fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, shard_indices
@@ -53,7 +54,7 @@ __all__ = [
     "regret",
     "run_trial",
     "run_experiment",
-    "default_methods",
+    "PAPER_METHODS",
 ]
 
 
@@ -100,13 +101,22 @@ class Method:
         raise ValueError(f"unrecognized method id {method_id!r}")
 
 
+#: the paper's seven methods: uniform, then vanilla and alpha-capped (3, 10)
+#: score-proportional sampling, each with and without labels
+PAPER_METHODS = tuple(Method.parse(m) for m in (
+    "uniform", "cops-vanilla-withY", "cops-vanilla-withoutY",
+    "cops-clip3-withY", "cops-clip3-withoutY", "cops-clip10-withY", "cops-clip10-withoutY",
+))
+
+
 @dataclass
 class SimulationSpec:
-    """Atoms, truth, corruption offsets and experiment sizes.
+    """Atoms, truth, corruption offsets, methods and experiment sizes.
 
     ``atom_x`` is (A, d); ``counts`` gives the number of rows per atom;
     ``zeta`` holds the per-atom corruption offsets of one corruption
-    case. Binary labels only (K = 1). ``score_transform`` and
+    case. Binary labels only (K = 1). ``methods`` are the distinct
+    methods an experiment compares. ``score_transform`` and
     ``beta_floor`` default to :class:`~copsamp.sampler.SamplingConfig`'s.
     """
 
@@ -115,7 +125,7 @@ class SimulationSpec:
     beta_star: Coefficients
     zeta: np.ndarray
     r: int
-    clip_multipliers: tuple[float, ...] = (3.0, 10.0)
+    methods: tuple[Method, ...] = PAPER_METHODS
     trials: int = 50
     seed: int = 0
     probe_members: int = 10
@@ -127,6 +137,7 @@ class SimulationSpec:
         self.counts = np.asarray(self.counts, dtype=int)
         self.beta_star = np.asarray(self.beta_star, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=float)
+        self.methods = tuple(self.methods)
         if self.atom_x.ndim != 2:
             raise ValueError("atom_x must be (A, d)")
         A = self.atom_x.shape[0]
@@ -140,10 +151,16 @@ class SimulationSpec:
             raise ValueError("r and trials must be >= 1")
         if self.probe_members < 2:
             raise ValueError(f"probe_members must be >= 2, got {self.probe_members}")
-        # the trials' own SamplingConfigs check score_transform and
-        # beta_floor, then each clip multiplier, before any trial runs
-        self.sampling_config(Method("uniform"))
-        self.check_methods(default_methods(self))
+        ids = [method.id for method in self.methods]
+        if not ids or len(set(ids)) != len(ids):
+            raise ValueError(f"methods must be distinct and not empty, got {ids}")
+        # each method's own SamplingConfig checks score_transform, beta_floor
+        # and its clip multiplier, before any trial runs
+        for method in self.methods:
+            try:
+                self.sampling_config(method)
+            except ValueError as err:
+                raise ValueError(f"method {method.id}: {err}") from err
 
     def sampling_config(self, method: Method, seed: int = 0) -> SamplingConfig:
         """The plan settings of ``method``'s trials, drawing with ``seed``."""
@@ -154,14 +171,6 @@ class SimulationSpec:
             alpha_multiplier=method.clip_multiplier,
             beta_floor=self.beta_floor,
         )
-
-    def check_methods(self, methods: Iterable[Method]) -> None:
-        """Raise ``ValueError`` naming the first method whose plan settings are invalid."""
-        for method in methods:
-            try:
-                self.sampling_config(method)
-            except ValueError as err:
-                raise ValueError(f"method {method.id}: {err}") from err
 
     @property
     def n_total(self) -> int:
@@ -193,16 +202,6 @@ class ExperimentReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def default_methods(spec: SimulationSpec) -> list[Method]:
-    """Uniform, vanilla and clipped variants, with and without labels."""
-    methods = [Method("uniform"), Method("vanilla", with_labels=True),
-               Method("vanilla", with_labels=False)]
-    for mult in spec.clip_multipliers:
-        methods.append(Method("clip", float(mult), with_labels=True))
-        methods.append(Method("clip", float(mult), with_labels=False))
-    return methods
-
-
 def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Dataset:
     """Expand atoms to rows and draw Bernoulli labels, optionally corrupted."""
     logits = spec.atom_x @ spec.beta_star[0]
@@ -231,8 +230,7 @@ def regret(
     w = np.ones(test.n) if counts is None else np.asarray(counts, dtype=float)
 
     def mean_loss(beta: Coefficients) -> float:
-        losses = -_log_probability_of_label(np.asarray(beta, float), test.X, test.y)
-        return float(w @ losses / w.sum())
+        return _loss_sum(np.asarray(beta, float), test.X, test.y, w) / float(w.sum())
 
     return mean_loss(beta_bar) - mean_loss(beta_star)
 
@@ -307,6 +305,14 @@ def run_trial(
 _METRICS = ("param_error_l2", "regret")
 
 
+def _stats(vals: np.ndarray) -> dict[str, float]:
+    return {
+        "mean": float(vals.mean()),
+        "median": float(np.median(vals)),
+        "std": float(vals.std(ddof=0)),
+    }
+
+
 def aggregate_rows(rows: Iterable[TrialResult]) -> dict[str, dict[str, dict[str, float]]]:
     """mean/median/std of each metric, keyed by "case/method_id"."""
     grouped: dict[str, list[TrialResult]] = {}
@@ -315,42 +321,31 @@ def aggregate_rows(rows: Iterable[TrialResult]) -> dict[str, dict[str, dict[str,
     out: dict[str, dict[str, dict[str, float]]] = {}
     for key in sorted(grouped):
         group = grouped[key]
-        out[key] = {}
-        for metric in _METRICS:
-            vals = np.array([getattr(row, metric) for row in group])
-            out[key][metric] = {
-                "mean": float(vals.mean()),
-                "median": float(np.median(vals)),
-                "std": float(vals.std(ddof=0)),
-            }
+        out[key] = {
+            metric: _stats(np.array([getattr(row, metric) for row in group]))
+            for metric in _METRICS
+        }
         comp = np.array([row.param_error_components for row in group])
         for j in range(comp.shape[1]):
-            out[key][f"param_error_d{j + 1}"] = {
-                "mean": float(comp[:, j].mean()),
-                "median": float(np.median(comp[:, j])),
-                "std": float(comp[:, j].std(ddof=0)),
-            }
+            out[key][f"param_error_d{j + 1}"] = _stats(comp[:, j])
         out[key]["trials"] = {"count": float(len(group))}
     return out
 
 
 def run_experiment(
     spec: SimulationSpec,
-    methods: Iterable[Method] | None = None,
     zeta_cases: Mapping[str, np.ndarray] | None = None,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Run ``spec.trials`` trials x methods x corruption cases and aggregate.
+    """Run ``spec.trials`` trials x ``spec.methods`` x corruption cases and aggregate.
 
-    Invalid method settings raise ``ValueError`` before any trial runs;
+    Each case's offsets pass the spec's own checks before any trial runs;
     trial failures are recorded and skipped, never fatal. Per-trial seeds
     hash (``spec.seed``, case, trial index); method order is immaterial.
-    Trials are independent given their derived seeds, so ``threads > 1``
-    runs them concurrently; results are assembled in deterministic order
-    regardless.
+    Trials are independent given their derived seeds, so a pool of
+    ``threads`` workers runs them; results are assembled in deterministic
+    order regardless of the pool size.
     """
-    methods = list(methods) if methods is not None else default_methods(spec)
-    spec.check_methods(methods)
     if zeta_cases is None:
         zeta_cases = {"base": spec.zeta}
 
@@ -359,7 +354,7 @@ def run_experiment(
         case_spec = replace(spec, zeta=np.asarray(zeta_cases[case_label], dtype=float))
         for t in range(spec.trials):
             trial_seed = derive_seed(spec.seed, case_label, t)
-            for method in methods:
+            for method in spec.methods:
                 tasks.append((case_spec, method, trial_seed, case_label, t))
 
     def work(task):
@@ -374,19 +369,14 @@ def run_experiment(
                 "error": f"{type(err).__name__}: {err}",
             }
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(work, tasks))
 
     rows = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if not isinstance(o, TrialResult)]
     return ExperimentReport(
         trials=spec.trials,
-        methods=tuple(m.id for m in methods),
+        methods=tuple(m.id for m in spec.methods),
         cases=tuple(zeta_cases),
         seed=spec.seed,
         rows=rows,

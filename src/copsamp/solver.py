@@ -28,7 +28,7 @@ from scipy.linalg import solve_triangular
 from copsamp.model import (
     Coefficients,
     Dataset,
-    _log_probability_of_label,
+    _loss_sum,
     information,
     residual_matrix,
 )
@@ -74,10 +74,7 @@ class FitReport:
 
 
 def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
-    losses = -_log_probability_of_label(beta, data.X, data.y)
-    # numpy's pairwise sum, not a BLAS dot: its rounding is smaller and
-    # does not depend on the BLAS thread count
-    return float(np.sum(w * losses) / data.n)
+    return _loss_sum(beta, data.X, data.y, w) / data.n
 
 
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:

@@ -185,13 +185,13 @@ def test_criterion_6_simulation_orderings():
         beta_star=np.array([[2.0, 2.0]]),
         zeta=np.zeros(3),
         r=1000,
+        methods=(Method("uniform"), Method("vanilla", with_labels=False),
+                 Method("clip", 3.0, with_labels=False)),
         trials=50,
         seed=0,
     )
-    methods = [Method("uniform"), Method("vanilla", with_labels=False),
-               Method("clip", 3.0, with_labels=False)]
     cases = {"zeta_x1_0": np.zeros(3), "zeta_x1_-3": np.array([-3.0, 0.0, 0.0])}
-    rep = run_experiment(spec, methods=methods, zeta_cases=cases)
+    rep = run_experiment(spec, zeta_cases=cases)
     assert not rep.failures
 
     def mean(case, mid, metric):

@@ -7,8 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from copsamp.cli import bundled_config_path, ensemble_to_doc, json_text, main
+from copsamp.cli import _csv_text, bundled_config_path, ensemble_to_doc, json_text, main
 from copsamp.model import Dataset, class_probabilities, probability_matrix
+from copsamp.simulation import PAPER_METHODS, SimulationSpec
 from copsamp.uncertainty import ProbeEnsemble, train_ensemble
 
 FIXTURES = Path(__file__).parent / "data"
@@ -299,9 +300,12 @@ class TestSimulate:
         ("beta_floor", "nan", "beta_floor"),
         ("score_transform", "log", "score_transform"),
         ("probe_members", 1, "probe_members"),
-        ("clip_multipliers", [1.0], "clip1"),
+        ("clip_multipliers", [3.0, 10.0], "clip_multipliers"),
         ("methods", ["uniform", "cops-clip0.5-withY"], "clip0.5"),
         ("zeta_cases", {"clean": [0.0, 0.0, 0.0], "bad": [float("nan"), 0.0, 0.0]}, "zeta"),
+        ("probe_member", 3, "probe_member"),
+        ("methods", ["uniform", "cops-clip1-withY"], "cops-clip1-withY"),
+        ("zeta_cases", {"short": [0.0, 0.0]}, "'short'"),
     ])
     def test_bad_bundled_config_exit_2(self, tmp_path, capsys, key, value, field):
         # rejected before any trial runs: no output directory is written
@@ -326,7 +330,38 @@ class TestSimulate:
         assert cfg["r"] == 1000
         assert cfg["beta_star"] == [[2.0, 2.0]]
         assert set(cfg["zeta_cases"]) == {"zeta_x1_0", "zeta_x1_-1", "zeta_x1_-3"}
-        assert cfg["clip_multipliers"] == [3.0, 10.0]
+        assert cfg["methods"] == [m.id for m in PAPER_METHODS]
+
+    def test_resolved_config_recorded(self, tmp_path):
+        # keys the config leaves out are recorded with the defaults they ran on
+        cfg = json.loads(tiny_sim_config(tmp_path).read_text())
+        cfg = {key: cfg[key] for key in ("atoms", "beta_star", "zeta_cases", "r")}
+        cfg["methods"] = ["uniform"]
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["simulate", path, "--out", out]) == 0
+        expected = {
+            "trials": SimulationSpec.trials,
+            "seed": SimulationSpec.seed,
+            "probe_members": SimulationSpec.probe_members,
+            "score_transform": SimulationSpec.score_transform,
+            "beta_floor": SimulationSpec.beta_floor,
+            "methods": ["uniform"],
+        }
+        for name in ("report.json", "manifest.json"):
+            recorded = json.loads((out / name).read_text())["config"]
+            assert {key: recorded[key] for key in expected} == expected
+            assert recorded["atoms"] == cfg["atoms"]
+        assert len(json.loads((out / "report.json").read_text())["rows"]) == 2 * 50
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        out = tmp_path / "run"
+        assert run(["simulate", tiny_sim_config(tmp_path), "--threads", threads,
+                    "--out", out]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_aggregates_match_trial_rows(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)
@@ -348,6 +383,11 @@ class TestSelfcheck:
 
     def test_seed_does_not_change_outcome(self, capsys):
         assert run(["selfcheck", "--quick", "--seed", 123]) == 0
+
+
+def test_csv_text_formats_floats_with_lf_lines():
+    text = _csv_text(["a", "b", "c"], [[1, 0.1, "x"], (2, np.float64(2.5), "y")])
+    assert text == "a,b,c\n1,0.10000000000000001,x\n2,2.5,y\n"
 
 
 def test_float_serialization_round_trips():

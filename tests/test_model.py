@@ -1,6 +1,10 @@
 """Softmax calculus: frozen examples, identities, and derivative oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -137,6 +141,33 @@ class TestDatasetLoss:
         data = Dataset(np.ones((2, 1)), np.array([0, 1]), 1)
         with pytest.raises(ValueError):
             dataset_loss(np.zeros((1, 1)), data, np.array([1.0, -1.0]))
+
+    def test_weighted_losses_independent_of_blas_threads(self):
+        # dataset_loss and row-level regret share one pairwise sum; a BLAS
+        # dot would round differently with 1 and 2 BLAS threads at this size
+        script = (
+            "import numpy as np\n"
+            "from copsamp.model import Dataset, dataset_loss\n"
+            "from copsamp.simulation import regret\n"
+            "rng = np.random.default_rng(0)\n"
+            "n, d, K = 200_000, 10, 2\n"
+            "X = rng.normal(size=(n, d))\n"
+            "beta = rng.normal(scale=0.3, size=(K, d))\n"
+            "data = Dataset(X, rng.integers(0, K + 1, size=n), K)\n"
+            "w = rng.uniform(0.0, 2.0, size=n)\n"
+            "print(repr(dataset_loss(beta, data, w)), "
+            "repr(regret(beta, np.zeros((K, d)), data)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestScoreAndGradient:

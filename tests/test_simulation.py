@@ -9,9 +9,9 @@ import copsamp.simulation as sim
 from copsamp.model import Dataset
 from copsamp.sampler import SamplingConfig, subsample_and_refit
 from copsamp.simulation import (
+    PAPER_METHODS,
     Method,
     SimulationSpec,
-    default_methods,
     derive_seed,
     generate_dataset,
     regret,
@@ -64,7 +64,8 @@ class TestMethod:
             Method.parse("nonsense")
 
     def test_default_method_grid_covers_clip_levels(self):
-        ids = {m.id for m in default_methods(paper_spec())}
+        assert paper_spec().methods == PAPER_METHODS and len(PAPER_METHODS) == 7
+        ids = {m.id for m in PAPER_METHODS}
         assert "cops-clip3-withY" in ids and "cops-clip10-withY" in ids
         assert "cops-clip3-withoutY" in ids and "cops-clip10-withoutY" in ids
         assert "uniform" in ids
@@ -129,7 +130,11 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="score_transform"):
             paper_spec(score_transform="log")
         with pytest.raises(ValueError, match="cops-clip1-withY"):
-            paper_spec(clip_multipliers=(1.0,))
+            paper_spec(methods=(Method("uniform"), Method("clip", 1.0)))
+        with pytest.raises(ValueError, match="distinct"):
+            paper_spec(methods=(Method("uniform"), Method("uniform")))
+        with pytest.raises(ValueError, match="not empty"):
+            paper_spec(methods=())
 
 
 class TestRegret:
@@ -209,12 +214,15 @@ class TestRunExperiment:
         calls = []
         monkeypatch.setattr(sim, "run_trial", lambda *a, **kw: calls.append(a))
         with pytest.raises(ValueError, match="cops-clip0.5-withY"):
-            run_experiment(small_spec(), methods=[Method("uniform"), Method("clip", 0.5)])
+            run_experiment(small_spec(methods=[Method("uniform"), Method("clip", 0.5)]))
+        with pytest.raises(ValueError, match="zeta"):
+            run_experiment(small_spec(methods=[Method("uniform")]),
+                           zeta_cases={"clean": np.zeros(3), "bad": np.zeros(2)})
         assert calls == []
 
     def test_single_trial_aggregates_match_row(self):
-        spec = small_spec(trials=1)
-        report = run_experiment(spec, methods=[Method("uniform")])
+        spec = small_spec(trials=1, methods=[Method("uniform")])
+        report = run_experiment(spec)
         row = report.rows[0]
         agg = report.aggregates["base/uniform"]
         assert agg["regret"]["mean"] == pytest.approx(row.regret)
@@ -222,15 +230,14 @@ class TestRunExperiment:
         assert agg["param_error_l2"]["median"] == pytest.approx(row.param_error_l2)
 
     def test_method_order_invariance(self):
-        spec = small_spec(trials=2)
         methods = [Method("uniform"), Method("vanilla"), Method("clip", 3.0)]
-        a = run_experiment(spec, methods=methods)
-        b = run_experiment(spec, methods=methods[::-1])
+        a = run_experiment(small_spec(trials=2, methods=methods))
+        b = run_experiment(small_spec(trials=2, methods=methods[::-1]))
         assert a.aggregates == b.aggregates
 
     def test_aggregates_recomputable_from_rows(self):
-        spec = small_spec(trials=3)
-        report = run_experiment(spec, methods=[Method("uniform"), Method("vanilla")])
+        spec = small_spec(trials=3, methods=[Method("uniform"), Method("vanilla")])
+        report = run_experiment(spec)
         for key, agg in report.aggregates.items():
             case, mid = key.split("/")
             regs = [r.regret for r in report.rows if r.case == case and r.method_id == mid]
@@ -238,14 +245,14 @@ class TestRunExperiment:
             assert agg["trials"]["count"] == len(regs)
 
     def test_multiple_cases(self):
-        spec = small_spec(trials=1)
+        spec = small_spec(trials=1, methods=[Method("uniform")])
         cases = {"clean": np.zeros(3), "hit": np.array([-3.0, 0.0, 0.0])}
-        report = run_experiment(spec, methods=[Method("uniform")], zeta_cases=cases)
+        report = run_experiment(spec, zeta_cases=cases)
         assert set(report.cases) == {"clean", "hit"}
         assert len(report.rows) == 2
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
-        spec = small_spec(trials=2)
+        spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])
         real = sim.run_trial
 
         def flaky(case_spec, method, seed, **kw):
@@ -254,17 +261,18 @@ class TestRunExperiment:
             return real(case_spec, method, seed, **kw)
 
         monkeypatch.setattr(sim, "run_trial", flaky)
-        report = run_experiment(spec, methods=[Method("uniform"), Method("vanilla")])
+        report = run_experiment(spec)
         assert len(report.failures) == 1
         assert report.failures[0]["method_id"] == "cops-vanilla-withY"
         assert len(report.rows) == 3
 
     def test_threaded_matches_sequential(self):
-        spec = small_spec(trials=2)
-        methods = [Method("uniform"), Method("vanilla")]
-        a = run_experiment(spec, methods=methods)
-        b = run_experiment(spec, methods=methods, threads=4)
+        spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])
+        a = run_experiment(spec)
+        b = run_experiment(spec, threads=4)
         assert a.aggregates == b.aggregates
+        with pytest.raises(ValueError):
+            run_experiment(spec, threads=0)
 
 
 class TestOrderings:
