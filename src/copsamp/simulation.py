@@ -17,11 +17,13 @@ refit run row by row through :func:`copsamp.sampler.subsample_and_refit`.
 A test rebuilds the trial from the row-level public functions and checks
 that both give the same results.
 
-Everything is deterministic given the master seed: per-trial seeds are
-derived by hashing (seed, case label, trial index), and the draw seed
-additionally hashes the method id, so methods within a trial see the
-same datasets (paired comparisons) and reordering methods changes
-nothing.
+A trial builds its replicas, ensemble and scores once and runs every
+method on them, so comparisons within a trial are paired by
+construction, not by re-seeding; a trial that raises fails as a unit,
+for all of its methods. Everything is deterministic given the master
+seed: per-trial seeds are derived by hashing (seed, case label, trial
+index), and each method's draw seed additionally hashes its id, so
+reordering methods changes nothing.
 
 Test-set regret of a fitted model can be slightly negative at finite
 test size because ``beta_star`` minimizes the population loss, not the
@@ -237,28 +239,16 @@ def regret(
 
 def run_trial(
     spec: SimulationSpec,
-    method: Method,
     seed: int,
     case: str = "base",
     trial_index: int = 0,
-) -> TrialResult:
-    """One probe/score/draw/refit/evaluate cycle for one method.
+) -> list[TrialResult]:
+    """One probe/score/draw/refit/evaluate trial, one result per method of ``spec``.
 
-    Dataset seeds depend only on ``seed``, so different methods called
-    with the same trial seed see identical probe, sampling and test
-    data; only the draw seed is method-specific.
+    The trial's datasets, ensemble and scores are built once and shared
+    by every method, so comparisons within a trial are paired by
+    construction; only the draw seed is method-specific.
     """
-    probe_seed = derive_seed(seed, "probe")
-    sampling_seed = derive_seed(seed, "sampling")
-    test_seed = derive_seed(seed, "test")
-    shard_seed = derive_seed(seed, "shards")
-    draw_seed = derive_seed(seed, "draw", method.id)
-
-    probe = generate_dataset(spec, probe_seed, corrupted=True)
-    sampling = generate_dataset(spec, sampling_seed, corrupted=True)
-    test = generate_dataset(spec, test_seed, corrupted=False)
-    config = spec.sampling_config(method, draw_seed)
-
     # one row per (atom, label) cell: row 2a + y holds atom a with label y
     A = spec.atom_x.shape[0]
     atom_idx = spec.atom_of_row()
@@ -267,39 +257,44 @@ def run_trial(
     def cell_counts(data: Dataset, rows=slice(None)) -> np.ndarray:
         return np.bincount(atom_idx[rows] * 2 + data.y[rows], minlength=2 * A)
 
-    if method.scheme == "uniform":
-        u = np.ones(sampling.n)
-    else:
+    sampling = generate_dataset(spec, derive_seed(seed, "sampling"), corrupted=True)
+    test_counts = cell_counts(generate_dataset(spec, derive_seed(seed, "test"), corrupted=False))
+    uniform = np.ones(sampling.n)
+    scores = {}  # with_labels -> per-row scores
+    if any(method.scheme != "uniform" for method in spec.methods):
         # each member's fit to its shard's cell counts is the row-level fit
+        probe = generate_dataset(spec, derive_seed(seed, "probe"), corrupted=True)
         M = spec.probe_members
         members = np.stack([
             fit_weighted_mle(cells, cell_counts(probe, idx).astype(float)).beta
-            for idx in shard_indices(probe.n, M, shard_seed)
+            for idx in shard_indices(probe.n, M, derive_seed(seed, "shards"))
         ])
-        ensemble = ProbeEnsemble(members, probe_size=probe.n // M)
+        del probe  # freed before the methods run, which read only the members
+        ensemble = ProbeEnsemble(members, probe_size=spec.n_total // M)
         # scores per cell (with labels) or per atom, looked up per row
-        if method.with_labels:
-            u_cell = plan_scores(ensemble, cells, "coreset", "ensemble")
-            u = u_cell[atom_idx * 2 + sampling.y]
-        else:
-            atoms = Dataset(spec.atom_x, None, K=1)
-            u = plan_scores(ensemble, atoms, "active", "ensemble")[atom_idx]
+        u_cell = plan_scores(ensemble, cells, "coreset", "ensemble")
+        scores[True] = u_cell[atom_idx * 2 + sampling.y]
+        atoms = Dataset(spec.atom_x, None, K=1)
+        scores[False] = plan_scores(ensemble, atoms, "active", "ensemble")[atom_idx]
 
-    # without-label methods only ever read labels of the drawn rows, so the
-    # stored labels act as the label oracle of the active pipeline
-    beta_bar = subsample_and_refit(sampling, u, config).beta_bar
-    reg = regret(beta_bar, spec.beta_star, cells, cell_counts(test))
-
-    errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
-    return TrialResult(
-        method_id=method.id,
-        case=case,
-        trial_index=trial_index,
-        param_error_components=tuple(float(e) for e in errs),
-        param_error_l2=float(np.linalg.norm(errs)),
-        regret=float(reg),
-        seed=seed,
-    )
+    results = []
+    for method in spec.methods:
+        u = uniform if method.scheme == "uniform" else scores[method.with_labels]
+        config = spec.sampling_config(method, derive_seed(seed, "draw", method.id))
+        # without-label methods only ever read labels of the drawn rows, so the
+        # stored labels act as the label oracle of the active pipeline
+        beta_bar = subsample_and_refit(sampling, u, config).beta_bar
+        errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
+        results.append(TrialResult(
+            method_id=method.id,
+            case=case,
+            trial_index=trial_index,
+            param_error_components=tuple(float(e) for e in errs),
+            param_error_l2=float(np.linalg.norm(errs)),
+            regret=float(regret(beta_bar, spec.beta_star, cells, test_counts)),
+            seed=seed,
+        ))
+    return results
 
 
 _METRICS = ("param_error_l2", "regret")
@@ -337,14 +332,15 @@ def run_experiment(
     zeta_cases: Mapping[str, np.ndarray] | None = None,
     threads: int = 1,
 ) -> ExperimentReport:
-    """Run ``spec.trials`` trials x ``spec.methods`` x corruption cases and aggregate.
+    """Run ``spec.trials`` trials x corruption cases of ``spec.methods`` and aggregate.
 
-    Each case's offsets pass the spec's own checks before any trial runs;
-    trial failures are recorded and skipped, never fatal. Per-trial seeds
-    hash (``spec.seed``, case, trial index); method order is immaterial.
-    Trials are independent given their derived seeds, so a pool of
-    ``threads`` workers runs them; results are assembled in deterministic
-    order regardless of the pool size.
+    Each case's offsets pass the spec's own checks before any trial runs.
+    A trial fails as a unit: its error is recorded once per method, so
+    every method's aggregates cover the same trials, and it is never
+    fatal. Per-trial seeds hash (``spec.seed``, case, trial index);
+    method order is immaterial. Trials are independent given their
+    derived seeds, so a pool of ``threads`` workers runs them; results
+    are assembled in deterministic order regardless of the pool size.
     """
     if zeta_cases is None:
         zeta_cases = {"base": spec.zeta}
@@ -352,25 +348,20 @@ def run_experiment(
     tasks = []
     for case_label in zeta_cases:
         case_spec = replace(spec, zeta=np.asarray(zeta_cases[case_label], dtype=float))
-        for t in range(spec.trials):
-            trial_seed = derive_seed(spec.seed, case_label, t)
-            for method in spec.methods:
-                tasks.append((case_spec, method, trial_seed, case_label, t))
+        tasks += [(case_spec, case_label, t) for t in range(spec.trials)]
 
-    def work(task):
-        case_spec, method, trial_seed, case_label, t = task
+    def work(task) -> list:
+        case_spec, case_label, t = task
         try:
-            return run_trial(case_spec, method, trial_seed, case=case_label, trial_index=t)
+            return run_trial(case_spec, derive_seed(spec.seed, case_label, t),
+                             case=case_label, trial_index=t)
         except Exception as err:  # noqa: BLE001 - recorded, not fatal
-            return {
-                "case": case_label,
-                "trial_index": t,
-                "method_id": method.id,
-                "error": f"{type(err).__name__}: {err}",
-            }
+            error = f"{type(err).__name__}: {err}"
+            return [{"case": case_label, "trial_index": t, "method_id": method.id,
+                     "error": error} for method in spec.methods]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(work, tasks))
+        outcomes = [outcome for trial in pool.map(work, tasks) for outcome in trial]
 
     rows = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if not isinstance(o, TrialResult)]

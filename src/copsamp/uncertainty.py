@@ -71,6 +71,10 @@ class ProbeEnsemble:
         self.members = np.asarray(self.members, dtype=float)
         if self.members.ndim != 3 or self.members.shape[0] < 2:
             raise ValueError("members must be (M, K, d) with M >= 2")
+        if not np.all(np.isfinite(self.members)):
+            raise ValueError("members must be finite")
+        if self.probe_size < 1:
+            raise ValueError(f"probe_size must be >= 1, got {self.probe_size}")
 
     @property
     def mean(self) -> Coefficients:

@@ -198,6 +198,23 @@ class TestScore:
         assert run(["score", data_path, ens_path]) == 2
         assert "invalid ensemble document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("broken", ["probe_size-0", "probe_size--5", "nan-member"])
+    def test_invalid_ensemble_values_exit_2(self, tmp_path, capsys, broken):
+        data_path = tmp_path / "data.csv"
+        synthetic_csv(data_path, seed=8, n=30)
+        beta = np.array([[0.4, -0.2]])
+        ens = ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50)
+        doc = json.loads(json_text(ensemble_to_doc(ens)))
+        if broken == "nan-member":
+            doc["members"][1][0][0] = float("nan")
+        else:
+            doc["probe_size"] = int(broken.split("-", 1)[1])
+        ens_path = tmp_path / "ens.json"
+        ens_path.write_text(json.dumps(doc))  # NaN is written as a bare NaN literal
+        assert run(["score", data_path, ens_path, "--out", tmp_path / "s.csv"]) == 2
+        assert "invalid ensemble document" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=5, d=3)
@@ -275,6 +292,15 @@ class TestSimulate:
         assert run(["simulate", cfg, "--out", out_b, "--trials", 1, "--seed", 7]) == 0
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        cfg = tiny_sim_config(tmp_path)
+        outputs = {}
+        for threads in (1, 3):
+            out = tmp_path / f"threads{threads}"
+            assert run(["simulate", cfg, "--out", out, "--trials", 3, "--threads", threads]) == 0
+            outputs[threads] = [(out / name).read_bytes() for name in ("report.json", "trials.csv")]
+        assert outputs[1] == outputs[3]
 
     def test_trials_csv_schema(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.special import expit
 
+import copsamp.sampler as sampler
 import copsamp.simulation as sim
 from copsamp.model import Dataset
 from copsamp.sampler import SamplingConfig, subsample_and_refit
@@ -162,8 +163,8 @@ class TestRegret:
 
 class TestRunTrial:
     def test_uniform_ignores_scores(self):
-        spec = small_spec()
-        res = run_trial(spec, Method("uniform"), seed=derive_seed(1, "c", 0))
+        spec = small_spec(methods=[Method("uniform")])
+        [res] = run_trial(spec, seed=derive_seed(1, "c", 0))
         assert res.method_id == "uniform"
         assert len(res.param_error_components) == 2
         assert np.isfinite(res.regret)
@@ -171,42 +172,76 @@ class TestRunTrial:
     def test_aggregate_matches_row_level(self):
         # the cell table is an optimization only: rebuild each trial row by
         # row from the public functions and compare
-        spec = small_spec()
-        for method in (Method("uniform"), Method("vanilla"),
-                       Method("vanilla", with_labels=False), Method("clip", 3.0)):
-            seed = derive_seed(2, "equiv", method.id)
-            fast = run_trial(spec, method, seed)
+        methods = (Method("uniform"), Method("vanilla"),
+                   Method("vanilla", with_labels=False), Method("clip", 3.0))
+        spec = small_spec(methods=methods)
+        for seed in (derive_seed(2, "equiv", method.id) for method in methods):
+            fast_rows = run_trial(spec, seed)
             probe = generate_dataset(spec, derive_seed(seed, "probe"), corrupted=True)
             sampling = generate_dataset(spec, derive_seed(seed, "sampling"), corrupted=True)
             test = generate_dataset(spec, derive_seed(seed, "test"), corrupted=False)
             ensemble = train_ensemble(probe, spec.probe_members, seed=derive_seed(seed, "shards"))
-            if method.scheme == "uniform":
-                u = np.ones(sampling.n)
-            elif method.with_labels:
-                u = ensemble_scores(ensemble, sampling, "coreset") * ensemble.probe_size
-            else:
-                unlabeled = Dataset(sampling.X, None, K=1)
-                u = ensemble_scores(ensemble, unlabeled, "active") * ensemble.probe_size
-            config = SamplingConfig(
-                subsample_size=spec.r,
-                seed=derive_seed(seed, "draw", method.id),
-                score_transform=spec.score_transform,
-                alpha_multiplier=method.clip_multiplier,
-                beta_floor=spec.beta_floor,
-            )
-            beta_bar = subsample_and_refit(sampling, u, config).beta_bar
-            errs = np.abs(beta_bar - spec.beta_star).reshape(-1)
-            npt.assert_allclose(fast.regret, regret(beta_bar, spec.beta_star, test), atol=1e-10)
-            npt.assert_allclose(fast.param_error_l2, np.linalg.norm(errs), atol=1e-10)
-            npt.assert_allclose(fast.param_error_components, errs, atol=1e-10)
+            for method, fast in zip(methods, fast_rows, strict=True):
+                assert fast.method_id == method.id
+                if method.scheme == "uniform":
+                    u = np.ones(sampling.n)
+                elif method.with_labels:
+                    u = ensemble_scores(ensemble, sampling, "coreset") * ensemble.probe_size
+                else:
+                    unlabeled = Dataset(sampling.X, None, K=1)
+                    u = ensemble_scores(ensemble, unlabeled, "active") * ensemble.probe_size
+                config = SamplingConfig(
+                    subsample_size=spec.r,
+                    seed=derive_seed(seed, "draw", method.id),
+                    score_transform=spec.score_transform,
+                    alpha_multiplier=method.clip_multiplier,
+                    beta_floor=spec.beta_floor,
+                )
+                beta_bar = subsample_and_refit(sampling, u, config).beta_bar
+                errs = np.abs(beta_bar - spec.beta_star).reshape(-1)
+                npt.assert_allclose(fast.regret, regret(beta_bar, spec.beta_star, test),
+                                    atol=1e-10)
+                npt.assert_allclose(fast.param_error_l2, np.linalg.norm(errs), atol=1e-10)
+                npt.assert_allclose(fast.param_error_components, errs, atol=1e-10)
 
-    def test_methods_share_datasets_within_trial(self):
-        # paired comparisons: same trial seed, different methods, same data
-        spec = small_spec()
+    def test_methods_paired_by_construction(self, monkeypatch):
+        # every method of a trial reads one shared set of replicas, ensemble
+        # and scores, however many methods the trial runs
         seed = derive_seed(3, "pair", 0)
-        a = run_trial(spec, Method("uniform"), seed)
-        b = run_trial(spec, Method("vanilla"), seed)
-        assert a.seed == b.seed
+        alone = Method("vanilla", with_labels=False)
+        [single] = run_trial(small_spec(methods=[alone]), seed)
+        paired = run_trial(small_spec(methods=PAPER_METHODS), seed)
+        assert single == paired[PAPER_METHODS.index(alone)]
+
+        calls = {"generate_dataset": 0, "fit_weighted_mle": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sim, "generate_dataset")
+        counted(sim, "fit_weighted_mle")  # the probe members
+        counted(sampler, "fit_weighted_mle")  # each method's refit
+        for methods, probe_members in (
+            ([Method("uniform")], 10),
+            ([alone], 10),
+            ([alone], 4),
+            (PAPER_METHODS, 10),
+            (PAPER_METHODS, 3),
+        ):
+            spec = small_spec(methods=methods, probe_members=probe_members)
+            calls.update(generate_dataset=0, fit_weighted_mle=0)
+            rows = run_trial(spec, seed)
+            uniform_only = all(method.scheme == "uniform" for method in methods)
+            assert len(rows) == len(methods)
+            assert calls["generate_dataset"] == (2 if uniform_only else 3)
+            assert calls["fit_weighted_mle"] == (
+                len(methods) + (0 if uniform_only else probe_members))
 
 
 class TestRunExperiment:
@@ -252,19 +287,24 @@ class TestRunExperiment:
         assert len(report.rows) == 2
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
+        # one method's refit fails in trial 1, so the whole trial fails:
+        # one failure entry per method, trial 0's rows stay as they were
         spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])
-        real = sim.run_trial
+        clean = run_experiment(spec)
+        bad_draw = derive_seed(derive_seed(spec.seed, "base", 1), "draw", "cops-vanilla-withY")
+        real = sim.subsample_and_refit
 
-        def flaky(case_spec, method, seed, **kw):
-            if method.scheme == "vanilla" and kw.get("trial_index") == 1:
+        def flaky(data, u, config, *args, **kw):
+            if config.seed == bad_draw:
                 raise RuntimeError("synthetic failure")
-            return real(case_spec, method, seed, **kw)
+            return real(data, u, config, *args, **kw)
 
-        monkeypatch.setattr(sim, "run_trial", flaky)
+        monkeypatch.setattr(sim, "subsample_and_refit", flaky)
         report = run_experiment(spec)
-        assert len(report.failures) == 1
-        assert report.failures[0]["method_id"] == "cops-vanilla-withY"
-        assert len(report.rows) == 3
+        assert [(f["trial_index"], f["method_id"]) for f in report.failures] == [
+            (1, "uniform"), (1, "cops-vanilla-withY")]
+        assert {f["error"] for f in report.failures} == {"RuntimeError: synthetic failure"}
+        assert report.rows == [row for row in clean.rows if row.trial_index == 0]
 
     def test_threaded_matches_sequential(self):
         spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])
@@ -281,14 +321,15 @@ class TestOrderings:
     def test_clip_beats_uniform_under_heavy_corruption(self):
         # label-free scoring family at zeta(x1) = -3: the clipped variant
         # wins most paired trials against both uniform and vanilla
-        spec = paper_spec(zeta=np.array([-3.0, 0.0, 0.0]))
+        spec = paper_spec(
+            zeta=np.array([-3.0, 0.0, 0.0]),
+            methods=(Method("uniform"), Method("vanilla", with_labels=False),
+                     Method("clip", 3.0, with_labels=False)),
+        )
         wins_unif = wins_van = 0
         T = 50
         for t in range(T):
-            seed = derive_seed(0, "zeta_x1_-3", t)
-            unif = run_trial(spec, Method("uniform"), seed)
-            van = run_trial(spec, Method("vanilla", with_labels=False), seed)
-            clip = run_trial(spec, Method("clip", 3.0, with_labels=False), seed)
+            unif, van, clip = run_trial(spec, derive_seed(0, "zeta_x1_-3", t))
             wins_unif += clip.regret < unif.regret
             wins_van += clip.regret < van.regret
         assert wins_unif >= 0.6 * T
@@ -296,11 +337,12 @@ class TestOrderings:
 
     def test_vanilla_active_competitive_when_clean(self):
         # zeta == 0: mean regret of label-free vanilla does not exceed uniform
-        spec = paper_spec(zeta=np.zeros(3))
+        spec = paper_spec(zeta=np.zeros(3),
+                          methods=(Method("uniform"), Method("vanilla", with_labels=False)))
         T = 50
         regs_u, regs_v = [], []
         for t in range(T):
-            seed = derive_seed(0, "zeta_x1_0", t)
-            regs_u.append(run_trial(spec, Method("uniform"), seed).regret)
-            regs_v.append(run_trial(spec, Method("vanilla", with_labels=False), seed).regret)
+            unif, van = run_trial(spec, derive_seed(0, "zeta_x1_0", t))
+            regs_u.append(unif.regret)
+            regs_v.append(van.regret)
         assert np.mean(regs_v) <= np.mean(regs_u)

@@ -83,6 +83,18 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError):
             train_ensemble(data, 1, seed=0)
 
+    @pytest.mark.parametrize("probe_size", [0, -5])
+    def test_probe_size_below_one_rejected(self, probe_size):
+        # probe_size 0 would scale every score to 0: a silent uniform plan
+        with pytest.raises(ValueError, match="probe_size must be >= 1"):
+            constant_ensemble(np.array([[0.5, -0.2]]), probe_size=probe_size)
+
+    def test_non_finite_member_rejected(self):
+        members = np.repeat(np.array([[[0.5, -0.2]]]), 3, axis=0)
+        members[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ProbeEnsemble(members, probe_size=50)
+
 
 class TestLogitCovariance:
     def test_identical_members_zero(self):
