@@ -16,12 +16,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import replace
 from importlib import resources
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -53,56 +55,65 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_render(obj: Any, indent: int, out: list[str]) -> None:
+def _json_render(obj: Any, indent: int) -> str:
+    """``obj`` as JSON text whose first line starts at column ``indent``.
+
+    Containers put one item per line; floats are written by
+    :func:`fmt_float`, non-finite ones as ``null``.
+    """
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj) if math.isfinite(obj) else "null"
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _json_render(val, indent + 2, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+            return "{}"
+        items = [f"{pad}  {json.dumps(str(key))}: {_json_render(val, indent + 2)}"
+                 for key, val in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
         if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _json_render(val, indent + 2, out)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        if not np.isfinite(obj):
-            out.append("null")
-        else:
-            out.append(fmt_float(float(obj)))
-    else:
-        out.append(json.dumps(str(obj)))
+            return "[]"
+        inner = pad + "  "
+        items = [_json_render(val, indent + 2) for val in seq]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return json.dumps(str(obj))
 
 
 def json_text(obj: Any) -> str:
-    out: list[str] = []
-    _json_render(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _json_render(obj, 0) + "\n"
+
+
+#: characters that can make the csv module quote a field
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_field(value: Any) -> str:
+    """``value`` as ``csv.writer`` writes it, floats by :func:`fmt_float`."""
+    if isinstance(value, float):
+        return fmt_float(value)
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    # the csv module quotes: which of these characters need quotes
+    # depends on the Python version
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
-    """CSV text with LF line ends; floats are written by :func:`fmt_float`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([fmt_float(v) if isinstance(v, float) else v for v in row] for row in rows)
-    return buf.getvalue()
+    """CSV text with LF line ends; floats are written by :func:`fmt_float`.
+
+    Text fields are quoted as the csv module quotes them.
+    """
+    lines = [",".join([_csv_field(v) for v in row]) for row in [header, *rows]]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -132,9 +143,87 @@ def write_manifest(
 # CSV dataset I/O
 # ----------------------------------------------------------------------
 
+#: columns read together: their indices and the type each field converts to
+Columns = tuple[list[int], type]
+
+
+#: where numpy's parse can differ from the csv module and float()/int():
+#: quoting, NUL (a csv error on Python 3.10) and \x1c-\x1f, which numpy
+#: strips as whitespace around a number and float() refuses
+_ROW_READER_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _rewind_past_header(fh) -> None:
+    """Puts ``fh`` at the first record after the header."""
+    fh.seek(0)
+    next(csv.reader(fh))
+
+
+def _parse_rows(
+    path: str, records: Iterator[list[str]], groups: list[Columns]
+) -> list[np.ndarray]:
+    """Each group's columns as one (n, len(indices)) array, read row by row.
+
+    The reference parse, and the one that names the first malformed row.
+    """
+    values: list[list] = [[] for _ in groups]
+    for lineno, row in enumerate(records, start=2):
+        if not row:
+            continue
+        try:
+            for out, (cols, convert) in zip(values, groups):
+                out.append([convert(row[i]) for i in cols])
+        except (ValueError, IndexError) as err:
+            raise CliError(f"{path}: malformed row {lineno}: {err}") from err
+    return [np.array(out, dtype=convert).reshape(-1, len(cols))
+            for out, (cols, convert) in zip(values, groups)]
+
+
+def _parse_bulk(fh, groups: list[Columns]) -> list[np.ndarray]:
+    """The arrays of :func:`_parse_rows`, parsed by numpy, one pass per group.
+
+    ``fh`` is seekable and at the first record. Raises where numpy might
+    read the file differently from the csv module.
+    """
+    for chunk in iter(lambda: fh.read(1 << 20), ""):
+        if any(char in chunk for char in _ROW_READER_ONLY):
+            raise ValueError("a character the two parsers may read differently")
+    arrays = []
+    with warnings.catch_warnings():
+        # numpy 1.x reads the label 1.0 as 1 with a DeprecationWarning, where
+        # int() refuses it; a file without rows gives a UserWarning
+        warnings.simplefilter("error")
+        for cols, convert in groups:
+            _rewind_past_header(fh)
+            arrays.append(np.loadtxt(
+                fh, dtype=np.int64 if convert is int else float, delimiter=",",
+                comments=None, usecols=cols, ndmin=2,
+            ))
+    return arrays
+
+
+def _read_columns(path: str, fh, groups: list[Columns]) -> list[np.ndarray]:
+    """The CSV body from ``fh``, which is at the first record after the header.
+
+    A seekable file is parsed in bulk; on any failure, and for a pipe, the
+    row reader gives the result or names the bad row.
+    """
+    if fh.seekable():
+        try:
+            return _parse_bulk(fh, groups)
+        except Exception:  # noqa: BLE001 - the row reader decides
+            _rewind_past_header(fh)
+    return _parse_rows(path, csv.reader(fh), groups)
+
+
 def read_dataset_csv(
-    path: str, require_labels: bool, weights_col: str | None = None
+    path: str, labels: bool, weights_col: str | None = None
 ) -> tuple[Dataset, np.ndarray | None]:
+    """The dataset in ``path``, and its ``weights_col`` column if one is named.
+
+    With ``labels`` the ``y`` column is required and read; without it the
+    file may hold any ``y`` column, which is not read.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as err:
@@ -155,32 +244,25 @@ def read_dataset_csv(
                 f"{path}: header must contain x0..x{{d-1}} in order, got {header}"
             )
         col_index = {name: i for i, name in enumerate(header)}
-        if require_labels and "y" not in col_index:
+        if labels and "y" not in col_index:
             raise CliError(f"{path}: labeled data needs a 'y' column")
         if weights_col is not None and weights_col not in col_index:
             raise CliError(f"{path}: no column named '{weights_col}'")
-        d = len(feature_cols)
-        X_rows, y_rows, w_rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                X_rows.append([float(row[col_index[c]]) for c in feature_cols])
-                if "y" in col_index:
-                    y_rows.append(int(row[col_index["y"]]))
-                if weights_col is not None:
-                    w_rows.append(float(row[col_index[weights_col]]))
-            except (ValueError, IndexError) as err:
-                raise CliError(f"{path}: malformed row {lineno}: {err}") from err
-    X = np.array(X_rows, dtype=float).reshape(-1, d)
-    y = np.array(y_rows, dtype=int) if y_rows else None
-    K = int(y.max()) if y is not None and y.size else 1
-    K = max(K, 1)
+        groups: list[Columns] = [([col_index[c] for c in feature_cols], float)]
+        if labels:
+            groups.append(([col_index["y"]], int))
+        if weights_col is not None:
+            groups.append(([col_index[weights_col]], float))
+        X, *columns = _read_columns(path, fh, groups)
+    y = columns.pop(0)[:, 0] if labels else None
+    weights = columns.pop(0)[:, 0] if weights_col is not None else None
+    if y is not None and not y.size:
+        y = None  # a file without rows is unlabeled
+    K = max(int(y.max()), 1) if y is not None else 1
     try:
         data = Dataset(X, y, K)
     except ValueError as err:
         raise CliError(f"{path}: {err}") from err
-    weights = np.array(w_rows, dtype=float) if weights_col is not None else None
     return data, weights
 
 
@@ -372,8 +454,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     started = time.time()
-    data, weights = read_dataset_csv(args.data, require_labels=True,
-                                     weights_col=args.weights_col)
+    data, weights = read_dataset_csv(args.data, labels=True, weights_col=args.weights_col)
     config = FitConfig(
         grad_tol=args.grad_tol, max_iters=args.max_iters, ridge=args.ridge
     )
@@ -413,7 +494,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     started = time.time()
     ensemble = load_ensemble(args.ensemble)
-    data, _ = read_dataset_csv(args.data, require_labels=args.kind == "coreset")
+    data, _ = read_dataset_csv(args.data, labels=args.kind == "coreset")
     if data.d != ensemble.d:
         raise CliError(
             f"dimension mismatch: data d={data.d}, ensemble d={ensemble.d}"
@@ -422,7 +503,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise CliError(
             f"class mismatch: labels up to {data.K}, ensemble has K={ensemble.K}"
         )
-    data = Dataset(data.X, data.y if args.kind == "coreset" else None, ensemble.K)
+    data = Dataset(data.X, data.y, ensemble.K)
     try:
         u = score_rows(ensemble, data, args.kind, args.estimator)
     except Exception as err:
@@ -446,20 +527,11 @@ def read_scores_csv(path: str) -> np.ndarray:
     except OSError as err:
         raise CliError(f"cannot open {path}: {err}") from err
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or "u" not in header:
             raise CliError(f"{path}: expected a header with a 'u' column")
-        u_col = header.index("u")
-        vals = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                vals.append(float(row[u_col]))
-            except (ValueError, IndexError) as err:
-                raise CliError(f"{path}: malformed row {lineno}: {err}") from err
-    u = np.array(vals, dtype=float)
+        (u,) = _read_columns(path, fh, [([header.index("u")], float)])
+    u = u[:, 0]
     if u.size == 0:
         raise CliError(f"{path}: no scores")
     if np.any(u < 0) or not np.all(np.isfinite(u)):

@@ -1,13 +1,25 @@
 """CLI surface: formats, exit codes, determinism."""
 
 import json
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from copsamp.cli import _csv_text, bundled_config_path, ensemble_to_doc, json_text, main
+from copsamp import cli
+from copsamp.cli import (
+    CliError,
+    _csv_text,
+    bundled_config_path,
+    ensemble_to_doc,
+    json_text,
+    main,
+    read_dataset_csv,
+    read_scores_csv,
+)
 from copsamp.model import Dataset, class_probabilities, probability_matrix
 from copsamp.simulation import PAPER_METHODS, SimulationSpec
 from copsamp.uncertainty import ProbeEnsemble, train_ensemble
@@ -76,10 +88,12 @@ class TestFit:
         npt.assert_array_equal(a, b)
 
     def test_malformed_row_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("x0,x1,y\n1.0,2.0,1\n1.0,oops,0\n")
-        assert run(["fit", bad]) == 2
-        assert "row 3" in capsys.readouterr().err
+        # int() semantics for labels: 1.0 and 1.5 are not labels
+        for bad_row in ("1.0,oops,0", "1.0,2.0,1.0", "1.0,2.0,1.5"):
+            bad = tmp_path / "bad.csv"
+            bad.write_text(f"x0,x1,y\n1.0,2.0,1\n{bad_row}\n")
+            assert run(["fit", bad]) == 2, bad_row
+            assert "malformed row 3" in capsys.readouterr().err, bad_row
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
     def test_flag_of_another_command_exit_2(self, flag, capsys):
@@ -214,6 +228,23 @@ class TestScore:
         assert run(["score", data_path, ens_path, "--out", tmp_path / "s.csv"]) == 2
         assert "invalid ensemble document" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    def test_active_kind_ignores_label_column(self, tmp_path):
+        # active scores never read y, so no value there can fail them
+        X = np.random.default_rng(9).normal(size=(40, 2))
+        ens = ProbeEnsemble(np.array([[[0.4, -0.2]], [[0.1, 0.3]], [[-0.2, 0.5]]]), 50)
+        ens_path = tmp_path / "ens.json"
+        write_ensemble(ens_path, ens)
+        scores = {}
+        for name, label in (("none", None), ("five", "5"), ("float", "1.0")):
+            lines = ["x0,x1" + (",y" if label else "")]
+            lines += [f"{a!r},{b!r}" + (f",{label}" if label else "") for a, b in X.tolist()]
+            data_path = tmp_path / f"{name}.csv"
+            data_path.write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"{name}_scores.csv"
+            assert run(["score", data_path, ens_path, "--kind", "active", "--out", out]) == 0
+            scores[name] = out.read_bytes()
+        assert scores["five"] == scores["none"] and scores["float"] == scores["none"]
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -421,3 +452,186 @@ def test_float_serialization_round_trips():
     for _ in range(200):
         x = float(rng.normal(scale=10.0 ** rng.integers(-300, 300)))
         assert float(format(x, ".17g")) == x
+
+
+#: corner cases of the dataset CSV: (file text, read_dataset_csv keywords)
+DATASET_CORNER_CASES = {
+    "crlf": ("x0,x1,y\r\n0.5,-1.25,1\r\n2,3,0\r\n", {}),
+    "lone-cr": ("x0,x1,y\r0.5,-1.25,1\r2,3,0\r", {}),
+    "blank-lines": ("x0,x1,y\n\n0.5,1,1\n\n2,3,0\n\n", {}),
+    "whitespace-line": ("x0,x1,y\n0.5,1,1\n   \n2,3,0\n", {}),
+    "quoted-field": ('x0,x1,y\n"1.0",2,1\n', {}),
+    "quoted-comma-before-features": ('note,x0,x1,y\n"a,1,2,3",4,5,1\n', {}),
+    "underscore": ("x0,x1,y\n1_0,2,1\n", {}),
+    "plus-sign": ("x0,x1,y\n+1,2,+1\n", {}),
+    "padded": ("x0,x1,y\n 1.0 ,\t2\t,1\n", {}),
+    "trailing-comma": ("x0,x1,y\n1,2,1,\n3,4,0,\n", {}),
+    "extra-columns": ("x0,x1,y,note\n1,2,1,a\n3,4,0,b\n", {}),
+    "short-row": ("x0,x1,y\n1,2,1\n3,4\n", {}),
+    "nan-feature": ("x0,x1,y\nnan,2,1\n", {}),
+    "inf-feature": ("x0,x1,y\n1,-inf,1\n", {}),
+    "label-1.0": ("x0,x1,y\n1,2,1.0\n", {}),
+    "label-1.5": ("x0,x1,y\n1,2,1.5\n", {}),
+    "label-1e0": ("x0,x1,y\n1,2,1e0\n", {}),
+    "label-padded": ("x0,x1,y\n1,2, 1\n", {}),
+    "label-too-large": ("x0,x1,y\n1,2,99999999999999999999\n", {}),
+    "weights-before-y": ("x0,x1,w,y\n1,2,0.5,1\n3,4,2,0\n", {"weights_col": "w"}),
+    "non-finite-weights": ("x0,x1,w,y\n1,2,nan,1\n3,4,-inf,0\n5,6,-nan,1\n", {"weights_col": "w"}),
+    "header-only": ("x0,x1,y\n", {}),
+    "file-separator": ("x0,x1,y\n1\x1c,2,1\n", {}),
+    "nul-in-extra-column": ("x0,x1,y,note\n1,2,1,a\x00b\n", {}),
+}
+#: cases numpy parses itself; the rest go to the row reader
+BULK_CASES = {"crlf", "lone-cr", "blank-lines", "plus-sign", "padded", "trailing-comma",
+              "extra-columns", "label-padded", "weights-before-y", "non-finite-weights"}
+
+
+def _read_outcome(read, path, **kwargs):
+    """Arrays as bytes, or the error: what a caller of ``read`` can observe."""
+    try:
+        result = read(path, **kwargs)
+    except CliError as err:
+        return ("exit", err.code, str(err))
+    except Exception as err:  # noqa: BLE001 - the row reader's own failures count too
+        return ("raise", type(err).__name__, str(err))
+    if isinstance(result, np.ndarray):
+        arrays, K = [result], None
+    else:
+        data, weights = result
+        arrays, K = [data.X, data.y, weights], data.K
+    return ("ok", K, [None if a is None else (a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+
+
+def _both_parses(monkeypatch, read, path, **kwargs):
+    """The outcome of ``read`` and of ``read`` with the bulk parse disabled."""
+    rows_calls = []
+    parse_rows = cli._parse_rows
+
+    def spy(*args):
+        rows_calls.append(args)
+        return parse_rows(*args)
+
+    def no_bulk(*args):
+        raise ValueError("bulk parse disabled")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_rows", spy)
+        fast = _read_outcome(read, path, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_bulk", no_bulk)
+        reference = _read_outcome(read, path, **kwargs)
+    return fast, reference, bool(rows_calls)
+
+
+class TestBulkReaders:
+    @pytest.mark.parametrize("labels", [True, False])
+    @pytest.mark.parametrize("case", sorted(DATASET_CORNER_CASES))
+    def test_dataset_matches_row_reader(self, tmp_path, monkeypatch, case, labels):
+        text, kwargs = DATASET_CORNER_CASES[case]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast, reference, used_rows = _both_parses(
+            monkeypatch, read_dataset_csv, str(path), labels=labels, **kwargs)
+        assert fast == reference
+        if case in BULK_CASES:
+            assert not used_rows
+
+    @pytest.mark.parametrize("text", [
+        "index,u\r\n0,1.5\r\n1,0\r\n",
+        "index,u\n\n0,1.5\n\n1,2.25\n",
+        'index,u\n0,"1.5"\n',
+        "index,u\n0,1_5\n",
+        "index,u\n0,1.5\n1,oops\n",
+        "index,u\n0,1.5\n1\n",
+        "index,u\n0,-1\n",
+        "index,u\n0,nan\n",
+        "index,u\n",
+        "u,index\n 2 ,0\n",
+    ])
+    def test_scores_match_row_reader(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast, reference, _ = _both_parses(monkeypatch, read_scores_csv, str(path))
+        assert fast == reference
+
+    def test_large_file_takes_bulk_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        data = synthetic_csv(path, seed=12, n=3000, K=2, d=3, weights=True)
+        fast, reference, used_rows = _both_parses(
+            monkeypatch, read_dataset_csv, str(path), labels=True, weights_col="w")
+        assert fast == reference and not used_rows
+        assert fast[2][0] == ("<f8", data.X.shape, data.X.tobytes())
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_read_row_by_row(self, tmp_path):
+        # a pipe cannot be rewound: the row reader reads on from the header
+        data_path, scores_path = tmp_path / "data.csv", tmp_path / "scores.csv"
+        synthetic_csv(data_path, seed=14, n=50, K=2, d=3, weights=True)
+        scores_path.write_text("index,u\n0,1.5\n1,0.25\n")
+        reads = [(read_dataset_csv, data_path, {"labels": True, "weights_col": "w"}),
+                 (read_scores_csv, scores_path, {})]
+        for read, path, kwargs in reads:
+            r, w = os.pipe()
+            try:
+                os.write(w, path.read_bytes())  # a few kB: fits in the pipe buffer
+                os.close(w)
+                got = _read_outcome(read, f"/dev/fd/{r}", **kwargs)
+            finally:
+                os.close(r)
+            assert got == _read_outcome(read, str(path), **kwargs)
+            assert got[0] == "ok"
+
+    def test_read_dataset_peak_memory_bounded(self, tmp_path):
+        # the row reader held a Python float per field: about 6x X plus y
+        n, d = 50_000, 10
+        rng = np.random.default_rng(13)
+        X, y = rng.normal(size=(n, d)), rng.integers(0, 3, n)
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join([f"x{j}" for j in range(d)] + ["y"]) + "\n")
+            fh.writelines(",".join(map(repr, row)) + f",{label}\n"
+                          for row, label in zip(X.tolist(), y.tolist()))
+        tracemalloc.start()
+        try:
+            data, _ = read_dataset_csv(str(path), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_array_equal(data.X, X)
+        size = data.X.nbytes + data.y.nbytes
+        assert peak < 2 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of X and y"
+
+
+def test_json_text_bytes_pinned():
+    doc = {
+        "floats": np.array([1.5, np.nan, np.inf, -np.inf, 0.1, -0.0]),
+        "empty": {"array": np.array([]), "list": [], "dict": {}, "matrix": np.zeros((0, 2))},
+        "scalars": [np.float64(2.5), np.float32(0.1), np.int64(-3), float("nan"), np.float64(-np.inf)],
+        "float32": np.array([0.1, 3e-8], dtype=np.float32),
+        "nested": [[1, 2.5], (np.nan, "x"), np.arange(4.0).reshape(2, 2), [[]]],
+        "ints": [0, -7, 2**70, True, False, None],
+        "strings": ["plain", 'quote " and \\ backslash', "new\nline", "é"],
+        7: "key",
+    }
+    assert json_text(doc) == (
+        '{\n  "floats": [\n    1.5,\n    null,\n    null,\n    null,\n    0.10000000000000001,\n'
+        '    -0\n  ],\n  "empty": {\n    "array": [],\n    "list": [],\n    "dict": {},\n'
+        '    "matrix": []\n  },\n  "scalars": [\n    2.5,\n    0.10000000149011612,\n    -3,\n'
+        '    null,\n    null\n  ],\n  "float32": [\n    0.10000000149011612,\n'
+        '    2.9999998929497451e-08\n  ],\n  "nested": [\n    [\n      1,\n      2.5\n    ],\n'
+        '    [\n      null,\n      "x"\n    ],\n    [\n      [\n        0,\n        1\n      ],\n'
+        '      [\n        2,\n        3\n      ]\n    ],\n    [\n      []\n    ]\n  ],\n'
+        '  "ints": [\n    0,\n    -7,\n    1180591620717411303424,\n    true,\n    false,\n'
+        '    null\n  ],\n  "strings": [\n    "plain",\n    "quote \\" and \\\\ backslash",\n'
+        '    "new\\nline",\n    "\\u00e9"\n  ],\n  "7": "key"\n}\n'
+    )
+    assert json_text(np.array([])) == "[]\n"
+    assert json_text([np.nan]) == "[\n  null\n]\n"
+    assert json_text(np.float64(1e-300)) == "1e-300\n"
+
+
+def test_csv_text_quotes_text_fields():
+    rows = [["m", "a,b", 1.5], ["m", 'say "hi"', 2], ["m", "two\nlines", -0.0], ["m", "", float("nan")]]
+    assert _csv_text(["method", "case", "value"], rows) == (
+        'method,case,value\nm,"a,b",1.5\nm,"say ""hi""",2\nm,"two\nlines",-0\nm,,nan\n'
+    )
