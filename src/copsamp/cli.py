@@ -61,6 +61,8 @@ def _json_render(obj: Any, indent: int) -> str:
     Containers put one item per line; floats are written by
     :func:`fmt_float`, non-finite ones as ``null``.
     """
+    if isinstance(obj, np.generic) or (isinstance(obj, np.ndarray) and obj.ndim == 0):
+        obj = obj.item()  # numpy scalars render as the Python scalar they hold
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj) if math.isfinite(obj) else "null"
     pad = " " * indent
@@ -159,6 +161,21 @@ def _rewind_past_header(fh) -> None:
     next(csv.reader(fh))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64(field: str) -> int:
+    """``int(field)``, refused outside int64, the type labels are stored in."""
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"label {field.strip()} does not fit in int64")
+    return value
+
+
+#: the row reader's parse of a field, by the type its column converts to
+_FIELD_PARSERS = {float: float, int: _int64}
+
+
 def _parse_rows(
     path: str, records: Iterator[list[str]], groups: list[Columns]
 ) -> list[np.ndarray]:
@@ -172,7 +189,8 @@ def _parse_rows(
             continue
         try:
             for out, (cols, convert) in zip(values, groups):
-                out.append([convert(row[i]) for i in cols])
+                parse = _FIELD_PARSERS[convert]
+                out.append([parse(row[i]) for i in cols])
         except (ValueError, IndexError) as err:
             raise CliError(f"{path}: malformed row {lineno}: {err}") from err
     return [np.array(out, dtype=convert).reshape(-1, len(cols))
@@ -222,7 +240,8 @@ def read_dataset_csv(
     """The dataset in ``path``, and its ``weights_col`` column if one is named.
 
     With ``labels`` the ``y`` column is required and read; without it the
-    file may hold any ``y`` column, which is not read.
+    file may hold any ``y`` column, which is not read. A file without data
+    rows is refused.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -256,8 +275,8 @@ def read_dataset_csv(
         X, *columns = _read_columns(path, fh, groups)
     y = columns.pop(0)[:, 0] if labels else None
     weights = columns.pop(0)[:, 0] if weights_col is not None else None
-    if y is not None and not y.size:
-        y = None  # a file without rows is unlabeled
+    if not X.shape[0]:
+        raise CliError(f"{path}: no data rows")
     K = max(int(y.max()), 1) if y is not None else 1
     try:
         data = Dataset(X, y, K)

@@ -17,6 +17,15 @@ probability and takes its logarithm afterwards. Probabilities can still underflo
 exactly 0.0 once the spread of logits exceeds roughly 700; losses remain
 finite regardless.
 
+The information matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)`` is the
+Newton Hessian of every fit and the Fisher matrix of exact scoring. Each
+of its ``(d, d)`` blocks is symmetric and every block reads the same
+products ``x_a x_b``, so :func:`information` builds it from one
+feature-pair table: the T = d(d+1)/2 products with ``a <= b`` and the
+P = K(K+1)/2 class-pair coefficients with ``k <= l``, in row blocks of
+``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. The trace scores
+of :mod:`copsamp.uncertainty` read the same table.
+
 Every function in this module is a pure function of its inputs and is
 safe to call concurrently.
 """
@@ -26,6 +35,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,7 +55,6 @@ __all__ = [
     "fisher_info",
     "probability_matrix",
     "residual_matrix",
-    "pair_coefficients",
 ]
 
 # Coefficients are plain (K, d) float arrays; the alias documents intent
@@ -275,27 +284,117 @@ def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
     return np.kron(phi(beta, x), np.outer(x, x))
 
 
-def pair_coefficients(
+#: rows per block of the feature-pair kernels: their scratch is
+#: O(BLOCK_ROWS * (d^2 + K^2)) whatever the number of rows
+BLOCK_ROWS = 1024
+
+
+@lru_cache(maxsize=32)
+def _pair_layout(K: int, d: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the class pairs ``k <= l`` and feature pairs ``a <= b``.
+
+    Returns ``(kk, ll, aa, bb, unpack)``. ``(kk[p], ll[p])`` is class pair
+    ``p`` of P = K(K+1)/2 and ``(aa[t], bb[t])`` is feature pair ``t`` of
+    T = d(d+1)/2, both in ``triu_indices`` order. ``unpack`` is the
+    ``(K*d, K*d)`` index into a flattened ``(P, T)`` pair table: entry
+    ``(k*d + a, l*d + b)`` reads pair ``(min(k, l), max(k, l))``,
+    ``(min(a, b), max(a, b))``, so a matrix gathered through it is exactly
+    symmetric. The arrays are read-only.
+    """
+    kk, ll = np.triu_indices(K)
+    aa, bb = np.triu_indices(d)
+    class_pair = np.empty((K, K), dtype=np.intp)
+    class_pair[kk, ll] = class_pair[ll, kk] = np.arange(len(kk))
+    feature_pair = np.empty((d, d), dtype=np.intp)
+    feature_pair[aa, bb] = feature_pair[bb, aa] = np.arange(len(aa))
+    unpack = (class_pair[:, None, :, None] * len(aa)
+              + feature_pair[None, :, None, :]).reshape(K * d, K * d)
+    layout = (kk, ll, aa, bb, unpack)
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+def _trace_weights(V: np.ndarray, K: int, d: int) -> np.ndarray:
+    """The ``(P, T)`` table ``W`` with ``sum_pt W[p, t] C[p] Q[t] = sum_kl c_kl x^T V_kl x``.
+
+    ``V`` is a symmetric ``(K*d, K*d)`` matrix, so each class pair ``k < l``
+    counts twice, and a quadratic form ``x^T A x`` reads only the products
+    ``x_a x_b`` with ``a <= b``: entry ``(k, l), (a, b)`` is
+    ``V_kl[a, b] + V_kl[b, a]``, halved for ``a == b`` and doubled for
+    ``k < l``. ``C`` and ``Q`` are the tables of :func:`_pair_blocks`.
+    """
+    kk, ll, aa, bb, _ = _pair_layout(K, d)
+    rows, cols = kk[:, None] * d, ll[:, None] * d
+    W = V[rows + aa, cols + bb] + V[rows + bb, cols + aa]
+    W[:, aa == bb] *= 0.5
+    W[kk < ll] *= 2.0
+    return W
+
+
+def _pair_product_views(
+    src: np.ndarray, out: np.ndarray, b: int
+) -> list[tuple[np.ndarray, ...]]:
+    """``(src[a], src[a:], rows of out)`` for each ``a``, cut to the first ``b`` columns.
+
+    Multiplying each first view into the second, out to the third, fills
+    ``out`` with ``src[a] * src[c]`` for the pairs ``a <= c`` in
+    ``triu_indices`` order; the third view's row 0 is the pair ``(a, a)``.
+    """
+    m, views, t = len(src), [], 0
+    for a in range(m):
+        views.append((src[a, :b], src[a:, :b], out[t : t + m - a, :b]))
+        t += m - a
+    return views
+
+
+def _pair_blocks(
     beta: Coefficients,
     X: np.ndarray,
     y: np.ndarray | None = None,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Per-row coefficients of every class pair ``k <= l``, as ``(k, l, c)``.
+    w: np.ndarray | None = None,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The feature-pair table of ``X`` in row blocks, as ``(start, stop, C, Q)``.
 
-    With labels ``c = s_k s_l`` from the score vectors (the entries of
-    ``psi``); without, ``c = phi_kl = [k == l] p_k - p_k p_l``. Each ``c``
-    is a fresh length-n array that the caller may overwrite.
+    ``Q`` is ``(T, b)``: row ``t`` holds ``x_a x_b`` of the rows
+    ``start:stop`` for feature pair ``t`` of :func:`_pair_layout`. ``C`` is
+    ``(P, b)``: row ``p`` holds the coefficient of class pair ``p``, with
+    labels ``s_k s_l`` from the score vectors (the entries of ``psi``),
+    without them ``phi_kl = [k == l] p_k - p_k p_l``, times ``w`` if given.
+    So ``sum_i w_i C_i kron x_i x_i^T`` has block ``(k, l)`` entry
+    ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. Both
+    arrays are scratch reused by the next block.
     """
     rows = probability_matrix(beta, X)[:, 1:] if y is None else residual_matrix(beta, X, y)
-    cols = np.ascontiguousarray(rows.T)  # one contiguous length-n column per class
-    for k in range(len(cols)):
-        for l in range(k, len(cols)):
-            c = cols[k] * cols[l]
+    n, d = X.shape
+    K = rows.shape[1]
+    size = min(n, BLOCK_ROWS)
+    xt = np.empty((d, size))
+    rt = np.empty((K, size))
+    C = np.empty((K * (K + 1) // 2, size))
+    Q = np.empty((d * (d + 1) // 2, size))
+    # the views are made once per block width: per block, the Python work
+    # is d + K ufunc calls on them
+    width = size
+    q_views, c_views = _pair_product_views(xt, Q, width), _pair_product_views(rt, C, width)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        if stop - start < width:
+            width = stop - start
+            q_views, c_views = _pair_product_views(xt, Q, width), _pair_product_views(rt, C, width)
+        # per-block transposes: a whole-array copy would cost O(n * (d + K))
+        np.copyto(xt[:, :width], X[start:stop].T)
+        for x_a, x_rest, out in q_views:
+            np.multiply(x_a, x_rest, out=out)
+        np.copyto(rt[:, :width], rows[start:stop].T)
+        for r_k, r_rest, out in c_views:
+            np.multiply(r_k, r_rest, out=out)
             if y is None:
-                np.negative(c, out=c)
-                if k == l:
-                    c += cols[k]
-            yield k, l, c
+                np.negative(out, out=out)
+                out[0] += r_k
+        if w is not None:
+            C[:, :width] *= w[start:stop]
+        yield start, stop, C[:, :width], Q[:, :width]
 
 
 def information(
@@ -305,13 +404,13 @@ def information(
 ) -> np.ndarray:
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
-    Block ``(k, l)`` equals ``(X * (w * phi_kl)[:, None]).T @ X / n`` with
-    ``phi_kl`` from :func:`pair_coefficients`, so the matrix is built as
-    K(K+1)/2 GEMMs of ``(d, n) @ (n, d)``, one per block with ``k <= l``;
-    the blocks below the diagonal are their transposes, and the diagonal
-    blocks are mirrored from their upper triangles, so the result is
-    exactly symmetric. Extra memory is O(n*d + n*K + (K*d)^2): one scaled
-    copy of ``X`` is reused for every block. ``w`` defaults to all ones.
+    Every ``(d, d)`` block ``sum_i w_i phi_kl,i x_i x_i^T`` is symmetric and
+    every block reads the same products, so the matrix is the ``(P, T)``
+    table ``G = sum C @ Q^T`` over the row blocks of :func:`_pair_blocks`,
+    P = K(K+1)/2 class pairs by T = d(d+1)/2 feature pairs: one GEMM per
+    block of rows, then each entry of ``G / n`` is copied to its mirror
+    positions, so the result is exactly symmetric. Extra memory is
+    O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2). ``w`` defaults to all ones.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -321,23 +420,12 @@ def information(
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise ValueError("weights length mismatch")
-    K = _check_beta(beta, d).shape[0]
-    # one scratch buffer serves every block: no (n, d) allocation per block
-    scaled = np.empty_like(X)
-    m = np.empty((K * d, K * d))
-    for k, l, c in pair_coefficients(beta, X):
-        if w is not None:
-            c *= w
-        np.multiply(X, c[:, None], out=scaled)
-        block = scaled.T @ X / n
-        rows = slice(k * d, (k + 1) * d)
-        cols = slice(l * d, (l + 1) * d)
-        if k == l:
-            m[rows, cols] = np.triu(block) + np.triu(block, 1).T
-        else:
-            m[rows, cols] = block
-            m[cols, rows] = block.T
-    return m
+    kk, _, aa, _, unpack = _pair_layout(_check_beta(beta, d).shape[0], d)
+    G = np.zeros((len(kk), len(aa)))
+    for _, _, C, Q in _pair_blocks(beta, X, w=w):
+        G += C @ Q.T
+    G /= n
+    return G.ravel()[unpack]
 
 
 def fisher_info(

@@ -5,10 +5,12 @@ are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
 objective. The Hessian ``H`` is :func:`copsamp.model.information` of the
-mean-one weights: K(K+1)/2 GEMMs ``(X * w phi_kl)^T X / n``, one per
-distinct ``(d, d)`` block, mirrored into the symmetric ``(K*d, K*d)``
-matrix. Each Newton step solves ``(H + ridge * I) step = grad`` via a
-Cholesky factorization, falling back to a general LU solve (counted in
+mean-one weights: one GEMM per block of rows between the weighted
+class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
+products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
+is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. Each
+Newton step solves ``(H + ridge * I) step = grad`` via a Cholesky
+factorization, falling back to a general LU solve (counted in
 ``FitReport.cholesky_fallbacks``) when the factorization fails, and is
 halved until the objective decreases, so the objective is non-increasing
 across accepted steps; a step whose predicted decrease is within a few

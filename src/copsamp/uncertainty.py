@@ -11,10 +11,14 @@ ensemble mean. Each member fits n' rows and ``n' * Cov(vec beta_m) ~
 M^-1``, so ensemble scores times n' approach the exact ones; the
 subsampling pipelines plan on that scale.
 
-Both batched scorers run one kernel, a ``(n, d) @ (d, d)`` GEMM per
-block pair ``k <= l`` into one reused buffer, so their memory is
-O(n*d + (K*d)^2) for any M. The per-sample functions take independent
-routes and serve as oracles. Scoring is pure and thread-safe.
+Both batched scorers run one kernel over the feature-pair table of
+:func:`copsamp.model.information`: ``V`` is packed once into a ``(P, T)``
+matrix ``W`` over the class pairs ``k <= l`` and feature pairs
+``a <= b``, and each block of rows costs one ``(P, T) @ (T, b)`` GEMM
+and a column sum against the pair coefficients, a single pass over
+``X``. Their memory is O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) for any
+M. The per-sample functions take independent routes and serve as
+oracles. Scoring is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from copsamp.model import (
     Coefficients,
     Dataset,
     FisherInfo,
+    _pair_blocks,
+    _trace_weights,
     fisher_info,
-    pair_coefficients,
     phi,
     score_vector,
 )
@@ -195,23 +200,23 @@ def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
 def _trace_scores(
     beta: Coefficients, V: np.ndarray, data: Dataset, kind: str
 ) -> np.ndarray:
-    """``u_i = sum_kl c_kl(x_i) x_i^T V_kl x_i`` with ``c`` from :func:`pair_coefficients`.
+    """``u_i = sum_kl c_kl(x_i) x_i^T V_kl x_i`` over the row blocks of ``_pair_blocks``.
 
-    ``V`` is symmetric, so each pair ``k < l`` counts twice.
+    Per block of rows it is ``sum_p C[p] * (W @ Q)[p]`` with ``W`` the
+    ``(P, T)`` packing of ``V`` by ``_trace_weights``.
     """
     if kind not in ("coreset", "active"):
         raise ValueError(f"unknown score kind {kind!r}")
     if kind == "coreset" and not data.labeled:
         raise ValueError("coreset scoring needs labels")
-    X, d = data.X, data.d
-    if data.K * d != V.shape[0]:
+    K, d = data.K, data.d
+    if K * d != V.shape[0]:
         raise ValueError("data dimensions do not match the score matrix")
-    u = np.zeros(data.n)
-    xm = np.empty_like(X)  # reused by every block: no (n, d) allocation per GEMM
-    for k, l, c in pair_coefficients(beta, X, data.y if kind == "coreset" else None):
-        np.matmul(X, V[k * d : (k + 1) * d, l * d : (l + 1) * d], out=xm)
-        q = np.einsum("nd,nd->n", xm, X)
-        u += (1.0 if k == l else 2.0) * c * q
+    W = _trace_weights(V, K, d)
+    u = np.empty(data.n)
+    y = data.y if kind == "coreset" else None
+    for start, stop, C, Q in _pair_blocks(beta, data.X, y):
+        np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])
     return _clamp(u)
 
 

@@ -88,12 +88,19 @@ class TestFit:
         npt.assert_array_equal(a, b)
 
     def test_malformed_row_exit_2(self, tmp_path, capsys):
-        # int() semantics for labels: 1.0 and 1.5 are not labels
-        for bad_row in ("1.0,oops,0", "1.0,2.0,1.0", "1.0,2.0,1.5"):
+        # int() semantics for labels: 1.0 and 1.5 are not labels; labels are int64
+        for bad_row in ("1.0,oops,0", "1.0,2.0,1.0", "1.0,2.0,1.5", "1.0,2.0,99999999999999999999"):
             bad = tmp_path / "bad.csv"
             bad.write_text(f"x0,x1,y\n1.0,2.0,1\n{bad_row}\n")
             assert run(["fit", bad]) == 2, bad_row
             assert "malformed row 3" in capsys.readouterr().err, bad_row
+
+    def test_header_only_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("x0,x1,y\n")
+        assert run(["fit", data_path, "--out", tmp_path / "fit.json"]) == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
 
     @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
     def test_flag_of_another_command_exit_2(self, flag, capsys):
@@ -245,6 +252,17 @@ class TestScore:
             assert run(["score", data_path, ens_path, "--kind", "active", "--out", out]) == 0
             scores[name] = out.read_bytes()
         assert scores["five"] == scores["none"] and scores["float"] == scores["none"]
+
+    @pytest.mark.parametrize("kind", ["coreset", "active"])
+    def test_header_only_exit_2(self, tmp_path, capsys, kind):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("x0,x1,y\n")
+        ens_path = tmp_path / "ens.json"
+        write_ensemble(ens_path, ProbeEnsemble(np.array([[[0.4, -0.2]], [[0.1, 0.3]]]), 50))
+        out = tmp_path / "scores.csv"
+        assert run(["score", data_path, ens_path, "--kind", kind, "--out", out]) == 2
+        assert "no data rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dimension_mismatch_exit_2(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -628,6 +646,10 @@ def test_json_text_bytes_pinned():
     assert json_text(np.array([])) == "[]\n"
     assert json_text([np.nan]) == "[\n  null\n]\n"
     assert json_text(np.float64(1e-300)) == "1e-300\n"
+    # numpy scalars and 0-d arrays render as the Python scalars they hold
+    assert json_text(
+        [np.array(2.5), np.array(np.nan), np.array(-4), np.array(True), np.bool_(True), np.bool_(False)]
+    ) == "[\n  2.5,\n  null,\n  -4,\n  true,\n  true,\n  false\n]\n"
 
 
 def test_csv_text_quotes_text_fields():

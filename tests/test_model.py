@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from copsamp.model import (
+    BLOCK_ROWS,
     Dataset,
+    _pair_blocks,
+    _pair_layout,
     class_probabilities,
     cross_entropy,
     dataset_loss,
@@ -20,7 +24,6 @@ from copsamp.model import (
     information,
     loss_gradient,
     loss_hessian,
-    pair_coefficients,
     phi,
     probability_matrix,
     psi,
@@ -340,6 +343,35 @@ class TestInformation:
         npt.assert_array_equal(m, m.T)
         assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 37, 1])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_row_blocks_match_einsum_oracle(self, n, K):
+        # several full row blocks plus a remainder, and a single row
+        rng = np.random.default_rng(200 + K + n)
+        d = 5
+        X = rng.normal(size=(n, d))
+        beta = rng.normal(scale=0.8, size=(K, d))
+        w = rng.uniform(0.0, 3.0, size=n)
+        for weights in (None, w):
+            m = information(beta, X, weights)
+            oracle = einsum_information(beta, X, weights)
+            npt.assert_array_equal(m, m.T)
+            assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    def test_peak_memory_below_data(self):
+        # the per-block scratch is O(BLOCK_ROWS * (d^2 + K^2)): no (n, d) copy of X
+        rng = np.random.default_rng(27)
+        X = rng.normal(size=(100_000, 10))
+        beta = rng.normal(scale=0.3, size=(2, 10))
+        w = rng.uniform(0.0, 2.0, size=100_000)
+        tracemalloc.start()
+        try:
+            information(beta, X, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes, f"peak {peak / 1e6:.1f} MB for {X.nbytes / 1e6:.1f} MB of X"
+
     def test_weights_length_rejected(self):
         with pytest.raises(ValueError):
             information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
@@ -348,17 +380,25 @@ class TestInformation:
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("labeled", [False, True])
 def test_pair_coefficients_match_pointwise(K, labeled):
-    # each k <= l pair once, equal to the per-sample psi or phi entry
+    # each k <= l class pair once, equal to the per-sample psi or phi entry
+    # times the weight; each a <= b feature pair once, equal to x_a x_b
     rng = np.random.default_rng(30 + K)
-    beta = rng.normal(size=(K, 3))
-    X = rng.normal(size=(40, 3))
-    y = rng.integers(0, K + 1, size=40) if labeled else None
-    pairs = list(pair_coefficients(beta, X, y))
-    assert [(k, l) for k, l, _ in pairs] == [(k, l) for k in range(K) for l in range(k, K)]
-    for i in range(0, 40, 7):
-        C = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
-        for k, l, c in pairs:
-            npt.assert_allclose(c[i], C[k, l], rtol=1e-13, atol=1e-16)
+    n, d = BLOCK_ROWS + 40, 3
+    beta = rng.normal(size=(K, d))
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, K + 1, size=n) if labeled else None
+    w = rng.uniform(0.0, 2.0, size=n)
+    kk, ll, aa, bb, _ = _pair_layout(K, d)
+    assert list(zip(kk, ll)) == [(k, l) for k in range(K) for l in range(k, K)]
+    assert list(zip(aa, bb)) == [(a, b) for a in range(d) for b in range(a, d)]
+    blocks = [(start, stop, C.copy(), Q.copy()) for start, stop, C, Q in _pair_blocks(beta, X, y, w)]
+    assert [(start, stop) for start, stop, _, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
+    C = np.concatenate([c for _, _, c, _ in blocks], axis=1)
+    Q = np.concatenate([q for _, _, _, q in blocks], axis=1)
+    for i in list(range(0, n, 97)) + [BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]:
+        pointwise = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
+        npt.assert_allclose(C[:, i], w[i] * pointwise[kk, ll], rtol=1e-13, atol=1e-16)
+        npt.assert_array_equal(Q[:, i], X[i, aa] * X[i, bb])
 
 
 def test_probability_matrix_matches_pointwise():

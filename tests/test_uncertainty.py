@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from copsamp.model import (
+    BLOCK_ROWS,
     Dataset,
     FisherInfo,
     class_probabilities,
@@ -183,7 +184,7 @@ class TestEnsembleScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, f"{kind}, M={M}: peak {peak / 1e6:.1f} MB"
+        assert peak < 10e6, f"{kind}, M={M}: peak {peak / 1e6:.1f} MB"
 
     def test_batch_matches_pointwise(self):
         data, _ = synthetic(11, 200, 2, 3)
@@ -285,6 +286,23 @@ class TestExactScores:
             npt.assert_allclose(
                 u_act[i], exact_score_active(beta, info, data.X[i]), rtol=1e-10
             )
+
+    @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 37, 1])
+    def test_row_blocks_match_pointwise(self, n):
+        # several full row blocks plus a remainder, and a single row, for
+        # both trace scorers: exact against M^-1, ensemble against Cov(vec beta)
+        train, beta = synthetic(19, 400, 3, 4)
+        info = fisher_info(beta, train)
+        ens = train_ensemble(train, 4, seed=3)
+        data, _ = synthetic(20 + n, n, 3, 4)
+        u = {kind: (exact_scores(beta, info, data, kind), ensemble_scores(ens, data, kind))
+             for kind in ("coreset", "active")}
+        for i in range(n):
+            x, y = data.X[i], int(data.y[i])
+            npt.assert_allclose(u["coreset"][0][i], exact_score_coreset(beta, info, x, y), rtol=1e-12)
+            npt.assert_allclose(u["active"][0][i], exact_score_active(beta, info, x), rtol=1e-12)
+            npt.assert_allclose(u["coreset"][1][i], ensemble_score_coreset(ens, x, y), rtol=1e-12)
+            npt.assert_allclose(u["active"][1][i], ensemble_score_active(ens, x), rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["coreset", "active"])
     def test_batch_peak_memory_bounded(self, kind):
