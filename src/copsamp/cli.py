@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -119,10 +120,22 @@ def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file, then rename it over ``path``.
+
+    Any failure, an interrupt included, removes the temp file; an OS
+    error then exits as a runtime failure that names ``path``.
+    """
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException as err:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(err, OSError):
+            raise CliError(f"cannot write {path}: {err}", EXIT_RUNTIME) from err
+        raise
 
 
 def write_manifest(
@@ -299,6 +312,14 @@ def ensemble_to_doc(ensemble: ProbeEnsemble) -> dict:
     }
 
 
+def _json_int(doc: dict, key: str) -> int:
+    """``doc[key]`` when it is a JSON integer; floats and booleans are refused."""
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
 def load_ensemble(path: str) -> ProbeEnsemble:
     """Read an ensemble document; a ``mode`` key of older documents is ignored."""
     try:
@@ -309,14 +330,14 @@ def load_ensemble(path: str) -> ProbeEnsemble:
     except json.JSONDecodeError as err:
         raise CliError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
     try:
+        k, d, probe_size = (_json_int(doc, key) for key in ("k", "d", "probe_size"))
         ensemble = ProbeEnsemble(
             members=np.asarray(doc["members"], dtype=float),
-            probe_size=int(doc["probe_size"]),
+            probe_size=probe_size,
         )
-        declared = (int(doc["k"]), int(doc["d"]))
     except (KeyError, ValueError, TypeError) as err:
         raise CliError(f"{path}: invalid ensemble document: {err}") from err
-    if (ensemble.K, ensemble.d) != declared:
+    if (ensemble.K, ensemble.d) != (k, d):
         raise CliError(f"{path}: members shape disagrees with declared k/d")
     return ensemble
 

@@ -120,6 +120,13 @@ def make_plan(u: np.ndarray, config: SamplingConfig) -> SamplingPlan:
         return SamplingPlan(
             pi=uniform, pi_reweight=uniform.copy(), uniform_fallback=True
         )
+    # with every term at most finfo.max / n, neither normalizing sum overflows
+    top = max(v.max(), config.beta_floor)
+    if top > np.finfo(float).max / n:
+        raise ValueError(
+            f"scores too large to normalize: a sum over {n} rows of values "
+            f"up to {top:.3g} can overflow a double"
+        )
     sampling = v
     if config.alpha_multiplier is not None:
         alpha = config.alpha_multiplier * v[v > 0].min()

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from copsamp.model import Coefficients, Dataset, _loss_sum
 from copsamp.sampler import SamplingConfig, plan_scores, subsample_and_refit
@@ -209,7 +208,9 @@ def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Datase
     logits = spec.atom_x @ spec.beta_star[0]
     if corrupted:
         logits = logits + spec.zeta
-    p_atom = expit(logits)
+    # exp overflows to inf below a logit of about -709, where p is 0 anyway
+    with np.errstate(over="ignore"):
+        p_atom = 1.0 / (1.0 + np.exp(-logits))
     atom_idx = spec.atom_of_row()
     rng = np.random.default_rng(seed)
     y = (rng.random(spec.n_total) < p_atom[atom_idx]).astype(int)

@@ -9,14 +9,15 @@ mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
 is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. Each
-Newton step solves ``(H + ridge * I) step = grad`` via a Cholesky
-factorization, falling back to a general LU solve (counted in
-``FitReport.cholesky_fallbacks``) when the factorization fails, and is
-halved until the objective decreases, so the objective is non-increasing
-across accepted steps; a step whose predicted decrease is within a few
-ulps of the objective, where rounding alone would decide, is taken
-whole. Iteration starts at ``beta = 0``; the objective is convex, so the
-optimum does not depend on that choice, only reproducibility does.
+Newton step solves ``(H + ridge * I) step = grad`` with numpy's LU
+solve. A Cholesky factorization of the same matrix decides only whether
+it is positive definite: when it fails, the step is counted in
+``FitReport.cholesky_fallbacks``. Each step is halved until the
+objective decreases, so the objective is non-increasing across accepted
+steps; a step whose predicted decrease is within a few ulps of the
+objective, where rounding alone would decide, is taken whole. Iteration
+starts at ``beta = 0``; the objective is convex, so the optimum does not
+depend on that choice, only reproducibility does.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
-from scipy.linalg import solve_triangular
 
 from copsamp.model import (
     Coefficients,
@@ -63,8 +63,8 @@ class FitReport:
     the caller's objective ``(1/n) sum_i w_i * loss_i`` at ``beta``.
     ``converged`` implies ``final_grad_norm <= grad_tol``.
     ``cholesky_fallbacks`` counts the Newton steps whose ridged Hessian
-    was not positive definite and were solved by LU instead; such a step
-    need not be a descent direction.
+    was not positive definite; such a step need not be a descent
+    direction.
     """
 
     beta: Coefficients
@@ -87,19 +87,13 @@ def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
 
 
 def _newton_solve(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve ``H step = g``; the flag is True when Cholesky failed.
-
-    The factorization is numpy's, like the Hessian GEMMs: numpy and scipy
-    may link separate BLAS builds, and alternating between two BLAS
-    thread pools on every Newton iteration made each factorization
-    several times slower with more than one BLAS thread.
-    """
+    """Solve ``H step = g``; the flag is True when ``H`` is not positive definite."""
     try:
-        L = cholesky(H)
+        cholesky(H)
+        fell_back = False
     except LinAlgError:
-        return np.linalg.solve(H, g), True
-    y = solve_triangular(L, g, lower=True)
-    return solve_triangular(L, y, lower=True, trans="T"), False
+        fell_back = True
+    return np.linalg.solve(H, g), fell_back
 
 
 def fit_weighted_mle(

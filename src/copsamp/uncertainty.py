@@ -29,7 +29,6 @@ import warnings
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
-from scipy.linalg import cho_solve
 
 from copsamp.model import (
     Coefficients,
@@ -232,12 +231,7 @@ def ensemble_scores(
 
 
 def _factorize(info: FisherInfo) -> np.ndarray:
-    """Lower Cholesky factor of ``M + ridge * I``, ``ridge = 1e-10 * Tr(M) / (K*d)``.
-
-    The factorization is numpy's, like the GEMMs around it: numpy and
-    scipy may link separate BLAS builds, and switching thread pools
-    between them made the factorization intermittently slow.
-    """
+    """Lower Cholesky factor of ``M + ridge * I``, ``ridge = 1e-10 * Tr(M) / (K*d)``."""
     ridge = 1e-10 * float(np.trace(info.m)) / info.m.shape[0]
     try:
         return cholesky(info.m + ridge * np.eye(info.m.shape[0]))
@@ -258,7 +252,8 @@ def exact_score_coreset(
     g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
     if g.shape[0] != info.m.shape[0]:
         raise ValueError("beta/x dimensions do not match the information matrix")
-    return float(_clamp(g @ cho_solve((factor, True), g)))
+    z = np.linalg.solve(factor, g)  # g^T M^-1 g = |L^-1 g|^2
+    return float(_clamp(z @ z))
 
 
 def exact_score_active(
@@ -274,8 +269,8 @@ def exact_score_active(
     for lam, v in zip(eigvals, eigvecs.T):
         if lam <= 0:
             continue
-        g = np.kron(v, x)
-        u += lam * float(g @ cho_solve((factor, True), g))
+        z = np.linalg.solve(factor, np.kron(v, x))
+        u += lam * float(z @ z)
     return float(_clamp(u))
 
 

@@ -110,6 +110,13 @@ class TestFit:
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_unwritable_output_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        assert run(["fit", FIXTURES / "tiny_binary.csv", "--out", out]) == 1
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp-*"))
+
     def test_strict_flag_on_nonconvergence(self, tmp_path):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=1, n=300, K=2, d=3)
@@ -204,7 +211,9 @@ class TestScore:
             assert run(["score", data_path, ens_path, "--out", out]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    @pytest.mark.parametrize("broken", ["missing-k", "missing-d", "array"])
+    @pytest.mark.parametrize(
+        "broken", ["missing-k", "missing-d", "array", "float-probe_size", "bool-k"]
+    )
     def test_malformed_ensemble_document_exit_2(self, tmp_path, capsys, broken):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=8, n=30)
@@ -213,10 +222,15 @@ class TestScore:
         if broken == "array":
             doc = [doc]
         else:
-            del doc[broken.split("-")[1]]
+            how, key = broken.split("-", 1)
+            if how == "missing":
+                del doc[key]
+            else:
+                # 12.7 would truncate to 12, and true equals the members' k = 1
+                doc[key] = {"float": 12.7, "bool": True}[how]
         ens_path = tmp_path / "ens.json"
         ens_path.write_text(json_text(doc))
-        assert run(["score", data_path, ens_path]) == 2
+        assert run(["score", data_path, ens_path, "--out", tmp_path / "s.csv"]) == 2
         assert "invalid ensemble document" in capsys.readouterr().err
 
     @pytest.mark.parametrize("broken", ["probe_size-0", "probe_size--5", "nan-member"])
@@ -326,6 +340,14 @@ class TestSample:
                     "--out", tmp_path / "sub"]) == 0
         plan = json.loads((tmp_path / "sub_plan.json").read_text())
         assert plan["max_weight_ratio"] == pytest.approx(0.775, rel=1e-15)
+
+    def test_overflowing_score_sum_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("index,u\n0,1e308\n1,1e308\n")
+        assert run(["sample", scores, "--r", 2, "--transform", "identity",
+                    "--out", tmp_path / "sub"]) == 2
+        assert "scores too large to normalize" in capsys.readouterr().err
+        assert not (tmp_path / "sub.csv").exists()
 
     def test_negative_scores_exit_2(self, tmp_path):
         scores = tmp_path / "scores.csv"

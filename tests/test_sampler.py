@@ -131,6 +131,19 @@ class TestMakePlan:
         assert plan.pi[0] == 0.0
         assert plan.max_weight_ratio == pytest.approx(0.775, rel=1e-15)
 
+    @pytest.mark.parametrize("u, floor", [
+        ([1e308, 1e308], 0.1),  # the scores overflow the sum
+        ([1.0, 2.0], 1e308),  # the floor overflows the reweighting sum
+    ])
+    def test_overflowing_sum_rejected(self, u, floor):
+        with pytest.raises(ValueError, match="overflow"):
+            make_plan(np.array(u), cfg(beta_floor=floor))
+
+    def test_largest_summable_scores_planned(self):
+        top = np.finfo(float).max / 2
+        plan = make_plan(np.array([top, top]), cfg())
+        npt.assert_array_equal(plan.pi, [0.5, 0.5])
+
 
 class TestDrawSubsample:
     def test_point_mass(self):

@@ -3,7 +3,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.special import expit
 
 import copsamp.sampler as sampler
 import copsamp.simulation as sim
@@ -20,6 +19,10 @@ from copsamp.simulation import (
     run_trial,
 )
 from copsamp.uncertainty import ensemble_scores, train_ensemble
+
+
+def expit(t: float) -> float:
+    return 1.0 / (1.0 + np.exp(-t))
 
 
 def paper_spec(**kw):
@@ -102,6 +105,12 @@ class TestGenerateDataset:
         data = generate_dataset(spec, seed=2, corrupted=True)
         frac = data.y[:1000].mean()
         assert abs(frac - expit(-1.0)) < 0.04
+
+    def test_far_corrupted_atom_all_zero_without_warning(self):
+        # exp(-logit) overflows to inf: p is exactly 0, and no warning is raised
+        spec = paper_spec(zeta=np.array([-1000.0, 0.0, 0.0]))
+        data = generate_dataset(spec, seed=2, corrupted=True)
+        assert not data.y[:1000].any()
 
     def test_corruption_flag(self):
         spec = paper_spec(zeta=np.array([-3.0, 0.0, 0.0]))
