@@ -3,7 +3,9 @@
 Tabular data travels as CSV with a mandatory header (features
 ``x0..x{d-1}``, label column ``y``), documents as JSON. All numbers are
 serialized with 17 significant digits so doubles round-trip exactly, and
-files are written atomically (temp file + rename). Primary outputs are
+files are written atomically (temp file + rename); the outputs with a
+line or an entry per data row are formatted and written in chunks of
+``CHUNK_ITEMS``. Primary outputs are
 pure functions of inputs, flags and seed; wall-clock metadata lives only
 in the accompanying manifest file.
 
@@ -24,6 +26,7 @@ import time
 import warnings
 from dataclasses import replace
 from importlib import resources
+from itertools import islice, starmap
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -56,30 +59,35 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_render(obj: Any, indent: int) -> str:
-    """``obj`` as JSON text whose first line starts at column ``indent``.
+#: items per chunk of the streaming writers: rows of a CSV file, entries
+#: of a float vector in a JSON document
+CHUNK_ITEMS = 16384
 
-    Containers put one item per line; floats are written by
-    :func:`fmt_float`, non-finite ones as ``null``.
+_FLOAT_17G = "{:.17g}".format
+
+
+def _float_chunks(values: np.ndarray, sep: str) -> Iterator[str]:
+    """The floats of ``values`` joined by ``sep``, one chunk per :data:`CHUNK_ITEMS`.
+
+    Each is written as :func:`fmt_float` writes it, non-finite ones as
+    ``null``; every chunk after the first starts with ``sep``.
     """
-    if isinstance(obj, np.generic) or (isinstance(obj, np.ndarray) and obj.ndim == 0):
-        obj = obj.item()  # numpy scalars render as the Python scalar they hold
+    for start in range(0, values.size, CHUNK_ITEMS):
+        part = values[start : start + CHUNK_ITEMS]
+        tokens = list(map(_FLOAT_17G, part.tolist()))
+        for i in np.flatnonzero(~np.isfinite(part)).tolist():
+            tokens[i] = "null"
+        yield (sep if start else "") + sep.join(tokens)
+
+
+def _json_scalar(obj: Any) -> str:
+    """JSON text of a value that is not a non-empty container."""
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj) if math.isfinite(obj) else "null"
-    pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{pad}  {json.dumps(str(key))}: {_json_render(val, indent + 2)}"
-                 for key, val in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
-        inner = pad + "  "
-        items = [_json_render(val, indent + 2) for val in seq]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return "[]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -87,8 +95,48 @@ def _json_render(obj: Any, indent: int) -> str:
     return json.dumps(str(obj))
 
 
+def _json_render(obj: Any, indent: int = 0) -> Iterator[str]:
+    """``obj`` as JSON text in chunks, its first line starting at column ``indent``.
+
+    Containers put one item per line; floats are written by
+    :func:`fmt_float`, non-finite ones as ``null``. A 1-d float64 array
+    is rendered in bulk by :func:`_float_chunks`; every other value is
+    rendered element by element.
+    """
+    if isinstance(obj, np.generic) or (isinstance(obj, np.ndarray) and obj.ndim == 0):
+        obj = obj.item()  # numpy scalars render as the Python scalar they hold
+    pad = " " * indent
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1 and obj.size:
+        yield "[\n" + inner
+        yield from _float_chunks(obj, ",\n" + inner)
+        yield "\n" + pad + "]"
+    elif isinstance(obj, dict) and obj:
+        lead = "{\n"
+        for key, val in obj.items():
+            yield f"{lead}{inner}{json.dumps(str(key))}: "
+            yield from _json_render(val, indent + 2)
+            lead = ",\n"
+        yield "\n" + pad + "}"
+    elif isinstance(obj, (list, tuple, np.ndarray)) and len(obj):
+        lead = "[\n" + inner
+        for val in obj.tolist() if isinstance(obj, np.ndarray) else obj:
+            yield lead
+            yield from _json_render(val, indent + 2)
+            lead = ",\n" + inner
+        yield "\n" + pad + "]"
+    else:
+        yield _json_scalar(obj)
+
+
+def json_chunks(obj: Any) -> Iterator[str]:
+    """The JSON document of ``obj``, with its final line end, in chunks."""
+    yield from _json_render(obj)
+    yield "\n"
+
+
 def json_text(obj: Any) -> str:
-    return _json_render(obj, 0) + "\n"
+    return "".join(json_chunks(obj))
 
 
 #: characters that can make the csv module quote a field
@@ -109,26 +157,45 @@ def _csv_field(value: Any) -> str:
     return buf.getvalue()[:-1]
 
 
+def _csv_chunks(
+    header: list[str], rows: Iterable[Iterable], line: str | None = None
+) -> Iterator[str]:
+    """CSV text with LF line ends, one chunk per :data:`CHUNK_ITEMS` rows.
+
+    Without ``line`` every field is written as :func:`_csv_field` writes
+    it. ``line`` is a format string for rows of numbers, line end
+    included, with ``{}`` for integers and ``{:.17g}`` for floats; it
+    writes the same text in one call per row.
+    """
+    yield ",".join(map(_csv_field, header)) + "\n"
+    rows = iter(rows)
+    while chunk := list(islice(rows, CHUNK_ITEMS)):
+        if line is None:
+            yield "".join([",".join([_csv_field(v) for v in row]) + "\n" for row in chunk])
+        else:
+            yield "".join(starmap(line.format, chunk))
+
+
 def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
     """CSV text with LF line ends; floats are written by :func:`fmt_float`.
 
     Text fields are quoted as the csv module quotes them.
     """
-    lines = [",".join([_csv_field(v) for v in row]) for row in [header, *rows]]
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(_csv_chunks(header, rows))
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file, then rename it over ``path``.
+def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to a temp file, then rename it over ``path``.
 
-    Any failure, an interrupt included, removes the temp file; an OS
-    error then exits as a runtime failure that names ``path``.
+    Any failure, an interrupt or an error raised by ``chunks`` included,
+    removes the temp file; an OS error then exits as a runtime failure
+    that names ``path``.
     """
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as err:
         with contextlib.suppress(OSError):
@@ -136,6 +203,11 @@ def atomic_write(path: str, text: str) -> None:
         if isinstance(err, OSError):
             raise CliError(f"cannot write {path}: {err}", EXIT_RUNTIME) from err
         raise
+
+
+def atomic_write(path: str, text: str) -> None:
+    """:func:`atomic_write_chunks` of one chunk."""
+    atomic_write_chunks(path, (text,))
 
 
 def write_manifest(
@@ -211,26 +283,28 @@ def _parse_rows(
 
 
 def _parse_bulk(fh, groups: list[Columns]) -> list[np.ndarray]:
-    """The arrays of :func:`_parse_rows`, parsed by numpy, one pass per group.
+    """The arrays of :func:`_parse_rows`, parsed by numpy in one pass.
 
-    ``fh`` is seekable and at the first record. Raises where numpy might
-    read the file differently from the csv module.
+    One ``np.loadtxt`` call reads a table with one field per group, and
+    the arrays returned are views of its fields, not copies. ``fh`` is
+    seekable and at the first record. Raises where numpy might read the
+    file differently from the csv module.
     """
     for chunk in iter(lambda: fh.read(1 << 20), ""):
         if any(char in chunk for char in _ROW_READER_ONLY):
             raise ValueError("a character the two parsers may read differently")
-    arrays = []
+    dtype = np.dtype([(f"g{i}", np.int64 if convert is int else float, (len(cols),))
+                      for i, (cols, convert) in enumerate(groups)])
+    _rewind_past_header(fh)
     with warnings.catch_warnings():
         # numpy 1.x reads the label 1.0 as 1 with a DeprecationWarning, where
         # int() refuses it; a file without rows gives a UserWarning
         warnings.simplefilter("error")
-        for cols, convert in groups:
-            _rewind_past_header(fh)
-            arrays.append(np.loadtxt(
-                fh, dtype=np.int64 if convert is int else float, delimiter=",",
-                comments=None, usecols=cols, ndmin=2,
-            ))
-    return arrays
+        table = np.loadtxt(
+            fh, dtype=dtype, delimiter=",", comments=None,
+            usecols=[i for cols, _ in groups for i in cols], ndmin=1,
+        )
+    return [table[name] for name in dtype.names]
 
 
 def _read_columns(path: str, fh, groups: list[Columns]) -> list[np.ndarray]:
@@ -320,6 +394,16 @@ def _json_int(doc: dict, key: str) -> int:
     return value
 
 
+def _json_numbers(value: Any, key: str) -> Any:
+    """``value`` when it is a JSON number or nested lists of them; booleans are refused."""
+    if isinstance(value, list):
+        for item in value:
+            _json_numbers(item, key)
+    elif type(value) not in (int, float):
+        raise TypeError(f"'{key}' entries must be numbers, got {value!r}")
+    return value
+
+
 def load_ensemble(path: str) -> ProbeEnsemble:
     """Read an ensemble document; a ``mode`` key of older documents is ignored."""
     try:
@@ -332,10 +416,10 @@ def load_ensemble(path: str) -> ProbeEnsemble:
     try:
         k, d, probe_size = (_json_int(doc, key) for key in ("k", "d", "probe_size"))
         ensemble = ProbeEnsemble(
-            members=np.asarray(doc["members"], dtype=float),
+            members=np.asarray(_json_numbers(doc["members"], "members"), dtype=float),
             probe_size=probe_size,
         )
-    except (KeyError, ValueError, TypeError) as err:
+    except (KeyError, ValueError, TypeError, OverflowError) as err:
         raise CliError(f"{path}: invalid ensemble document: {err}") from err
     if (ensemble.K, ensemble.d) != (k, d):
         raise CliError(f"{path}: members shape disagrees with declared k/d")
@@ -549,7 +633,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     except Exception as err:
         raise CliError(f"scoring failed: {err}", EXIT_RUNTIME) from err
     out_path = args.out or "scores.csv"
-    atomic_write(out_path, _csv_text(["index", "u"], enumerate(u.tolist())))
+    atomic_write_chunks(out_path, _csv_chunks(
+        ["index", "u"], enumerate(u.tolist()), "{},{:.17g}\n"))
     write_manifest(
         os.path.dirname(os.path.abspath(out_path)) or ".",
         os.path.basename(out_path) + ".manifest.json",
@@ -599,9 +684,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     out_prefix = args.out or "subsample"
     sub_path = f"{out_prefix}.csv"
     plan_path = f"{out_prefix}_plan.json"
-    atomic_write(sub_path, _csv_text(
+    atomic_write_chunks(sub_path, _csv_chunks(
         ["draw_index", "source_row", "weight"],
         zip(range(len(sub.indices)), sub.indices.tolist(), sub.weights.tolist()),
+        "{},{},{:.17g}\n",
     ))
     plan_doc = {
         "format": "copsamp-plan",
@@ -616,7 +702,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         "pi": plan.pi,
         "pi_reweight": plan.pi_reweight,
     }
-    atomic_write(plan_path, json_text(plan_doc))
+    atomic_write_chunks(plan_path, json_chunks(plan_doc))
     write_manifest(
         os.path.dirname(os.path.abspath(sub_path)) or ".",
         os.path.basename(out_prefix) + ".manifest.json",

@@ -11,6 +11,17 @@ concatenates row 1, then row 2, ..., row K, so that the per-sample loss
 Hessian is ``kron(phi, outer(x, x))`` whose ``(k, l)`` block is
 ``phi[k, l] * outer(x, x)``, and the loss gradient is ``-kron(s, x)``.
 
+Batched functions hold their per-row quantities class-major: logits and
+probabilities as ``(K + 1, n)``, score vectors as ``(K, n)``, so that
+every reduction over the classes runs along the long axis and the loss
+gradient is one ``(K, n) @ (n, d)`` GEMM. One private builder writes
+``beta @ X.T`` into rows 1..K of a ``(K + 1, n)`` array whose row 0 is
+zero and max-shifts each column; probabilities, score vectors, losses
+and the feature-pair table all start from it. The public
+:func:`probability_matrix` and :func:`residual_matrix` return
+row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. The
+per-sample functions compute their own softmax and serve as oracles.
+
 All probabilities are computed with max-subtraction and all losses in
 log-space (a max-shifted log-sum-exp); nothing here exponentiates a
 probability and takes its logarithm afterwards. Probabilities can still underflow to
@@ -147,61 +158,91 @@ def _check_x(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return x
 
 
-def _logit_matrix(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """All class logits, shape ``(n, K + 1)``, reference class first."""
-    z = X @ beta.T
-    return np.concatenate([np.zeros((X.shape[0], 1)), z], axis=1)
+def _shifted_logits(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class-major logits ``z - max_k z`` of every row of ``X``, shape ``(K + 1, n)``.
+
+    Row 0, the reference class, is written as zeros and rows 1..K as
+    ``beta @ X.T``; each column is then shifted by its maximum, so every
+    entry is at most 0. The reductions run along the long axis.
+    """
+    z = np.empty((beta.shape[0] + 1, X.shape[0]))
+    z[0] = 0.0
+    np.matmul(beta, X.T, out=z[1:])
+    z -= z.max(axis=0)
+    return z
 
 
-def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
-    """Class probabilities for every row of ``X``, shape ``(n, K + 1)``."""
+def _probabilities(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Class-major probabilities, shape ``(K + 1, n)``: each column sums to 1."""
+    z = _shifted_logits(beta, X)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
+
+
+def _residuals(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Class-major score vectors, shape ``(K, n)``: ``indicator(y_i == k) - p_k(x_i)``."""
+    S = -_probabilities(beta, X)[1:]
+    y = np.asarray(y, dtype=int)
+    labeled = y >= 1
+    S[y[labeled] - 1, np.flatnonzero(labeled)] += 1.0
+    return S
+
+
+def _check_rows(beta: Coefficients, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     beta = _check_beta(beta)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != beta.shape[1]:
         raise ValueError(
             f"X has shape {X.shape}, expected (n, {beta.shape[1]})"
         )
-    z = _logit_matrix(beta, X)
-    z -= z.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+    return beta, X
+
+
+def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
+    """Class probabilities for every row of ``X``, shape ``(n, K + 1)``.
+
+    A transposed view of the class-major ``(K + 1, n)`` array.
+    """
+    return _probabilities(*_check_rows(beta, X)).T
 
 
 def residual_matrix(beta: Coefficients, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Score vectors of every row, shape ``(n, K)``: ``indicator(y_i == k) - p_k(x_i)``.
 
     Row ``i`` is :func:`score_vector` at ``(x_i, y_i)``, i.e. the one-hot
-    label minus the probabilities of classes ``1..K``.
+    label minus the probabilities of classes ``1..K``. A transposed view
+    of the class-major ``(K, n)`` array.
     """
-    S = -probability_matrix(beta, X)[:, 1:]
-    y = np.asarray(y, dtype=int)
-    labeled = y >= 1
-    S[np.flatnonzero(labeled), y[labeled] - 1] += 1.0
-    return S
+    return _residuals(*_check_rows(beta, X), y).T
 
 
 def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
-    """Probabilities of classes ``0..K`` at a single point, length K + 1."""
+    """Probabilities of classes ``0..K`` at a single point, length K + 1.
+
+    A max-shifted softmax of its own, independent of the batched
+    builder, so that it can serve as the batched functions' oracle.
+    """
     beta = _check_beta(beta)
     x = _check_x(x, beta)
-    return probability_matrix(beta, x[None, :])[0]
+    z = np.concatenate([[0.0], beta @ x])
+    z = np.exp(z - z.max())
+    return z / z.sum()
 
 
 def _log_probability_of_label(
     beta: np.ndarray, X: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """``log p_y`` per row, computed as ``z_y - m - log(sum(exp(z - m)))``.
+    """``log p_y`` per row, computed as ``(z_y - m) - log(sum(exp(z - m)))``.
 
-    ``m`` is the row maximum of the logits, so every exponent is at most 0
-    and the sum is at least 1: nothing overflows and the log is finite.
+    ``m`` is the column maximum of the logits, so every exponent is at
+    most 0 and the sum is at least 1: nothing overflows and the log is
+    finite.
     """
-    z = _logit_matrix(beta, X)
-    z_y = z[np.arange(X.shape[0]), y]
-    m = z.max(axis=1)
-    z -= m[:, None]
+    z = _shifted_logits(beta, X)
+    z_y = z[y, np.arange(X.shape[0])]
     np.exp(z, out=z)
-    return z_y - m - np.log(z.sum(axis=1))
+    return z_y - np.log(z.sum(axis=0))
 
 
 def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
@@ -365,9 +406,10 @@ def _pair_blocks(
     ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. Both
     arrays are scratch reused by the next block.
     """
-    rows = probability_matrix(beta, X)[:, 1:] if y is None else residual_matrix(beta, X, y)
+    beta, X = _check_rows(beta, X)
+    rows = _probabilities(beta, X)[1:] if y is None else _residuals(beta, X, y)
     n, d = X.shape
-    K = rows.shape[1]
+    K = rows.shape[0]
     size = min(n, BLOCK_ROWS)
     xt = np.empty((d, size))
     rt = np.empty((K, size))
@@ -382,11 +424,12 @@ def _pair_blocks(
         if stop - start < width:
             width = stop - start
             q_views, c_views = _pair_product_views(xt, Q, width), _pair_product_views(rt, C, width)
-        # per-block transposes: a whole-array copy would cost O(n * (d + K))
+        # a per-block transpose of X: a whole-array copy would cost O(n * d);
+        # the class-major rows are copied as they are
         np.copyto(xt[:, :width], X[start:stop].T)
         for x_a, x_rest, out in q_views:
             np.multiply(x_a, x_rest, out=out)
-        np.copyto(rt[:, :width], rows[start:stop].T)
+        np.copyto(rt[:, :width], rows[:, start:stop])
         for r_k, r_rest, out in c_views:
             np.multiply(r_k, r_rest, out=out)
             if y is None:

@@ -4,7 +4,9 @@ The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
-objective. The Hessian ``H`` is :func:`copsamp.model.information` of the
+objective. The gradient is one ``(K, n) @ (n, d)`` GEMM of the
+weighted class-major score vectors against ``X`` (see
+:mod:`copsamp.model`). The Hessian ``H`` is :func:`copsamp.model.information` of the
 mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
@@ -31,8 +33,8 @@ from copsamp.model import (
     Coefficients,
     Dataset,
     _loss_sum,
+    _residuals,
     information,
-    residual_matrix,
 )
 
 __all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_mle"]
@@ -80,9 +82,14 @@ def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
 
 
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
-    """Gradient of the weighted mean loss w.r.t. vec(beta), shape (K*d,)."""
-    S = residual_matrix(beta, data.X, data.y)
-    grad_mat = -(w[:, None] * S).T @ data.X / data.n
+    """Gradient of the weighted mean loss w.r.t. vec(beta), shape (K*d,).
+
+    One ``(K, n) @ (n, d)`` GEMM of the weighted class-major score vectors
+    against ``X``.
+    """
+    S = _residuals(beta, data.X, data.y)
+    S *= w
+    grad_mat = -(S @ data.X) / data.n
     return grad_mat.reshape(-1)
 
 

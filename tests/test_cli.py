@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from copsamp import cli
 from copsamp.cli import (
@@ -212,7 +214,9 @@ class TestScore:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize(
-        "broken", ["missing-k", "missing-d", "array", "float-probe_size", "bool-k"]
+        "broken", ["missing-k", "missing-d", "array", "float-probe_size", "bool-k",
+                   "string-member", "exponent-string-member", "bool-member",
+                   "huge-int-member"]
     )
     def test_malformed_ensemble_document_exit_2(self, tmp_path, capsys, broken):
         data_path = tmp_path / "data.csv"
@@ -221,6 +225,12 @@ class TestScore:
         doc = ensemble_to_doc(ProbeEnsemble(np.repeat(beta[None], 3, axis=0), 50))
         if broken == "array":
             doc = [doc]
+        elif broken.endswith("-member"):
+            # float() would read "0.4" as 0.4, "1e1" as 10.0 and true as 1.0
+            members = doc["members"].tolist()
+            members[1][0][0] = {"string-member": "0.4", "exponent-string-member": "1e1",
+                                "bool-member": True, "huge-int-member": 10**400}[broken]
+            doc["members"] = members
         else:
             how, key = broken.split("-", 1)
             if how == "missing":
@@ -679,3 +689,81 @@ def test_csv_text_quotes_text_fields():
     assert _csv_text(["method", "case", "value"], rows) == (
         'method,case,value\nm,"a,b",1.5\nm,"say ""hi""",2\nm,"two\nlines",-0\nm,,nan\n'
     )
+
+
+def test_labelled_weighted_read_parses_once(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    data = synthetic_csv(path, seed=15, n=500, K=2, d=3, weights=True)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("usecols"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    got, weights = read_dataset_csv(str(path), labels=True, weights_col="w")
+    assert calls == [[0, 1, 2, 3, 4]]
+    npt.assert_array_equal(got.X, data.X)
+    npt.assert_array_equal(got.y, data.y)
+    npt.assert_array_equal(weights, np.ones(500))
+
+
+def _generic_json(values):
+    """``json_text`` of a float vector through the element-by-element renderer."""
+    return json_text(values.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2250738585072009e-308]),
+)))
+def test_bulk_float_json_matches_generic(values):
+    assert json_text(values) == _generic_json(values)
+    assert json_text({"a": {"pi": values}}) == json_text({"a": {"pi": values.tolist()}})
+
+
+def test_bulk_float_json_across_chunks():
+    n = 2 * cli.CHUNK_ITEMS + 3
+    values = np.random.default_rng(16).normal(size=n)
+    values[[0, cli.CHUNK_ITEMS - 1, cli.CHUNK_ITEMS, n - 1]] = [np.nan, -np.inf, -0.0, np.inf]
+    chunks = list(cli.json_chunks({"pi": values}))
+    assert len(chunks) > 3
+    assert "".join(chunks) == json_text({"pi": values.tolist()})
+
+
+def test_generic_json_path_for_other_arrays(monkeypatch):
+    def no_bulk(*args):
+        raise AssertionError("bulk float path taken")
+
+    monkeypatch.setattr(cli, "_float_chunks", no_bulk)
+    assert json_text(np.array([0.1, 3e-8], dtype=np.float32)) == (
+        "[\n  0.10000000149011612,\n  2.9999998929497451e-08\n]\n")
+    assert json_text([[1.5, np.nan], np.arange(4.0).reshape(2, 2)]) == (
+        "[\n  [\n    1.5,\n    null\n  ],\n  [\n    [\n      0,\n      1\n    ],\n"
+        "    [\n      2,\n      3\n    ]\n  ]\n]\n")
+
+
+def test_numeric_csv_rows_match_field_writer():
+    n = cli.CHUNK_ITEMS + 5
+    rng = np.random.default_rng(17)
+    rows = list(zip(range(n), rng.integers(0, 10**6, n).tolist(), rng.normal(size=n).tolist()))
+    rows[3] = (3, 7, float("nan"))
+    rows[-1] = (n - 1, 8, -0.0)
+    header = ["draw_index", "source_row", "weight"]
+    chunks = list(cli._csv_chunks(header, rows, "{},{},{:.17g}\n"))
+    assert len(chunks) == 3
+    assert "".join(chunks) == _csv_text(header, rows)
+
+
+def test_streaming_write_failure_leaves_nothing(tmp_path):
+    out = tmp_path / "out.csv"
+
+    def chunks():
+        yield "index,u\n"
+        raise RuntimeError("formatting failed")
+
+    with pytest.raises(RuntimeError):
+        cli.atomic_write_chunks(str(out), chunks())
+    assert list(tmp_path.iterdir()) == []

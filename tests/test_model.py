@@ -27,6 +27,7 @@ from copsamp.model import (
     phi,
     probability_matrix,
     psi,
+    residual_matrix,
     score_vector,
 )
 
@@ -408,3 +409,34 @@ def test_probability_matrix_matches_pointwise():
     P = probability_matrix(beta, X)
     for i in range(50):
         npt.assert_allclose(P[i], class_probabilities(beta, X[i]), atol=1e-14)
+
+
+def _row_major_probabilities(beta, X):
+    """The row-major expression: (n, K + 1) logits reduced along the short last axis."""
+    z = np.concatenate([np.zeros((X.shape[0], 1)), X @ beta.T], axis=1)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+@pytest.mark.parametrize("K", [1, 2, 6, 9])
+def test_class_major_probabilities_match_row_major(K):
+    # features and coefficients on a grid of eighths: every logit is exact
+    # whatever order a BLAS sums in, so only the layout of the softmax differs
+    rng = np.random.default_rng(40 + K)
+    d, n = 7, 3001
+    beta = rng.integers(-8, 9, size=(K, d)) / 8
+    X = rng.integers(-16, 17, size=(n, d)) / 8
+    P = probability_matrix(beta, X)
+    expected = _row_major_probabilities(beta, X)
+    assert P.shape == (n, K + 1)
+    if K <= 6:
+        npt.assert_array_equal(P, expected)
+    else:
+        # from 8 classes on, numpy's row sum is pairwise; the column sum is not
+        npt.assert_allclose(P, expected, rtol=1e-15, atol=0)
+    y = rng.integers(0, K + 1, size=n)
+    S = residual_matrix(beta, X, y)
+    onehot = (y[:, None] == np.arange(1, K + 1)).astype(float)
+    npt.assert_array_equal(S, onehot - P[:, 1:])
