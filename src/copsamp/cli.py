@@ -5,9 +5,12 @@ Tabular data travels as CSV with a mandatory header (features
 serialized with 17 significant digits so doubles round-trip exactly, and
 files are written atomically (temp file + rename); the outputs with a
 line or an entry per data row are formatted and written in chunks of
-``CHUNK_ITEMS``. Primary outputs are
-pure functions of inputs, flags and seed; wall-clock metadata lives only
-in the accompanying manifest file.
+``CHUNK_ITEMS``. The numeric CSV outputs are formatted by one writer,
+:func:`_csv_chunks`; ``trials.csv``, the one CSV with text fields, is
+written by ``csv.writer``. Every JSON input is read by :func:`_read_json`
+and its fields are typed by :func:`_json_typed` and :func:`_json_numbers`.
+Primary outputs are pure functions of inputs, flags and seed; wall-clock
+metadata lives only in the accompanying manifest file.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 """
@@ -27,7 +30,7 @@ import warnings
 from dataclasses import replace
 from importlib import resources
 from itertools import islice, starmap
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -139,49 +142,16 @@ def json_text(obj: Any) -> str:
     return "".join(json_chunks(obj))
 
 
-#: characters that can make the csv module quote a field
-_CSV_SPECIAL = frozenset(',"\r\n')
+def _csv_chunks(header: list[str], rows: Iterable[Iterable], line: str) -> Iterator[str]:
+    """CSV text of numeric rows with LF line ends, one chunk per :data:`CHUNK_ITEMS` rows.
 
-
-def _csv_field(value: Any) -> str:
-    """``value`` as ``csv.writer`` writes it, floats by :func:`fmt_float`."""
-    if isinstance(value, float):
-        return fmt_float(value)
-    text = str(value)
-    if _CSV_SPECIAL.isdisjoint(text):
-        return text
-    # the csv module quotes: which of these characters need quotes
-    # depends on the Python version
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
-
-
-def _csv_chunks(
-    header: list[str], rows: Iterable[Iterable], line: str | None = None
-) -> Iterator[str]:
-    """CSV text with LF line ends, one chunk per :data:`CHUNK_ITEMS` rows.
-
-    Without ``line`` every field is written as :func:`_csv_field` writes
-    it. ``line`` is a format string for rows of numbers, line end
-    included, with ``{}`` for integers and ``{:.17g}`` for floats; it
-    writes the same text in one call per row.
+    ``line`` formats one row, line end included, with ``{}`` for
+    integers and ``{:.17g}`` for floats, as :func:`fmt_float` writes them.
     """
-    yield ",".join(map(_csv_field, header)) + "\n"
+    yield ",".join(header) + "\n"
     rows = iter(rows)
     while chunk := list(islice(rows, CHUNK_ITEMS)):
-        if line is None:
-            yield "".join([",".join([_csv_field(v) for v in row]) + "\n" for row in chunk])
-        else:
-            yield "".join(starmap(line.format, chunk))
-
-
-def _csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
-    """CSV text with LF line ends; floats are written by :func:`fmt_float`.
-
-    Text fields are quoted as the csv module quotes them.
-    """
-    return "".join(_csv_chunks(header, rows))
+        yield "".join(starmap(line.format, chunk))
 
 
 def atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
@@ -211,7 +181,7 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def write_manifest(
-    out_dir: str, name: str, command: str, config: dict, seed: int | None,
+    path: str, command: str, config: dict, seed: int | None,
     inputs: list[str], outputs: list[str], started: float,
 ) -> None:
     manifest = {
@@ -223,7 +193,21 @@ def write_manifest(
         "outputs": outputs,
         "duration_seconds": time.time() - started,
     }
-    atomic_write(os.path.join(out_dir, name), json_text(manifest))
+    atomic_write(path, json_text(manifest))
+
+
+@contextlib.contextmanager
+def _open_text(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; a file that cannot be opened or decoded is refused."""
+    try:
+        fh = open(path, newline=newline, encoding="utf-8")
+    except OSError as err:
+        raise CliError(f"cannot open {path}: {err}") from err
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise CliError(f"{path}: not UTF-8 text: {err}") from err
 
 
 # ----------------------------------------------------------------------
@@ -330,11 +314,7 @@ def read_dataset_csv(
     file may hold any ``y`` column, which is not read. A file without data
     rows is refused.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot open {path}: {err}") from err
-    with fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -373,8 +353,39 @@ def read_dataset_csv(
 
 
 # ----------------------------------------------------------------------
-# ensemble document
+# JSON documents
 # ----------------------------------------------------------------------
+
+def _read_json(path: str) -> Any:
+    """The JSON document in ``path``; one that cannot be read or decoded is refused."""
+    with _open_text(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise CliError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+
+
+#: the name of each type a JSON field may be required to hold; a
+#: ``float`` field admits any number
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+                    list: "a list", dict: "an object"}
+
+
+def _json_typed(value: Any, key: str, kind: type) -> Any:
+    """``value`` when it is a JSON value of ``kind``; booleans are no numbers."""
+    if type(value) is not kind and not (kind is float and type(value) is int):
+        raise TypeError(f"'{key}' must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _json_numbers(value: Any, key: str) -> Any:
+    """``value`` when it is a JSON number or nested lists of them."""
+    if not isinstance(value, list):
+        return _json_typed(value, key, float)
+    for item in value:
+        _json_numbers(item, key)
+    return value
+
 
 def ensemble_to_doc(ensemble: ProbeEnsemble) -> dict:
     return {
@@ -386,35 +397,11 @@ def ensemble_to_doc(ensemble: ProbeEnsemble) -> dict:
     }
 
 
-def _json_int(doc: dict, key: str) -> int:
-    """``doc[key]`` when it is a JSON integer; floats and booleans are refused."""
-    value = doc[key]
-    if type(value) is not int:
-        raise TypeError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _json_numbers(value: Any, key: str) -> Any:
-    """``value`` when it is a JSON number or nested lists of them; booleans are refused."""
-    if isinstance(value, list):
-        for item in value:
-            _json_numbers(item, key)
-    elif type(value) not in (int, float):
-        raise TypeError(f"'{key}' entries must be numbers, got {value!r}")
-    return value
-
-
 def load_ensemble(path: str) -> ProbeEnsemble:
     """Read an ensemble document; a ``mode`` key of older documents is ignored."""
+    doc = _read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise CliError(f"cannot open {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
-    try:
-        k, d, probe_size = (_json_int(doc, key) for key in ("k", "d", "probe_size"))
+        k, d, probe_size = (_json_typed(doc[key], key, int) for key in ("k", "d", "probe_size"))
         ensemble = ProbeEnsemble(
             members=np.asarray(_json_numbers(doc["members"], "members"), dtype=float),
             probe_size=probe_size,
@@ -434,68 +421,67 @@ def bundled_config_path() -> str:
     return str(resources.files("copsamp").joinpath("configs/paper_sim.json"))
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg:
-        raise CliError(f"config: missing required field '{field}'")
-    return cfg[field]
+#: the config keys and the JSON type of each; an absent optional key
+#: takes SimulationSpec's default
+_REQUIRED_FIELDS = {"atoms": list, "beta_star": list, "zeta_cases": dict, "r": int}
+_OPTIONAL_SPEC_FIELDS = {"methods": list, "trials": int, "seed": int,
+                         "probe_members": int, "score_transform": str, "beta_floor": float}
 
 
 def load_simulation_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise CliError(f"cannot open {path}: {err}") from err
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+    """The simulation config in ``path``, every key of the JSON type it must hold."""
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(cfg) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_SPEC_FIELDS))
+    if unknown:
+        raise CliError(f"config: unknown keys {unknown}")
+    missing = [key for key in _REQUIRED_FIELDS if key not in cfg]
+    if missing:
+        raise CliError(f"config: missing required fields {missing}")
+    try:
+        for key, kind in {**_REQUIRED_FIELDS, **_OPTIONAL_SPEC_FIELDS}.items():
+            if key in cfg:
+                _json_typed(cfg[key], key, kind)
+        _json_numbers(cfg["beta_star"], "beta_star")
+        for method in cfg.get("methods", []):
+            _json_typed(method, "methods", str)
+        for zeta in cfg["zeta_cases"].values():
+            _json_numbers(zeta, "zeta_cases")
+    except TypeError as err:
+        raise CliError(f"config: {err}") from err
+    try:
+        for atom in cfg["atoms"]:
+            _json_numbers(atom["x"], "x")
+            _json_typed(atom["count"], "count", int)
+    except (KeyError, TypeError) as err:
+        raise CliError(f"config: invalid 'atoms' entries: {err}") from err
     return cfg
-
-
-#: optional config keys and their conversions; an absent key takes
-#: SimulationSpec's default
-_OPTIONAL_SPEC_FIELDS = {
-    "methods": lambda v: tuple(Method.parse(m) for m in v),
-    "trials": int,
-    "seed": int,
-    "probe_members": int,
-    "score_transform": str,
-    "beta_floor": float,
-}
-_REQUIRED_FIELDS = ("atoms", "beta_star", "zeta_cases", "r")
 
 
 def build_spec(cfg: dict) -> tuple[SimulationSpec, dict[str, np.ndarray], dict]:
     """The spec, the zeta cases and the resolved config of a simulation config.
 
-    The resolved config is ``cfg`` with every optional field filled from
-    the spec and methods given by their canonical ids.
+    ``cfg`` is typed as :func:`load_simulation_config` reads it. The
+    resolved config is ``cfg`` with every optional field filled from the
+    spec and methods given by their canonical ids.
     """
-    unknown = sorted(set(cfg) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_SPEC_FIELDS))
-    if unknown:
-        raise CliError(f"config: unknown keys {unknown}")
-    atoms, beta_star, zeta_cases, r = (_require(cfg, key) for key in _REQUIRED_FIELDS)
-    if not isinstance(zeta_cases, dict) or not zeta_cases:
+    atoms, zeta_cases = cfg["atoms"], cfg["zeta_cases"]
+    if not zeta_cases:
         raise CliError("config: 'zeta_cases' must be a non-empty object")
+    optional = {key: cfg[key] for key in _OPTIONAL_SPEC_FIELDS if key in cfg}
     try:
-        atom_x = np.array([a["x"] for a in atoms], dtype=float)
-        counts = np.array([a["count"] for a in atoms], dtype=int)
-    except (KeyError, TypeError, ValueError) as err:
-        raise CliError(f"config: invalid 'atoms' entries: {err}") from err
-    try:
+        if "methods" in optional:
+            optional["methods"] = tuple(map(Method.parse, optional["methods"]))
         spec = SimulationSpec(
-            atom_x=atom_x,
-            counts=counts,
-            beta_star=np.asarray(beta_star, dtype=float),
-            zeta=np.zeros(len(atom_x)),  # the clean case; each case is checked below
-            r=int(r),
-            **{key: convert(cfg[key])
-               for key, convert in _OPTIONAL_SPEC_FIELDS.items() if key in cfg},
+            atom_x=np.array([atom["x"] for atom in atoms], dtype=float),
+            counts=np.array([atom["count"] for atom in atoms], dtype=int),
+            beta_star=np.asarray(cfg["beta_star"], dtype=float),
+            zeta=np.zeros(len(atoms)),  # the clean case; each case is checked below
+            r=cfg["r"],
+            **optional,
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise CliError(f"config: {err}") from err
     for label, zeta in zeta_cases.items():
         try:
@@ -553,15 +539,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     ncomp = len(report.rows[0].param_error_components) if report.rows else spec.beta_star.size
     trials_path = os.path.join(out_dir, "trials.csv")
-    atomic_write(trials_path, _csv_text(
-        ["method", "case"]
-        + [f"param_error_d{j + 1}" for j in range(ncomp)]
-        + ["param_error_l2", "regret", "seed"],
-        ([row.method_id, row.case, *row.param_error_components,
-          row.param_error_l2, row.regret, row.seed] for row in report.rows),
-    ))
+    trials_csv = io.StringIO()
+    writer = csv.writer(trials_csv, lineterminator="\n")
+    writer.writerow(["method", "case", *(f"param_error_d{j + 1}" for j in range(ncomp)),
+                     "param_error_l2", "regret", "seed"])
+    writer.writerows(
+        [row.method_id, row.case,
+         *map(fmt_float, (*row.param_error_components, row.param_error_l2, row.regret)),
+         row.seed]
+        for row in report.rows
+    )
+    atomic_write(trials_path, trials_csv.getvalue())
     write_manifest(
-        out_dir, "manifest.json", "simulate", resolved, report.seed,
+        os.path.join(out_dir, "manifest.json"), "simulate", resolved, report.seed,
         [os.path.abspath(args.config)],
         [os.path.abspath(report_path), os.path.abspath(trials_path)],
         started,
@@ -603,10 +593,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     }
     atomic_write(out_path, json_text(doc))
     write_manifest(
-        os.path.dirname(os.path.abspath(out_path)) or ".",
-        os.path.basename(out_path) + ".manifest.json",
-        "fit", {"grad_tol": config.grad_tol, "max_iters": config.max_iters,
-                "ridge": config.ridge, "weights_col": args.weights_col},
+        out_path + ".manifest.json", "fit",
+        {"grad_tol": config.grad_tol, "max_iters": config.max_iters,
+         "ridge": config.ridge, "weights_col": args.weights_col},
         None, [os.path.abspath(args.data)], [os.path.abspath(out_path)], started,
     )
     print(f"fit: converged={report.converged} iterations={report.iterations} -> {out_path}")
@@ -636,9 +625,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     atomic_write_chunks(out_path, _csv_chunks(
         ["index", "u"], enumerate(u.tolist()), "{},{:.17g}\n"))
     write_manifest(
-        os.path.dirname(os.path.abspath(out_path)) or ".",
-        os.path.basename(out_path) + ".manifest.json",
-        "score", {"kind": args.kind, "estimator": args.estimator}, None,
+        out_path + ".manifest.json", "score",
+        {"kind": args.kind, "estimator": args.estimator}, None,
         [os.path.abspath(args.data), os.path.abspath(args.ensemble)],
         [os.path.abspath(out_path)], started,
     )
@@ -647,11 +635,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def read_scores_csv(path: str) -> np.ndarray:
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as err:
-        raise CliError(f"cannot open {path}: {err}") from err
-    with fh:
+    with _open_text(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or "u" not in header:
             raise CliError(f"{path}: expected a header with a 'u' column")
@@ -704,9 +688,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     }
     atomic_write_chunks(plan_path, json_chunks(plan_doc))
     write_manifest(
-        os.path.dirname(os.path.abspath(sub_path)) or ".",
-        os.path.basename(out_prefix) + ".manifest.json",
-        "sample",
+        out_prefix + ".manifest.json", "sample",
         {"r": args.r, "alpha_mult": args.alpha_mult, "beta_floor": args.beta_floor,
          "transform": args.transform, "seed": config.seed},
         config.seed, [os.path.abspath(args.scores)],

@@ -55,9 +55,9 @@ class SamplingConfig:
     """Settings shared by the subsampling pipelines.
 
     ``alpha_multiplier`` of ``None`` disables the sampling cap;
-    otherwise ``alpha = alpha_multiplier * min positive transformed
-    score``. ``beta_floor`` applies to the transformed scores of the
-    reweighting distribution only.
+    otherwise it is finite and ``alpha = alpha_multiplier * min positive
+    transformed score``. ``beta_floor`` applies to the transformed scores
+    of the reweighting distribution only.
     """
 
     subsample_size: int
@@ -71,8 +71,10 @@ class SamplingConfig:
         if self.subsample_size < 1:
             raise ValueError("subsample_size must be >= 1")
         # written so that NaN fails each comparison and is rejected
-        if self.alpha_multiplier is not None and not self.alpha_multiplier > 1:
-            raise ValueError(f"alpha_multiplier must exceed 1, got {self.alpha_multiplier}")
+        if self.alpha_multiplier is not None and not 1 < self.alpha_multiplier < np.inf:
+            raise ValueError(
+                f"alpha_multiplier must be finite and exceed 1, got {self.alpha_multiplier}"
+            )
         if not 0 <= self.beta_floor < np.inf:
             raise ValueError(f"beta_floor must be finite and >= 0, got {self.beta_floor}")
         if self.score_transform not in ("sqrt", "identity"):

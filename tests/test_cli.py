@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import tracemalloc
@@ -14,7 +16,6 @@ from hypothesis.extra import numpy as hnp
 from copsamp import cli
 from copsamp.cli import (
     CliError,
-    _csv_text,
     bundled_config_path,
     ensemble_to_doc,
     json_text,
@@ -23,7 +24,7 @@ from copsamp.cli import (
     read_scores_csv,
 )
 from copsamp.model import Dataset, class_probabilities, probability_matrix
-from copsamp.simulation import PAPER_METHODS, SimulationSpec
+from copsamp.simulation import PAPER_METHODS, ExperimentReport, SimulationSpec, TrialResult
 from copsamp.uncertainty import ProbeEnsemble, train_ensemble
 
 FIXTURES = Path(__file__).parent / "data"
@@ -31,6 +32,32 @@ FIXTURES = Path(__file__).parent / "data"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def simulated_trials_csv(tmp_path, monkeypatch, labels, values):
+    """``trials.csv`` bytes of ``simulate`` on one uniform trial per case label.
+
+    The trial values are fixed, one ``(components, l2, regret)`` per label,
+    so a pin on the bytes does not rest on the numerics of a run.
+    """
+    cfg = json.loads(tiny_sim_config(tmp_path).read_text())
+    cfg.update(methods=["uniform"], trials=1,
+               zeta_cases={label: [0.0, 0.0, 0.0] for label in labels})
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(cfg))
+
+    def fixed_report(spec, zeta_cases, threads):
+        rows = [TrialResult(method_id="uniform", case=case, trial_index=0,
+                            param_error_components=components, param_error_l2=l2,
+                            regret=regret, seed=100 + i)
+                for i, (case, (components, l2, regret)) in enumerate(zip(zeta_cases, values))]
+        return ExperimentReport(trials=1, methods=("uniform",), cases=tuple(zeta_cases),
+                                seed=spec.seed, rows=rows, aggregates={})
+
+    monkeypatch.setattr(cli, "run_experiment", fixed_report)
+    out = tmp_path / "run"
+    assert run(["simulate", path, "--out", out]) == 0
+    return (out / "trials.csv").read_bytes()
 
 
 def write_ensemble(path, ensemble):
@@ -336,6 +363,7 @@ class TestSample:
         (["--beta-floor", "nan"], "beta_floor"),
         (["--beta-floor", "inf"], "beta_floor"),
         (["--alpha-mult", "nan"], "alpha_multiplier"),
+        (["--alpha-mult", "inf"], "alpha_multiplier"),
     ])
     def test_non_finite_setting_exit_2(self, tmp_path, capsys, flag, field):
         scores = tmp_path / "scores.csv"
@@ -363,6 +391,52 @@ class TestSample:
         scores = tmp_path / "scores.csv"
         scores.write_text("index,u\n0,-1.0\n")
         assert run(["sample", scores, "--r", 2]) == 2
+
+
+def test_manifests_beside_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = synthetic_csv(tmp_path / "data.csv", seed=18, n=60)
+    write_ensemble(tmp_path / "ens.json", train_ensemble(data, 2, seed=0))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    assert run(["fit", "data.csv", "--out", "sub/fit.json"]) == 0
+    assert run(["score", "data.csv", "ens.json", "--out", "sub/scores.csv"]) == 0
+    assert run(["sample", "sub/scores.csv", "--r", 5, "--out", "sub/pick"]) == 0
+    manifests = {
+        "fit.json.manifest.json": ["fit.json"],
+        "scores.csv.manifest.json": ["scores.csv"],
+        "pick.manifest.json": ["pick.csv", "pick_plan.json"],
+    }
+    for name, outputs in manifests.items():
+        recorded = json.loads((sub / name).read_text())["outputs"]
+        assert recorded == [os.path.join(os.getcwd(), "sub", out) for out in outputs]
+    assert sorted(os.listdir(sub)) == sorted([*manifests, "fit.json", "scores.csv",
+                                              "pick.csv", "pick_plan.json"])
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "ens.json", "sub"]
+
+
+@pytest.mark.parametrize("reader", ["simulate-config", "ensemble", "dataset", "scores"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, reader):
+    # the byte sits in the last row of a dataset larger than one read
+    # buffer, so the bulk parse meets it first and the row reader after
+    config = tiny_sim_config(tmp_path)
+    data_path = tmp_path / "data.csv"
+    data = synthetic_csv(data_path, seed=19, n=400)
+    ens_path = tmp_path / "ens.json"
+    write_ensemble(ens_path, train_ensemble(data, 2, seed=0))
+    scores_path = tmp_path / "scores.csv"
+    scores_path.write_text("index,u\n0,1.5\n1,0.25\n")
+    out = tmp_path / "out"
+    path, argv = {
+        "simulate-config": (config, ["simulate", config, "--out", out]),
+        "ensemble": (ens_path, ["score", data_path, ens_path, "--out", out]),
+        "dataset": (data_path, ["fit", data_path, "--out", out]),
+        "scores": (scores_path, ["sample", scores_path, "--r", 2, "--out", out]),
+    }[reader]
+    path.write_bytes(path.read_bytes()[:-3] + b"\xff" + path.read_bytes()[-3:])
+    assert run(argv) == 2
+    assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestSimulate:
@@ -413,6 +487,16 @@ class TestSimulate:
         ("probe_member", 3, "probe_member"),
         ("methods", ["uniform", "cops-clip1-withY"], "cops-clip1-withY"),
         ("zeta_cases", {"short": [0.0, 0.0]}, "'short'"),
+        # each of these was once read by int() or float(), or by numpy
+        ("r", 1000.7, "'r'"),
+        ("trials", True, "'trials'"),
+        ("trials", "3", "'trials'"),
+        ("probe_members", 10.9, "'probe_members'"),
+        ("atoms", [{"x": [1.0, 0.0], "count": 2.5}, {"x": [0.1, 0.1], "count": 100000},
+                   {"x": [0.0, 1.0], "count": 100000}], "'count'"),
+        ("beta_star", [["2", "2"]], "'beta_star'"),
+        ("beta_floor", True, "'beta_floor'"),
+        ("methods", ["uniform", "cops-clipinf-withY"], "cops-clipinf-withY"),
     ])
     def test_bad_bundled_config_exit_2(self, tmp_path, capsys, key, value, field):
         # rejected before any trial runs: no output directory is written
@@ -492,9 +576,18 @@ class TestSelfcheck:
         assert run(["selfcheck", "--quick", "--seed", 123]) == 0
 
 
-def test_csv_text_formats_floats_with_lf_lines():
-    text = _csv_text(["a", "b", "c"], [[1, 0.1, "x"], (2, np.float64(2.5), "y")])
-    assert text == "a,b,c\n1,0.10000000000000001,x\n2,2.5,y\n"
+def test_csv_text_formats_floats_with_lf_lines(tmp_path, monkeypatch):
+    # trials.csv floats carry 17 significant digits, nan, inf and -0 as
+    # fmt_float writes them, and every line ends in LF
+    values = [((0.1, -0.0), 1.5, float("nan")), ((1 / 3, 2.0), float("inf"), -2.5e-300),
+              ((1e22, -7.0), 0.0, 1e-5), ((float("nan"), 5e-324), 2.5, 12.0)]
+    assert simulated_trials_csv(tmp_path, monkeypatch, ["p", "q", "r", "s"], values) == (
+        b"method,case,param_error_d1,param_error_d2,param_error_l2,regret,seed\n"
+        b"uniform,p,0.10000000000000001,-0,1.5,nan,100\n"
+        b"uniform,q,0.33333333333333331,2,inf,-2.5e-300,101\n"
+        b"uniform,r,1e+22,-7,0,1.0000000000000001e-05,102\n"
+        b"uniform,s,nan,4.9406564584124654e-324,2.5,12,103\n"
+    )
 
 
 def test_float_serialization_round_trips():
@@ -684,10 +777,17 @@ def test_json_text_bytes_pinned():
     ) == "[\n  2.5,\n  null,\n  -4,\n  true,\n  true,\n  false\n]\n"
 
 
-def test_csv_text_quotes_text_fields():
-    rows = [["m", "a,b", 1.5], ["m", 'say "hi"', 2], ["m", "two\nlines", -0.0], ["m", "", float("nan")]]
-    assert _csv_text(["method", "case", "value"], rows) == (
-        'method,case,value\nm,"a,b",1.5\nm,"say ""hi""",2\nm,"two\nlines",-0\nm,,nan\n'
+def test_csv_text_quotes_text_fields(tmp_path, monkeypatch):
+    # case labels come from the config and are quoted as the csv module
+    # quotes them; an empty label is an empty field
+    labels = ["a,b", 'say "hi"', "two\nlines", ""]
+    values = [((1.5, 2.0), -0.0, float("nan"))] * len(labels)
+    assert simulated_trials_csv(tmp_path, monkeypatch, labels, values) == (
+        b"method,case,param_error_d1,param_error_d2,param_error_l2,regret,seed\n"
+        b'uniform,"a,b",1.5,2,-0,nan,100\n'
+        b'uniform,"say ""hi""",1.5,2,-0,nan,101\n'
+        b'uniform,"two\nlines",1.5,2,-0,nan,102\n'
+        b"uniform,,1.5,2,-0,nan,103\n"
     )
 
 
@@ -754,7 +854,11 @@ def test_numeric_csv_rows_match_field_writer():
     header = ["draw_index", "source_row", "weight"]
     chunks = list(cli._csv_chunks(header, rows, "{},{},{:.17g}\n"))
     assert len(chunks) == 3
-    assert "".join(chunks) == _csv_text(header, rows)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows((i, source, cli.fmt_float(w)) for i, source, w in rows)
+    assert "".join(chunks) == expected.getvalue()
 
 
 def test_streaming_write_failure_leaves_nothing(tmp_path):

@@ -113,6 +113,7 @@ class TestMakePlan:
 
     @pytest.mark.parametrize("field, value", [
         ("alpha_multiplier", np.nan),
+        ("alpha_multiplier", np.inf),
         ("beta_floor", np.nan),
         ("beta_floor", np.inf),
     ])
