@@ -66,8 +66,6 @@ def fmt_float(x: float) -> str:
 #: of a float vector in a JSON document
 CHUNK_ITEMS = 16384
 
-_FLOAT_17G = "{:.17g}".format
-
 
 def _float_chunks(values: np.ndarray, sep: str) -> Iterator[str]:
     """The floats of ``values`` joined by ``sep``, one chunk per :data:`CHUNK_ITEMS`.
@@ -77,10 +75,10 @@ def _float_chunks(values: np.ndarray, sep: str) -> Iterator[str]:
     """
     for start in range(0, values.size, CHUNK_ITEMS):
         part = values[start : start + CHUNK_ITEMS]
-        tokens = list(map(_FLOAT_17G, part.tolist()))
+        items, specs = part.tolist(), ["%.17g"] * part.size
         for i in np.flatnonzero(~np.isfinite(part)).tolist():
-            tokens[i] = "null"
-        yield (sep if start else "") + sep.join(tokens)
+            items[i], specs[i] = "null", "%s"
+        yield (sep if start else "") + sep.join(specs) % tuple(items)
 
 
 def _json_scalar(obj: Any) -> str:

@@ -50,6 +50,14 @@ class LabelingError(RuntimeError):
     """The label oracle failed on a drawn index; the pipeline aborts."""
 
 
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Refuse ``value`` unless it is an int or a numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Settings shared by the subsampling pipelines.
@@ -68,8 +76,8 @@ class SamplingConfig:
     estimator: Literal["ensemble", "exact"] = "ensemble"
 
     def __post_init__(self) -> None:
-        if self.subsample_size < 1:
-            raise ValueError("subsample_size must be >= 1")
+        _check_integer("subsample_size", self.subsample_size, 1)
+        _check_integer("seed", self.seed)
         # written so that NaN fails each comparison and is rejected
         if self.alpha_multiplier is not None and not 1 < self.alpha_multiplier < np.inf:
             raise ValueError(

@@ -9,13 +9,14 @@ replica, scores a second corrupted replica, draws ``r`` rows, refits,
 and evaluates the result against ``beta_star`` and against a freshly
 generated clean test set of the same atom counts.
 
-All rows at an atom share the same features, so a trial works on one
-table of (atom, label) cells: probe members are fitted to per-shard cell
-counts, scores are computed per cell and looked up per row, and test
-regret weighs per-cell losses by the test counts. The draw and the
-refit run row by row through :func:`copsamp.sampler.subsample_and_refit`.
-A test rebuilds the trial from the row-level public functions and checks
-that both give the same results.
+All rows at an atom share the same features, so the spec holds one
+table of (atom, label) cells and a replica is a column of cell indices.
+The test and probe replicas are never expanded to rows: probe members
+fit per-shard cell counts and test regret weighs per-cell losses by the
+test counts. Scores are per-cell tables looked up per row of the
+sampling replica, on which the draw and the refit run through
+:func:`copsamp.sampler.subsample_and_refit`. A test rebuilds the trial
+from the row-level public functions and checks that both agree.
 
 A trial builds its replicas, ensemble and scores once and runs every
 method on them, so comparisons within a trial are paired by
@@ -41,7 +42,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from copsamp.model import Coefficients, Dataset, _loss_sum
-from copsamp.sampler import SamplingConfig, plan_scores, subsample_and_refit
+from copsamp.sampler import SamplingConfig, _check_integer, plan_scores, subsample_and_refit
 from copsamp.solver import fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, shard_indices
 
@@ -132,26 +133,33 @@ class SimulationSpec:
     probe_members: int = 10
     score_transform: str = SamplingConfig.score_transform
     beta_floor: float = SamplingConfig.beta_floor
+    cells: Dataset = field(init=False, repr=False, compare=False)  # row 2a + y: atom a, label y
 
     def __post_init__(self) -> None:
         self.atom_x = np.asarray(self.atom_x, dtype=float)
-        self.counts = np.asarray(self.counts, dtype=int)
+        self.counts = np.asarray(self.counts)
         self.beta_star = np.asarray(self.beta_star, dtype=float)
         self.zeta = np.asarray(self.zeta, dtype=float)
         self.methods = tuple(self.methods)
         if self.atom_x.ndim != 2:
             raise ValueError("atom_x must be (A, d)")
         A = self.atom_x.shape[0]
-        if self.counts.shape != (A,) or np.any(self.counts < 1):
-            raise ValueError("counts must be positive, one per atom")
+        try:
+            self.cells = Dataset(np.repeat(self.atom_x, 2, axis=0), np.tile([0, 1], A), K=1)
+        except ValueError as err:
+            raise ValueError(f"atom_x: {err}") from None
+        counts_int = self.counts.dtype.kind in "iu" and self.counts.shape == (A,)
+        if not counts_int or np.any(self.counts < 1):
+            raise ValueError(f"counts must be positive integers, one per atom, got {self.counts}")
+        self.counts = self.counts.astype(int)
         if self.beta_star.shape != (1, self.atom_x.shape[1]):
             raise ValueError("beta_star must be (1, d): binary labels only")
+        if not np.all(np.isfinite(self.beta_star)):
+            raise ValueError("beta_star must be finite")
         if self.zeta.shape != (A,) or not np.all(np.isfinite(self.zeta)):
             raise ValueError("zeta must be finite, one offset per atom")
-        if self.r < 1 or self.trials < 1:
-            raise ValueError("r and trials must be >= 1")
-        if self.probe_members < 2:
-            raise ValueError(f"probe_members must be >= 2, got {self.probe_members}")
+        for name, minimum in (("r", 1), ("trials", 1), ("seed", None), ("probe_members", 2)):
+            _check_integer(name, getattr(self, name), minimum)
         ids = [method.id for method in self.methods]
         if not ids or len(set(ids)) != len(ids):
             raise ValueError(f"methods must be distinct and not empty, got {ids}")
@@ -172,13 +180,6 @@ class SimulationSpec:
             alpha_multiplier=method.clip_multiplier,
             beta_floor=self.beta_floor,
         )
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
-
-    def atom_of_row(self) -> np.ndarray:
-        return np.repeat(np.arange(self.atom_x.shape[0]), self.counts)
 
 
 @dataclass
@@ -203,18 +204,23 @@ class ExperimentReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Dataset:
-    """Expand atoms to rows and draw Bernoulli labels, optionally corrupted."""
+def _replica_cells(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarray:
+    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``."""
     logits = spec.atom_x @ spec.beta_star[0]
     if corrupted:
         logits = logits + spec.zeta
     # exp overflows to inf below a logit of about -709, where p is 0 anyway
     with np.errstate(over="ignore"):
         p_atom = 1.0 / (1.0 + np.exp(-logits))
-    atom_idx = spec.atom_of_row()
+    cell = np.repeat(np.arange(0, 2 * p_atom.size, 2), spec.counts)
     rng = np.random.default_rng(seed)
-    y = (rng.random(spec.n_total) < p_atom[atom_idx]).astype(int)
-    return Dataset(spec.atom_x[atom_idx], y, K=1)
+    cell += rng.random(cell.size) < np.repeat(p_atom, spec.counts)
+    return cell
+
+
+def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Dataset:
+    """Expand atoms to rows and draw Bernoulli labels, optionally corrupted."""
+    return spec.cells.subset(_replica_cells(spec, seed, corrupted))
 
 
 def regret(
@@ -250,33 +256,28 @@ def run_trial(
     by every method, so comparisons within a trial are paired by
     construction; only the draw seed is method-specific.
     """
-    # one row per (atom, label) cell: row 2a + y holds atom a with label y
-    A = spec.atom_x.shape[0]
-    atom_idx = spec.atom_of_row()
-    cells = Dataset(np.repeat(spec.atom_x, 2, axis=0), np.tile([0, 1], A), K=1)
-
-    def cell_counts(data: Dataset, rows=slice(None)) -> np.ndarray:
-        return np.bincount(atom_idx[rows] * 2 + data.y[rows], minlength=2 * A)
-
-    sampling = generate_dataset(spec, derive_seed(seed, "sampling"), corrupted=True)
-    test_counts = cell_counts(generate_dataset(spec, derive_seed(seed, "test"), corrupted=False))
+    cells = spec.cells
+    sampling_cells = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True)
+    sampling = cells.subset(sampling_cells)
+    test_counts = np.bincount(
+        _replica_cells(spec, derive_seed(seed, "test"), corrupted=False), minlength=cells.n)
     uniform = np.ones(sampling.n)
     scores = {}  # with_labels -> per-row scores
     if any(method.scheme != "uniform" for method in spec.methods):
         # each member's fit to its shard's cell counts is the row-level fit
-        probe = generate_dataset(spec, derive_seed(seed, "probe"), corrupted=True)
+        probe = _replica_cells(spec, derive_seed(seed, "probe"), corrupted=True)
         M = spec.probe_members
         members = np.stack([
-            fit_weighted_mle(cells, cell_counts(probe, idx).astype(float)).beta
-            for idx in shard_indices(probe.n, M, derive_seed(seed, "shards"))
+            fit_weighted_mle(cells, np.bincount(probe[idx], minlength=cells.n).astype(float)).beta
+            for idx in shard_indices(probe.size, M, derive_seed(seed, "shards"))
         ])
+        ensemble = ProbeEnsemble(members, probe_size=probe.size // M)
         del probe  # freed before the methods run, which read only the members
-        ensemble = ProbeEnsemble(members, probe_size=spec.n_total // M)
-        # scores per cell (with labels) or per atom, looked up per row
-        u_cell = plan_scores(ensemble, cells, "coreset", "ensemble")
-        scores[True] = u_cell[atom_idx * 2 + sampling.y]
-        atoms = Dataset(spec.atom_x, None, K=1)
-        scores[False] = plan_scores(ensemble, atoms, "active", "ensemble")[atom_idx]
+        # per-cell tables, looked up once per row; a label-free score is its atom's
+        u_atom = plan_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active", "ensemble")
+        scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")[sampling_cells]
+        scores[False] = np.repeat(u_atom, 2)[sampling_cells]
+    del sampling_cells
 
     results = []
     for method in spec.methods:

@@ -497,6 +497,10 @@ class TestSimulate:
         ("beta_star", [["2", "2"]], "'beta_star'"),
         ("beta_floor", True, "'beta_floor'"),
         ("methods", ["uniform", "cops-clipinf-withY"], "cops-clipinf-withY"),
+        # JSON's NaN and Infinity literals reach the spec, which refuses them
+        ("atoms", [{"x": [1.0, float("nan")], "count": 1000}, {"x": [0.1, 0.1], "count": 100000},
+                   {"x": [0.0, 1.0], "count": 100000}], "atom_x"),
+        ("beta_star", [[2.0, float("inf")]], "beta_star"),
     ])
     def test_bad_bundled_config_exit_2(self, tmp_path, capsys, key, value, field):
         # rejected before any trial runs: no output directory is written

@@ -110,6 +110,11 @@ class TestMakePlan:
             cfg(beta_floor=-0.1)
         with pytest.raises(ValueError):
             cfg(score_transform="cubic")
+        for field, value in [("subsample_size", 10.7), ("subsample_size", 10.0),
+                             ("subsample_size", True), ("seed", 1.5), ("seed", False)]:
+            with pytest.raises(ValueError, match=field):
+                cfg(**{field: value})
+        assert cfg(subsample_size=np.int64(5), seed=np.uint64(2**64 - 1)).subsample_size == 5
 
     @pytest.mark.parametrize("field, value", [
         ("alpha_multiplier", np.nan),

@@ -124,6 +124,24 @@ class TestGenerateDataset:
         b = generate_dataset(spec, seed=4, corrupted=True)
         npt.assert_array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_rows_match_atom_formula_and_cell_counts(self, corrupted):
+        # the trial's cell columns and the row-level datasets draw the same
+        # labels bit for bit; the simulate outputs depend on it
+        spec = small_spec(zeta=np.array([-3.0, 1.0, -0.5]))
+        atom = np.repeat(np.arange(3), spec.counts)
+        logits = spec.atom_x @ spec.beta_star[0] + (spec.zeta if corrupted else 0.0)
+        p = 1.0 / (1.0 + np.exp(-logits))
+        for seed in (0, 7, derive_seed(1, "sampling")):
+            data = generate_dataset(spec, seed, corrupted)
+            y = (np.random.default_rng(seed).random(atom.size) < p[atom]).astype(int)
+            npt.assert_array_equal(data.X, spec.atom_x[atom])
+            npt.assert_array_equal(data.y, y)
+            assert data.y.dtype == y.dtype
+            cells = sim._replica_cells(spec, seed, corrupted)
+            npt.assert_array_equal(np.bincount(cells, minlength=6),
+                                   np.bincount(2 * atom + y, minlength=6))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             paper_spec(beta_star=np.array([[1.0, 2.0], [3.0, 4.0]]))  # K must be 1
@@ -145,6 +163,31 @@ class TestGenerateDataset:
             paper_spec(methods=(Method("uniform"), Method("uniform")))
         with pytest.raises(ValueError, match="not empty"):
             paper_spec(methods=())
+        # values no trial can run: non-integral sizes and seeds, bools,
+        # non-finite truth or atoms
+        for field, value in [
+            ("counts", [2.5, 3.9, 4.0]),
+            ("counts", np.array([True, True, True])),
+            ("r", 50.5),
+            ("r", True),
+            ("r", 1000.0),
+            ("trials", 2.5),
+            ("seed", 1.5),
+            ("probe_members", 3.5),
+            ("beta_star", np.array([[2.0, np.inf]])),
+            ("beta_star", np.array([[np.nan, 2.0]])),
+            ("atom_x", np.array([[1.0, np.nan], [0.1, 0.1], [0.0, 1.0]])),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                paper_spec(**{field: value})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = small_spec(r=np.int64(200), trials=np.int32(3), seed=np.uint64(2**63),
+                          probe_members=np.int16(4), counts=np.array([60, 3000, 3000], np.uint64))
+        assert len(run_trial(spec, seed=1)) == len(PAPER_METHODS)
+        # row 2a + y of the cell table holds atom a with label y
+        npt.assert_array_equal(spec.cells.X, np.repeat(spec.atom_x, 2, axis=0))
+        npt.assert_array_equal(spec.cells.y, [0, 1, 0, 1, 0, 1])
 
 
 class TestRegret:
@@ -222,7 +265,7 @@ class TestRunTrial:
         paired = run_trial(small_spec(methods=PAPER_METHODS), seed)
         assert single == paired[PAPER_METHODS.index(alone)]
 
-        calls = {"generate_dataset": 0, "fit_weighted_mle": 0}
+        calls = {"_replica_cells": 0, "fit_weighted_mle": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -233,7 +276,7 @@ class TestRunTrial:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(sim, "generate_dataset")
+        counted(sim, "_replica_cells")  # the sampling, test and probe replicas
         counted(sim, "fit_weighted_mle")  # the probe members
         counted(sampler, "fit_weighted_mle")  # each method's refit
         for methods, probe_members in (
@@ -244,11 +287,11 @@ class TestRunTrial:
             (PAPER_METHODS, 3),
         ):
             spec = small_spec(methods=methods, probe_members=probe_members)
-            calls.update(generate_dataset=0, fit_weighted_mle=0)
+            calls.update(_replica_cells=0, fit_weighted_mle=0)
             rows = run_trial(spec, seed)
             uniform_only = all(method.scheme == "uniform" for method in methods)
             assert len(rows) == len(methods)
-            assert calls["generate_dataset"] == (2 if uniform_only else 3)
+            assert calls["_replica_cells"] == (2 if uniform_only else 3)
             assert calls["fit_weighted_mle"] == (
                 len(methods) + (0 if uniform_only else probe_members))
 
