@@ -17,6 +17,13 @@ scores; ``identity`` reproduces sampling by the raw scores.
 
 Draws are with replacement (r independent categorical draws), which is
 what the 1/r variance analysis of the weighted estimator presumes.
+
+Where many rows are copies of a few distinct ones, a plan can be made
+over the distinct rows alone: ``make_plan(u, config, counts)`` takes one
+score and one multiplicity per distinct row and returns, per distinct
+row, the probability of each one of its source rows. The draw and the
+refit then read a column ``rows`` that maps every source row to its
+distinct row, so they draw the same source rows as the expanded plan.
 """
 
 from __future__ import annotations
@@ -95,6 +102,9 @@ class SamplingConfig:
 class SamplingPlan:
     """Sampling and reweighting distributions over the n source rows.
 
+    A plan made with counts holds one entry per distinct row: the
+    probability of each one of that row's copies.
+
     ``uniform_fallback`` flags the degenerate all-zero-score case where
     both distributions fall back to uniform. ``max_weight_ratio`` is the
     largest inverse-probability weight of a row that can be drawn
@@ -116,17 +126,45 @@ class Subsample:
     weights: np.ndarray
 
 
-def make_plan(u: np.ndarray, config: SamplingConfig) -> SamplingPlan:
-    """Turn nonnegative scores into sampling and reweighting distributions."""
+def _check_counts(counts, size: int) -> np.ndarray:
+    """``counts`` as a float array: integers, nonnegative, one per score, not all zero."""
+    counts = np.asarray(counts)
+    if counts.shape != (size,) or counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be an integer array with one entry per score, "
+                         f"got {counts.dtype} of shape {counts.shape}")
+    if np.any(counts < 0) or not np.any(counts > 0):
+        raise ValueError("counts must be nonnegative and not all zero")
+    return counts.astype(float)
+
+
+def make_plan(
+    u: np.ndarray, config: SamplingConfig, counts: np.ndarray | None = None
+) -> SamplingPlan:
+    """Turn nonnegative scores into sampling and reweighting distributions.
+
+    With ``counts``, ``u[i]`` is the score shared by ``counts[i]`` source
+    rows, and the plan is that of ``np.repeat(u, counts)`` compressed to
+    one entry per score: ``pi[i]`` and ``pi_reweight[i]`` are the
+    probabilities of each one of those rows, so ``counts @ pi == 1``.
+    Only entries with ``counts > 0`` set alpha and the uniform fallback,
+    and n is ``counts.sum()``.
+    """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("scores must be a nonempty 1-d array")
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise ValueError("scores must be finite and nonnegative")
     v = np.sqrt(u) if config.score_transform == "sqrt" else u
-    n = v.size
-    if not np.any(v > 0):
-        uniform = np.full(n, 1.0 / n)
+    if counts is None:
+        n, present, total = v.size, v, np.sum
+    else:
+        counts = _check_counts(counts, v.size)
+        n, present = int(counts.sum()), v[counts > 0]
+
+        def total(a: np.ndarray) -> float:
+            return float(counts @ a)
+    if not np.any(present > 0):
+        uniform = np.full(v.size, 1.0 / n)
         return SamplingPlan(
             pi=uniform, pi_reweight=uniform.copy(), uniform_fallback=True
         )
@@ -139,13 +177,14 @@ def make_plan(u: np.ndarray, config: SamplingConfig) -> SamplingPlan:
         )
     sampling = v
     if config.alpha_multiplier is not None:
-        alpha = config.alpha_multiplier * v[v > 0].min()
+        alpha = config.alpha_multiplier * present[present > 0].min()
         sampling = np.minimum(v, alpha)
-    pi = sampling / sampling.sum()
+    pi = sampling / total(sampling)
     floored = np.maximum(v, config.beta_floor)
-    pi_reweight = floored / floored.sum()
+    pi_reweight = floored / total(floored)
     # rows with pi = 0 are never drawn, so their weights never occur
-    max_weight_ratio = float(1.0 / (n * pi_reweight[pi > 0].min()))
+    drawn = pi > 0 if counts is None else (pi > 0) & (counts > 0)
+    max_weight_ratio = float(1.0 / (n * pi_reweight[drawn].min()))
     return SamplingPlan(
         pi=pi,
         pi_reweight=pi_reweight,
@@ -154,17 +193,26 @@ def make_plan(u: np.ndarray, config: SamplingConfig) -> SamplingPlan:
     )
 
 
-def draw_subsample(plan: SamplingPlan, data_len: int, r: int, seed: int) -> Subsample:
-    """r independent categorical draws from ``plan.pi``, weights from ``pi_reweight``."""
-    if plan.pi.shape != (data_len,):
-        raise ValueError(f"plan covers {plan.pi.shape[0]} rows, data has {data_len}")
+def draw_subsample(
+    plan: SamplingPlan, data_len: int, r: int, seed: int, rows: np.ndarray | None = None
+) -> Subsample:
+    """r independent categorical draws from ``plan.pi``, weights from ``pi_reweight``.
+
+    ``rows``, when given, maps each of the ``data_len`` source rows to its
+    entry of a plan made with counts; the draw still runs over the source
+    rows, so it returns the source rows the expanded plan would draw.
+    """
     if np.any(np.isnan(plan.pi)):
         raise ValueError("sampling distribution contains NaN")
+    pi = plan.pi if rows is None else plan.pi[rows]
+    if pi.shape != (data_len,):
+        raise ValueError(f"plan covers {pi.shape[0]} rows, data has {data_len}")
     if r < 1:
         raise ValueError("r must be >= 1")
     rng = np.random.default_rng(seed)
-    indices = rng.choice(data_len, size=r, replace=True, p=plan.pi)
-    return Subsample(indices=indices, weights=1.0 / plan.pi_reweight[indices])
+    indices = rng.choice(data_len, size=r, replace=True, p=pi)
+    entries = indices if rows is None else rows[indices]
+    return Subsample(indices=indices, weights=1.0 / plan.pi_reweight[entries])
 
 
 def subsample_objective(u: np.ndarray, pi: np.ndarray) -> float:
@@ -200,21 +248,38 @@ def subsample_and_refit(
     u: np.ndarray,
     config: SamplingConfig,
     label_oracle: Callable[[int], int] | None = None,
+    rows: np.ndarray | None = None,
 ) -> PipelineResult:
     """Plan from scores ``u``, draw r rows, label them, refit with 1/pi_reweight weights.
 
     Labels come from ``data.y`` unless ``label_oracle`` is given; the
     oracle is asked once per distinct drawn row and ``labels_queried``
     records how many rows it labeled.
+
+    ``rows``, when given, makes ``data`` a table of distinct rows, one
+    score each in ``u``, and gives the table row of every source row. The
+    plan is made over the table with the multiplicities of ``rows``, the
+    draw and the oracle see source row indices, and the result is that
+    of the call on ``data.subset(rows)`` with scores ``u[rows]`` up to
+    summation order.
     """
     u = np.asarray(u, dtype=float)
-    plan = make_plan(u, config)
-    sub = draw_subsample(plan, data.n, config.subsample_size, config.seed)
+    counts, n = None, data.n
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("rows must be a 1-d integer column")
+        counts, n = np.bincount(rows, minlength=data.n), rows.size
+        if counts.size != data.n:
+            raise ValueError(f"rows index past the {data.n} table rows")
+    plan = make_plan(u, config, counts)
+    sub = draw_subsample(plan, n, config.subsample_size, config.seed, rows)
+    drawn = sub.indices if rows is None else rows[sub.indices]
     labels_queried = None
     if label_oracle is None:
         if not data.labeled:
             raise ValueError("unlabeled data needs a label oracle")
-        y = data.y[sub.indices]
+        y = data.y[drawn]
     else:
         distinct = np.unique(sub.indices)
         labels: dict[int, int] = {}
@@ -225,7 +290,7 @@ def subsample_and_refit(
                 raise LabelingError(f"label oracle failed on index {idx}") from err
         y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
         labels_queried = len(distinct)
-    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights)
+    report = fit_weighted_mle(Dataset(data.X[drawn], y, data.K), sub.weights)
     return PipelineResult(
         subsample=sub,
         beta_bar=report.beta,

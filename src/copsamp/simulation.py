@@ -11,11 +11,14 @@ generated clean test set of the same atom counts.
 
 All rows at an atom share the same features, so the spec holds one
 table of (atom, label) cells and a replica is a column of cell indices.
-The test and probe replicas are never expanded to rows: probe members
-fit per-shard cell counts and test regret weighs per-cell losses by the
-test counts. Scores are per-cell tables looked up per row of the
-sampling replica, on which the draw and the refit run through
-:func:`copsamp.sampler.subsample_and_refit`. A test rebuilds the trial
+No replica is expanded to rows. Per cell: probe members fit per-shard
+cell counts, test regret weighs per-cell losses by the test counts, and
+every score and every method's plan is made over the six cells with
+the sampling replica's cell counts as multiplicities. Per row: the
+replica columns themselves, the probe's shard permutation, and the
+draw, which :func:`copsamp.sampler.subsample_and_refit` makes over the
+sampling column's source rows, so it picks the rows a row-level plan
+would. The refit reads the drawn rows' cells. A test rebuilds the trial
 from the row-level public functions and checks that both agree.
 
 A trial builds its replicas, ensemble and scores once and runs every
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -171,6 +174,14 @@ class SimulationSpec:
             except ValueError as err:
                 raise ValueError(f"method {method.id}: {err}") from err
 
+    def __eq__(self, other) -> bool:
+        """Equal compared fields, array fields by ``np.array_equal``; ``cells`` is derived."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
     def sampling_config(self, method: Method, seed: int = 0) -> SamplingConfig:
         """The plan settings of ``method``'s trials, drawing with ``seed``."""
         return SamplingConfig(
@@ -257,12 +268,11 @@ def run_trial(
     construction; only the draw seed is method-specific.
     """
     cells = spec.cells
-    sampling_cells = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True)
-    sampling = cells.subset(sampling_cells)
+    sampling = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True)
     test_counts = np.bincount(
         _replica_cells(spec, derive_seed(seed, "test"), corrupted=False), minlength=cells.n)
-    uniform = np.ones(sampling.n)
-    scores = {}  # with_labels -> per-row scores
+    uniform = np.ones(cells.n)
+    scores = {}  # with_labels -> per-cell scores
     if any(method.scheme != "uniform" for method in spec.methods):
         # each member's fit to its shard's cell counts is the row-level fit
         probe = _replica_cells(spec, derive_seed(seed, "probe"), corrupted=True)
@@ -273,11 +283,10 @@ def run_trial(
         ])
         ensemble = ProbeEnsemble(members, probe_size=probe.size // M)
         del probe  # freed before the methods run, which read only the members
-        # per-cell tables, looked up once per row; a label-free score is its atom's
+        # a label-free score is its atom's, shared by both of its cells
         u_atom = plan_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active", "ensemble")
-        scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")[sampling_cells]
-        scores[False] = np.repeat(u_atom, 2)[sampling_cells]
-    del sampling_cells
+        scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")
+        scores[False] = np.repeat(u_atom, 2)
 
     results = []
     for method in spec.methods:
@@ -285,7 +294,7 @@ def run_trial(
         config = spec.sampling_config(method, derive_seed(seed, "draw", method.id))
         # without-label methods only ever read labels of the drawn rows, so the
         # stored labels act as the label oracle of the active pipeline
-        beta_bar = subsample_and_refit(sampling, u, config).beta_bar
+        beta_bar = subsample_and_refit(cells, u, config, rows=sampling).beta_bar
         errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
         results.append(TrialResult(
             method_id=method.id,

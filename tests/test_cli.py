@@ -457,6 +457,24 @@ class TestSimulate:
             outputs[threads] = [(out / name).read_bytes() for name in ("report.json", "trials.csv")]
         assert outputs[1] == outputs[3]
 
+    def test_bundled_matches_benchmark_reference(self, tmp_path):
+        # the benchmark checks the bundled config's seeded rows against its
+        # stored reference; a change to a seeded stream fails here first
+        stored = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                             / "sim_paper.json").read_text())
+        out = tmp_path / "run"
+        assert run(["simulate", bundled_config_path(), "--out", out,
+                    "--trials", stored["trials"], "--seed", stored["seed"]]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert len(rows) == len(stored["rows"])
+        for got, want in zip(rows, stored["rows"]):
+            for key in ("method", "case", "trial_index", "seed"):
+                assert got[key] == want[key]
+            values = [got["param_error_components"], got["param_error_l2"], got["regret"]]
+            reference = [want["param_error_components"], want["param_error_l2"], want["regret"]]
+            for a, b in zip(values, reference):
+                npt.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+
     def test_trials_csv_schema(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)
         out = tmp_path / "run"

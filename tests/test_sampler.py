@@ -151,6 +151,64 @@ class TestMakePlan:
         npt.assert_array_equal(plan.pi, [0.5, 0.5])
 
 
+class TestPlanWithCounts:
+    """A plan over distinct scores with multiplicities is the expanded plan, compressed."""
+
+    @pytest.mark.parametrize("transform", ["sqrt", "identity"])
+    @pytest.mark.parametrize("alpha", [None, 3.0])
+    @pytest.mark.parametrize("floor", [0.0, 0.5])
+    def test_matches_plan_on_repeated_scores(self, transform, alpha, floor):
+        rng = np.random.default_rng(12)
+        config = cfg(score_transform=transform, alpha_multiplier=alpha, beta_floor=floor)
+        for _ in range(30):
+            m = int(rng.integers(1, 12))
+            u = rng.uniform(0.0, 4.0, m) * (rng.random(m) < 0.8)
+            counts = rng.integers(0, 8, m)
+            counts[rng.integers(m)] += 1
+            plan = make_plan(u, config, counts)
+            rows = np.repeat(np.arange(m), counts)
+            expanded = make_plan(u[rows], config)
+            npt.assert_allclose(plan.pi[rows], expanded.pi, rtol=1e-15, atol=0)
+            npt.assert_allclose(plan.pi_reweight[rows], expanded.pi_reweight, rtol=1e-15, atol=0)
+            assert plan.uniform_fallback == expanded.uniform_fallback
+            assert plan.max_weight_ratio == pytest.approx(expanded.max_weight_ratio, rel=1e-15)
+            assert counts @ plan.pi == pytest.approx(1.0, rel=1e-15)
+            assert counts @ plan.pi_reweight == pytest.approx(1.0, rel=1e-15)
+
+    def test_alpha_ignores_uncounted_scores(self):
+        # the 1e-6 score has no rows, so alpha is 3 x 1, not 3 x 1e-6
+        u, counts = np.array([1e-6, 1.0, 4.0]), np.array([0, 5, 5])
+        plan = make_plan(u, cfg(alpha_multiplier=3.0), counts)
+        npt.assert_allclose(plan.pi[1:], [1 / 20, 3 / 20], rtol=1e-15)
+        expanded = make_plan(np.repeat(u, counts), cfg(alpha_multiplier=3.0))
+        npt.assert_allclose(plan.pi[np.repeat(np.arange(3), counts)], expanded.pi, rtol=1e-15)
+
+    def test_uniform_fallback_when_only_uncounted_scores_positive(self):
+        plan = make_plan(np.array([2.0, 0.0, 0.0]), cfg(), np.array([0, 3, 4]))
+        assert plan.uniform_fallback
+        npt.assert_allclose(plan.pi, 1 / 7, rtol=1e-15)
+        npt.assert_allclose(plan.pi_reweight, 1 / 7, rtol=1e-15)
+
+    def test_max_weight_ratio_uses_row_count(self):
+        # pi_reweight = [1, 4] / 7 per row; the lightest drawable row has
+        # weight 7 against 4 under uniform sampling of the 4 rows
+        plan = make_plan(np.array([1.0, 4.0]), cfg(beta_floor=0.0), np.array([3, 1]))
+        assert plan.max_weight_ratio == pytest.approx(7 / 4, rel=1e-15)
+
+    @pytest.mark.parametrize("counts", [
+        [1, 2],  # one short
+        [[1, 2, 3]],  # not 1-d
+        [1, -1, 2],
+        [1.5, 1.0, 1.0],
+        [1.0, 1.0, 1.0],  # integral, but not an integer array
+        [True, True, True],
+        [0, 0, 0],
+    ])
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts"):
+            make_plan(np.array([1.0, 2.0, 3.0]), cfg(), np.array(counts))
+
+
 class TestDrawSubsample:
     def test_point_mass(self):
         plan = make_plan(np.array([1.0, 0.0, 0.0]), cfg())
@@ -368,6 +426,52 @@ class TestPipelines:
         assert labeled.labels_queried is None
         assert queried.labels_queried == len(asked)
         assert len(asked) == np.unique(labeled.subsample.indices).size
+
+    def table_and_rows(self, seed=4):
+        # every atom carries each of the K + 1 labels, so no refit is separable
+        rng = np.random.default_rng(seed)
+        atoms = rng.normal(size=(4, 2))
+        table = Dataset(np.repeat(atoms, 3, axis=0), np.tile([0, 1, 2], 4), K=2)
+        rows = rng.integers(0, table.n, 500)
+        return table, rows, rng.uniform(0.0, 3.0, table.n)
+
+    @pytest.mark.parametrize("alpha", [None, 3.0])
+    def test_table_with_rows_matches_expanded_rows(self, alpha):
+        table, rows, u = self.table_and_rows()
+        config = cfg(subsample_size=80, seed=9, score_transform="sqrt", alpha_multiplier=alpha)
+        compact = subsample_and_refit(table, u, config, rows=rows)
+        expanded = subsample_and_refit(table.subset(rows), u[rows], config)
+        npt.assert_array_equal(compact.subsample.indices, expanded.subsample.indices)
+        npt.assert_allclose(compact.subsample.weights, expanded.subsample.weights, rtol=1e-14)
+        npt.assert_allclose(compact.beta_bar, expanded.beta_bar, rtol=1e-12, atol=1e-12)
+        assert compact.plan.pi.shape == (table.n,)
+
+    def test_oracle_sees_source_rows(self):
+        table, rows, u = self.table_and_rows(seed=5)
+        config = cfg(subsample_size=40, seed=2, score_transform="sqrt")
+        asked = []
+
+        def oracle(i):
+            asked.append(i)
+            return int(table.y[rows[i]])
+
+        queried = subsample_and_refit(Dataset(table.X, None, 2), u, config, oracle, rows=rows)
+        expanded = subsample_and_refit(table.subset(rows), u[rows], config)
+        npt.assert_array_equal(queried.subsample.indices, expanded.subsample.indices)
+        npt.assert_allclose(queried.beta_bar, expanded.beta_bar, rtol=1e-12, atol=1e-12)
+        assert sorted(asked) == np.unique(expanded.subsample.indices).tolist()
+
+    @pytest.mark.parametrize("rows", [
+        np.array([0, 12]),  # past the 12 table rows
+        np.array([[0, 1]]),
+        np.array([-1, 0]),
+        np.array([], dtype=int),
+        np.array([0.0, 1.0]),
+    ])
+    def test_bad_rows_rejected(self, rows):
+        table, _, u = self.table_and_rows()
+        with pytest.raises(ValueError):
+            subsample_and_refit(table, u, cfg(), rows=rows)
 
     def test_unlabeled_without_oracle_rejected(self):
         data, _ = synthetic(9, 100, 1, 2)

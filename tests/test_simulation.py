@@ -181,6 +181,13 @@ class TestGenerateDataset:
             with pytest.raises(ValueError, match=field):
                 paper_spec(**{field: value})
 
+    def test_spec_equality(self):
+        # value equality over the compared fields, array fields included
+        assert (small_spec() == small_spec()) is True
+        assert (small_spec() == small_spec(zeta=np.zeros(3))) is False
+        assert (small_spec() != small_spec(counts=np.array([60, 3000, 3001]))) is True
+        assert small_spec() != "not a spec"
+
     def test_spec_accepts_numpy_integers(self):
         spec = small_spec(r=np.int64(200), trials=np.int32(3), seed=np.uint64(2**63),
                           probe_members=np.int16(4), counts=np.array([60, 3000, 3000], np.uint64))
