@@ -697,7 +697,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    results = run_selfcheck(quick=args.quick, seed=args.seed or 0)
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    results = run_selfcheck(quick=args.quick, seed=args.seed)
     all_pass = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -759,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selfcheck", help="run built-in invariant checks")
     p.add_argument("--quick", action="store_true",
                    help="skip the ensemble-calibration Monte Carlo")
-    p.add_argument("--seed", type=int, default=None, help="master seed")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.set_defaults(func=cmd_selfcheck)
     return parser
 

@@ -18,10 +18,19 @@ from copsamp.model import (
     probability_matrix,
     psi,
 )
-from copsamp.sampler import subsample_objective
+from copsamp.selfcheck import (
+    calibration_medians,
+    fd_gradient,
+    fd_hessian,
+    label_average,
+    random_instance,
+    random_plan_gaps,
+    sample_labels,
+)
 from copsamp.simulation import Method, SimulationSpec, run_experiment
 from copsamp.solver import fit_mle, fit_weighted_mle
-from copsamp.uncertainty import ensemble_scores, exact_scores, train_ensemble
+from copsamp.uncertainty import exact_score_active, exact_score_coreset
+from helpers import binary_exact_scores
 
 
 def report(criterion, passed, detail, elapsed, budget):
@@ -29,10 +38,6 @@ def report(criterion, passed, detail, elapsed, budget):
     print(f"[criterion {criterion}] {status}: {detail} (runtime {elapsed:.2f}s < {budget:.0f}s)")
     assert passed, detail
     assert elapsed < budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
-
-
-def sample_labels(rng, P):
-    return (rng.random(P.shape[0])[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
 
 
 def test_criterion_1_label_expectation_identity():
@@ -45,8 +50,7 @@ def test_criterion_1_label_expectation_identity():
             for d in (1, 3, 8):
                 beta = rng.normal(scale=0.8, size=(K, d))
                 x = rng.normal(size=d)
-                p = class_probabilities(beta, x)
-                total = sum(p[y] * psi(beta, x, y) for y in range(K + 1))
+                total = label_average(beta, x, lambda y: psi(beta, x, y))
                 worst = max(worst, float(np.abs(total - phi(beta, x)).max()))
                 count += 1
     report(1, worst <= 1e-12, f"max |sum_y p_y psi - phi| = {worst:.2e} <= 1e-12",
@@ -57,32 +61,16 @@ def test_criterion_2_calculus_suite():
     start = time.time()
     rng = np.random.default_rng(202)
     worst_grad = worst_hess = worst_row = worst_eig = 0.0
-    step = 1e-5
     for i in range(100):
         K, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
-        beta = rng.normal(scale=0.8, size=(K, d))
-        x = rng.normal(size=d)
-        y = int(rng.integers(0, K + 1))
+        beta, x, y = random_instance(rng, K, d)
         g = loss_gradient(beta, x, y)
-        fd = np.empty(K * d)
-        from copsamp.model import cross_entropy
-        for j in range(K * d):
-            bp, bm = beta.ravel().copy(), beta.ravel().copy()
-            bp[j] += step
-            bm[j] -= step
-            fd[j] = (cross_entropy(bp.reshape(K, d), x, y)
-                     - cross_entropy(bm.reshape(K, d), x, y)) / (2 * step)
+        fd = fd_gradient(beta, x, y)
         scale = max(1.0, np.abs(fd).max())
         worst_grad = max(worst_grad, float(np.abs(g - fd).max() / scale))
         if i < 25:
             H = loss_hessian(beta, x)
-            fdH = np.empty_like(H)
-            for j in range(K * d):
-                bp, bm = beta.ravel().copy(), beta.ravel().copy()
-                bp[j] += step
-                bm[j] -= step
-                fdH[:, j] = (loss_gradient(bp.reshape(K, d), x, y)
-                             - loss_gradient(bm.reshape(K, d), x, y)) / (2 * step)
+            fdH = fd_hessian(beta, x, y)
             worst_hess = max(worst_hess, float(np.abs(H - fdH).max()
                                                / max(1.0, np.abs(fdH).max())))
         p = class_probabilities(beta, x)
@@ -103,14 +91,7 @@ def test_criterion_3_optimality_oracle():
     start = time.time()
     rng = np.random.default_rng(303)
     u = rng.uniform(0.1, 5.0, size=20)
-    best = subsample_objective(u, u / u.sum())
-    strictly = 0
-    min_gap = np.inf
-    for _ in range(1000):
-        pi = rng.dirichlet(np.ones(20))
-        gap = subsample_objective(u, pi) - best
-        min_gap = min(min_gap, gap)
-        strictly += gap > 0
+    min_gap, strictly = random_plan_gaps(u, rng, 1000)
     passed = min_gap >= -1e-9 and strictly >= 990
     report(3, passed,
            f"pi ~ u minimizes sum u^2/pi: min gap {min_gap:.3e} >= 0, "
@@ -120,27 +101,10 @@ def test_criterion_3_optimality_oracle():
 
 def test_criterion_4_ensemble_exact_correspondence():
     start = time.time()
-    d, K, M, shard = 3, 2, 200, 5000
     rng = np.random.default_rng(404)
-    beta_star = rng.uniform(-1.0, 1.0, size=(K, d))
-
-    def draw(n, seed):
-        r = np.random.default_rng(seed)
-        X = r.normal(size=(n, d))
-        y = sample_labels(r, probability_matrix(beta_star, X))
-        return Dataset(X, y, K)
-
-    probe = draw(M * shard, 1)
-    big = draw(200_000, 2)
-    ensemble = train_ensemble(probe, M, seed=3)
-    beta_hat = fit_mle(big).beta
-    info = fisher_info(beta_hat, big)
-    eval_data = big.subset(np.arange(500))
-    medians = {}
-    for kind in ("coreset", "active"):
-        u_ens = ensemble_scores(ensemble, eval_data, kind) * ensemble.probe_size
-        u_exact = exact_scores(beta_hat, info, eval_data, kind)
-        medians[kind] = float(np.median(np.abs(u_ens - u_exact) / u_exact))
+    beta_star = rng.uniform(-1.0, 1.0, size=(2, 3))
+    medians = calibration_medians(beta_star, members=200, shard=5000, big=200_000,
+                                  evaluated=500, probe_seed=1, big_seed=2, ensemble_seed=3)
     passed = all(v <= 0.15 for v in medians.values())
     report(4, passed,
            f"median |n'*u_ens - u_exact|/u_exact: coreset {medians['coreset']:.3f}, "
@@ -158,19 +122,12 @@ def test_criterion_5_binary_corollary():
         X = rng.normal(size=(n, d))
         beta = rng.normal(scale=0.8, size=(1, d))
         y_all = sample_labels(rng, probability_matrix(beta, X))
-        data = Dataset(X, y_all, 1)
-        info = fisher_info(beta, data)
+        info = fisher_info(beta, Dataset(X, y_all, 1))
         x = rng.normal(size=d)
         y = int(rng.integers(0, 2))
-        ridge = 1e-10 * np.trace(info.m) / d
-        quad = x @ np.linalg.solve(info.m + ridge * np.eye(d), x)
-        p1 = class_probabilities(beta, x)[1]
-        s = (1.0 if y == 1 else 0.0) - p1
-        from copsamp.uncertainty import exact_score_active, exact_score_coreset
-        rel_c = abs(exact_score_coreset(beta, info, x, y) - s * s * quad) / (s * s * quad)
-        rel_a = abs(exact_score_active(beta, info, x) - (p1 - p1 * p1) * quad) / (
-            (p1 - p1 * p1) * quad
-        )
+        core, act = binary_exact_scores(beta, info.m, x, y)
+        rel_c = abs(exact_score_coreset(beta, info, x, y) - core) / core
+        rel_a = abs(exact_score_active(beta, info, x) - act) / act
         worst = max(worst, rel_c, rel_a)
     report(5, worst <= 1e-10,
            f"generic trace vs binary closed form, max rel err {worst:.2e} <= 1e-10",

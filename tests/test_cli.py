@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from copsamp import cli
+from copsamp import cli, model, selfcheck, uncertainty
 from copsamp.cli import (
     CliError,
     bundled_config_path,
@@ -23,9 +24,10 @@ from copsamp.cli import (
     read_dataset_csv,
     read_scores_csv,
 )
-from copsamp.model import Dataset, class_probabilities, probability_matrix
+from copsamp.model import Dataset, class_probabilities
 from copsamp.simulation import PAPER_METHODS, ExperimentReport, SimulationSpec, TrialResult
 from copsamp.uncertainty import ProbeEnsemble, train_ensemble
+from helpers import synthetic
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -65,18 +67,14 @@ def write_ensemble(path, ensemble):
 
 
 def synthetic_csv(path, seed=0, n=200, K=1, d=2, weights=False):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    beta = rng.normal(scale=0.8, size=(K, d))
-    P = probability_matrix(beta, X)
-    y = (rng.random(n)[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
+    data, _ = synthetic(seed, n, K, d)
     header = [f"x{i}" for i in range(d)] + ["y"] + (["w"] if weights else [])
     lines = [",".join(header)]
-    for i in range(n):
-        row = [format(float(v), ".17g") for v in X[i]] + [str(y[i])] + (["1.0"] if weights else [])
+    for x, y in zip(data.X, data.y):
+        row = [format(float(v), ".17g") for v in x] + [str(y)] + (["1.0"] if weights else [])
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
-    return Dataset(X, y, K)
+    return data
 
 
 def tiny_sim_config(tmp_path, trials=2, seed=11):
@@ -588,7 +586,33 @@ class TestSimulate:
             assert agg["regret"]["mean"] == pytest.approx(np.mean(regs), rel=1e-12)
 
 
+def _scaled(f, factor):
+    return lambda *args: factor * f(*args)
+
+
+def _perturbed_fisher_info(*args):
+    info = model.fisher_info(*args)
+    return replace(info, m=info.m * (1 + 1e-9))
+
+
+#: a slightly wrong version of a name that copsamp.selfcheck imports, the
+#: check that must catch it, and the selfcheck flags that run that check
+WRONG_LIBRARY = {
+    "psi": (_scaled(model.psi, 1.001), "check_label_expectation", ["--quick"]),
+    "loss_gradient": (_scaled(model.loss_gradient, 1.0001), "check_gradient_fd", ["--quick"]),
+    "loss_hessian": (_scaled(model.loss_hessian, 1.0001), "check_hessian_fd", ["--quick"]),
+    "fisher_info": (_perturbed_fisher_info, "check_fisher_kron", ["--quick"]),
+    "exact_scores": (_scaled(uncertainty.exact_scores, 2.0), "check_ensemble_calibration", []),
+}
+
+
 class TestSelfcheck:
+    def test_full_passes(self, capsys):
+        # the one tier-1 run of the ensemble-calibration check
+        assert run(["selfcheck"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 6 and "FAIL" not in out
+
     def test_quick_passes(self, capsys):
         assert run(["selfcheck", "--quick"]) == 0
         out = capsys.readouterr().out
@@ -596,6 +620,19 @@ class TestSelfcheck:
 
     def test_seed_does_not_change_outcome(self, capsys):
         assert run(["selfcheck", "--quick", "--seed", 123]) == 0
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert run(["selfcheck", "--quick", "--seed", -1]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(WRONG_LIBRARY))
+    def test_wrong_library_function_fails(self, monkeypatch, capsys, name):
+        wrong, check, flags = WRONG_LIBRARY[name]
+        monkeypatch.setattr(selfcheck, name, wrong)
+        result = getattr(selfcheck, check)(np.random.default_rng(0))
+        assert not result.passed
+        assert run(["selfcheck", *flags]) == 1
+        assert f"FAIL  {result.name}" in capsys.readouterr().out
 
 
 def test_csv_text_formats_floats_with_lf_lines(tmp_path, monkeypatch):

@@ -30,23 +30,13 @@ from copsamp.model import (
     residual_matrix,
     score_vector,
 )
-
-
-def random_instance(rng, K, d, scale=0.8):
-    return rng.normal(scale=scale, size=(K, d)), rng.normal(size=d), int(rng.integers(0, K + 1))
-
-
-def fd_gradient(beta, x, y, step=1e-5):
-    """Central finite differences of the cross entropy, the gradient oracle."""
-    K, d = beta.shape
-    g = np.empty(K * d)
-    for j in range(K * d):
-        bp, bm = beta.ravel().copy(), beta.ravel().copy()
-        bp[j] += step
-        bm[j] -= step
-        g[j] = (cross_entropy(bp.reshape(K, d), x, y)
-                - cross_entropy(bm.reshape(K, d), x, y)) / (2 * step)
-    return g
+from copsamp.selfcheck import (
+    fd_gradient,
+    fd_hessian,
+    label_average,
+    mean_kron_hessian,
+    random_instance,
+)
 
 
 class TestProbabilities:
@@ -226,8 +216,7 @@ class TestPhiPsi:
     def test_label_expectation_identity(self, seed, K):
         rng = np.random.default_rng(seed)
         beta, x, _ = random_instance(rng, K, 3)
-        p = class_probabilities(beta, x)
-        total = sum(p[y] * psi(beta, x, y) for y in range(K + 1))
+        total = label_average(beta, x, lambda y: psi(beta, x, y))
         npt.assert_allclose(total, phi(beta, x), atol=1e-12)
 
     def test_psi_phi_psd_and_rank(self):
@@ -251,19 +240,11 @@ class TestHessianAndFisher:
 
     def test_hessian_matches_gradient_differences(self):
         rng = np.random.default_rng(7)
-        step = 1e-5
         for _ in range(25):
             K, d = int(rng.integers(1, 4)), int(rng.integers(1, 5))
             beta, x, y = random_instance(rng, K, d)
-            H = loss_hessian(beta, x)
-            fd = np.empty_like(H)
-            for j in range(K * d):
-                bp, bm = beta.ravel().copy(), beta.ravel().copy()
-                bp[j] += step
-                bm[j] -= step
-                fd[:, j] = (loss_gradient(bp.reshape(K, d), x, y)
-                            - loss_gradient(bm.reshape(K, d), x, y)) / (2 * step)
-            npt.assert_allclose(H, fd, rtol=1e-5, atol=1e-7)
+            npt.assert_allclose(loss_hessian(beta, x), fd_hessian(beta, x, y),
+                                rtol=1e-5, atol=1e-7)
 
     def test_kron_trace_identity(self):
         # Tr((psi kron xx^T) A) == (s kron x)^T A (s kron x) for symmetric A
@@ -320,15 +301,6 @@ class TestHessianAndFisher:
             fisher_info(np.zeros((1, 2)), Dataset(np.empty((0, 2)), None, 1))
 
 
-def einsum_information(beta, X, w=None):
-    """Direct 3-operand contraction of (1/n) sum_i w_i kron(phi_i, x_i x_i^T)."""
-    PHI = np.stack([phi(beta, x) for x in X])
-    if w is not None:
-        PHI = PHI * w[:, None, None]
-    K, d = beta.shape
-    return (np.einsum("nkl,ni,nj->kilj", PHI, X, X) / X.shape[0]).reshape(K * d, K * d)
-
-
 class TestInformation:
     @pytest.mark.parametrize("K", [1, 3, 5])
     @pytest.mark.parametrize("weighted", [False, True])
@@ -339,7 +311,7 @@ class TestInformation:
         beta = rng.normal(scale=0.8, size=(K, d))
         w = rng.uniform(0.0, 3.0, size=300) if weighted else None
         m = information(beta, X, w)
-        oracle = einsum_information(beta, X, w)
+        oracle = mean_kron_hessian(beta, X, w)
         assert m.shape == (K * d, K * d)
         npt.assert_array_equal(m, m.T)
         assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -355,7 +327,7 @@ class TestInformation:
         w = rng.uniform(0.0, 3.0, size=n)
         for weights in (None, w):
             m = information(beta, X, weights)
-            oracle = einsum_information(beta, X, weights)
+            oracle = mean_kron_hessian(beta, X, weights)
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
 

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copsamp.model import Dataset, probability_matrix
+from copsamp.model import Dataset
 from copsamp.sampler import (
     LabelingError,
     SamplingConfig,
@@ -17,16 +17,9 @@ from copsamp.sampler import (
     subsample_objective,
 )
 from copsamp.solver import fit_weighted_mle
-from copsamp.uncertainty import ProbeEnsemble, ensemble_scores, train_ensemble
-
-
-def synthetic(seed, n, K, d):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    beta = rng.normal(scale=0.8, size=(K, d))
-    P = probability_matrix(beta, X)
-    y = (rng.random(n)[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
-    return Dataset(X, y, K), beta
+from copsamp.selfcheck import random_plan_gaps
+from copsamp.uncertainty import ensemble_scores, train_ensemble
+from helpers import constant_ensemble, synthetic
 
 
 def cfg(**kw):
@@ -285,22 +278,13 @@ class TestObjective:
         u = rng.uniform(0.1, 5.0, size=20)
         best = subsample_objective(u, u / u.sum())
         assert best == pytest.approx(u.sum() ** 2, rel=1e-12)
-        strictly_worse = 0
-        for _ in range(1000):
-            pi = rng.dirichlet(np.ones(20))
-            val = subsample_objective(u, pi)
-            assert val >= best - 1e-9
-            strictly_worse += val > best
+        min_gap, strictly_worse = random_plan_gaps(u, rng, 1000)
+        assert min_gap >= -1e-9
         assert strictly_worse >= 990
 
     def test_zero_mass_on_positive_score_rejected(self):
         with pytest.raises(ValueError):
             subsample_objective(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-
-def constant_ensemble(beta, M=4, probe_size=100):
-    members = np.repeat(np.asarray(beta)[None, :, :], M, axis=0)
-    return ProbeEnsemble(members, probe_size)
 
 
 class TestPipelines:

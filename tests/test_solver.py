@@ -12,18 +12,10 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from copsamp import solver
-from copsamp.model import Dataset, dataset_loss, probability_matrix
+from copsamp.model import Dataset, dataset_loss
 from copsamp.simulation import SimulationSpec, generate_dataset
 from copsamp.solver import FitConfig, fit_mle, fit_weighted_mle
-
-
-def synthetic(seed, n, K, d, scale=0.8):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    beta = rng.normal(scale=scale, size=(K, d))
-    P = probability_matrix(beta, X)
-    y = (rng.random(n)[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
-    return Dataset(X, y, K), beta
+from helpers import synthetic
 
 
 def test_symmetric_labels_give_near_zero_beta():

@@ -12,8 +12,10 @@ from copsamp.model import (
     FisherInfo,
     class_probabilities,
     fisher_info,
-    probability_matrix,
+    phi,
+    psi,
 )
+from copsamp.selfcheck import label_average
 from copsamp.solver import fit_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
@@ -27,20 +29,7 @@ from copsamp.uncertainty import (
     logit_covariance,
     train_ensemble,
 )
-
-
-def synthetic(seed, n, K, d, scale=0.8):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, d))
-    beta = rng.normal(scale=scale, size=(K, d))
-    P = probability_matrix(beta, X)
-    y = (rng.random(n)[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
-    return Dataset(X, y, K), beta
-
-
-def constant_ensemble(beta, M=4, probe_size=100):
-    members = np.repeat(beta[None, :, :], M, axis=0)
-    return ProbeEnsemble(members=members, probe_size=probe_size)
+from helpers import binary_exact_scores, constant_ensemble, ridged, synthetic
 
 
 class TestTrainEnsemble:
@@ -145,8 +134,7 @@ class TestEnsembleScores:
         data, _ = synthetic(10, 500, 2, 3)
         ens = train_ensemble(data, 5, seed=5)
         for x in data.X[:10]:
-            p = class_probabilities(ens.mean, x)
-            avg = sum(p[y] * ensemble_score_coreset(ens, x, y) for y in range(3))
+            avg = label_average(ens.mean, x, lambda y: ensemble_score_coreset(ens, x, y))
             npt.assert_allclose(avg, ensemble_score_active(ens, x), atol=1e-12)
 
     def test_identical_members_zero_batch_scores(self):
@@ -224,21 +212,11 @@ class TestExactScores:
             info = fisher_info(beta, data)
             x = rng.normal(size=d)
             y = int(rng.integers(0, 2))
-            ridge = 1e-10 * np.trace(info.m) / info.m.shape[0]
-            Minv_x = np.linalg.solve(info.m + ridge * np.eye(d), x)
-            quad = x @ Minv_x
-            p1 = class_probabilities(beta, x)[1]
-            s = (1.0 if y == 1 else 0.0) - p1
-            npt.assert_allclose(
-                exact_score_coreset(beta, info, x, y), s * s * quad, rtol=1e-10
-            )
-            npt.assert_allclose(
-                exact_score_active(beta, info, x), (p1 - p1 * p1) * quad, rtol=1e-10
-            )
+            core, act = binary_exact_scores(beta, info.m, x, y)
+            npt.assert_allclose(exact_score_coreset(beta, info, x, y), core, rtol=1e-10)
+            npt.assert_allclose(exact_score_active(beta, info, x), act, rtol=1e-10)
 
     def test_dense_kronecker_oracle(self):
-        from copsamp.model import phi, psi
-
         rng = np.random.default_rng(15)
         for _ in range(25):
             K, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -246,8 +224,7 @@ class TestExactScores:
             info = fisher_info(beta, data)
             x = rng.normal(size=d)
             y = int(rng.integers(0, K + 1))
-            ridge = 1e-10 * np.trace(info.m) / info.m.shape[0]
-            Minv = np.linalg.inv(info.m + ridge * np.eye(K * d))
+            Minv = np.linalg.inv(ridged(info.m))
             dense_core = np.trace(np.kron(psi(beta, x, y), np.outer(x, x)) @ Minv)
             dense_act = np.trace(np.kron(phi(beta, x), np.outer(x, x)) @ Minv)
             npt.assert_allclose(exact_score_coreset(beta, info, x, y), dense_core, rtol=1e-10)
@@ -257,8 +234,7 @@ class TestExactScores:
         data, beta = synthetic(16, 400, 2, 3)
         info = fisher_info(beta, data)
         for x in data.X[:10]:
-            p = class_probabilities(beta, x)
-            avg = sum(p[y] * exact_score_coreset(beta, info, x, y) for y in range(3))
+            avg = label_average(beta, x, lambda y: exact_score_coreset(beta, info, x, y))
             npt.assert_allclose(avg, exact_score_active(beta, info, x), rtol=1e-10)
 
     def test_confident_label_scores_vanish(self):
@@ -333,28 +309,3 @@ class TestExactScores:
         assert np.all(ensemble_scores(ens, data, "coreset") >= 0)
         assert np.all(ensemble_scores(ens, data, "active") >= 0)
 
-
-def test_scaled_ensemble_tracks_exact_quick():
-    """Reduced-size version of the ensemble/exact correspondence."""
-    rng = np.random.default_rng(20)
-    d, K, M, shard = 3, 2, 60, 2000
-    beta_star = rng.uniform(-1, 1, size=(K, d))
-
-    def draw(n, seed):
-        r = np.random.default_rng(seed)
-        X = r.normal(size=(n, d))
-        P = probability_matrix(beta_star, X)
-        y = (r.random(n)[:, None] > np.cumsum(P, axis=1)).sum(axis=1)
-        return Dataset(X, y, K)
-
-    probe = draw(M * shard, 1)
-    big = draw(80_000, 2)
-    ens = train_ensemble(probe, M, seed=3)
-    beta_hat = fit_mle(big).beta
-    info = fisher_info(beta_hat, big)
-    eval_data = big.subset(np.arange(300))
-    for kind in ("coreset", "active"):
-        u_ens = ensemble_scores(ens, eval_data, kind) * ens.probe_size
-        u_exact = exact_scores(beta_hat, info, eval_data, kind)
-        med = np.median(np.abs(u_ens - u_exact) / u_exact)
-        assert med <= 0.25, f"{kind}: median rel err {med}"
