@@ -23,7 +23,7 @@ from copsamp.model import (
     psi,
     score_vector,
 )
-from copsamp.solver import FitConfig, FitReport, fit_mle, fit_weighted_mle
+from copsamp.solver import FitConfig, FitReport, fit_mle, fit_weighted_batch, fit_weighted_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
     SingularInformationError,
@@ -72,6 +72,7 @@ __all__ = [
     "FitConfig",
     "FitReport",
     "fit_mle",
+    "fit_weighted_batch",
     "fit_weighted_mle",
     "ProbeEnsemble",
     "SingularInformationError",

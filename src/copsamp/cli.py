@@ -650,6 +650,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     started = time.time()
     if args.r <= 0:
         raise CliError("--r must be positive")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     u = read_scores_csv(args.scores)
     try:
         config = SamplingConfig(

@@ -37,6 +37,13 @@ P = K(K+1)/2 class-pair coefficients with ``k <= l``, in row blocks of
 ``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. The trace scores
 of :mod:`copsamp.uncertainty` read the same table.
 
+The private builders, the weighted loss and :func:`information` also
+take a ``(B, K, d)`` stack of coefficients on one design, with ``(B, n)``
+weights: the batched Newton solver's fits. Every per-row quantity gains
+the leading batch axis, the feature products are built once for the
+whole stack, and each block of rows of the information matrices is one
+``(B*P, b) @ (b, T)`` GEMM.
+
 Every function in this module is a pure function of its inputs and is
 safe to call concurrently.
 """
@@ -138,15 +145,18 @@ class FisherInfo:
     near_singular: bool = field(default=False)
 
 
-def _check_beta(beta: Coefficients, d: int | None = None) -> np.ndarray:
+def _check_beta(
+    beta: Coefficients, d: int | None = None, batched: bool = False
+) -> np.ndarray:
+    """``beta`` as a float ``(K, d)`` matrix, or ``(B, K, d)`` stack if ``batched``."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
+    if beta.ndim != 2 and not (batched and beta.ndim == 3):
         raise ValueError(f"beta must be a (K, d) matrix, got shape {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta contains non-finite entries")
-    if d is not None and beta.shape[1] != d:
+    if d is not None and beta.shape[-1] != d:
         raise ValueError(
-            f"beta has feature dimension {beta.shape[1]}, data has {d}"
+            f"beta has feature dimension {beta.shape[-1]}, data has {d}"
         )
     return beta
 
@@ -163,12 +173,14 @@ def _shifted_logits(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
     Row 0, the reference class, is written as zeros and rows 1..K as
     ``beta @ X.T``; each column is then shifted by its maximum, so every
-    entry is at most 0. The reductions run along the long axis.
+    entry is at most 0. The reductions run along the long axis. A
+    ``(B, K, d)`` stack of coefficients gives a ``(B, K + 1, n)`` stack,
+    one GEMM per element, each the one its element would get alone.
     """
-    z = np.empty((beta.shape[0] + 1, X.shape[0]))
-    z[0] = 0.0
-    np.matmul(beta, X.T, out=z[1:])
-    z -= z.max(axis=0)
+    z = np.empty(beta.shape[:-2] + (beta.shape[-2] + 1, X.shape[0]))
+    z[..., 0, :] = 0.0
+    np.matmul(beta, X.T, out=z[..., 1:, :])
+    z -= z.max(axis=-2, keepdims=True)
     return z
 
 
@@ -176,25 +188,27 @@ def _probabilities(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Class-major probabilities, shape ``(K + 1, n)``: each column sums to 1."""
     z = _shifted_logits(beta, X)
     np.exp(z, out=z)
-    z /= z.sum(axis=0)
+    z /= z.sum(axis=-2, keepdims=True)
     return z
 
 
 def _residuals(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Class-major score vectors, shape ``(K, n)``: ``indicator(y_i == k) - p_k(x_i)``."""
-    S = -_probabilities(beta, X)[1:]
+    S = -_probabilities(beta, X)[..., 1:, :]
     y = np.asarray(y, dtype=int)
     labeled = y >= 1
-    S[y[labeled] - 1, np.flatnonzero(labeled)] += 1.0
+    S[..., y[labeled] - 1, np.flatnonzero(labeled)] += 1.0
     return S
 
 
-def _check_rows(beta: Coefficients, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    beta = _check_beta(beta)
+def _check_rows(
+    beta: Coefficients, X: np.ndarray, batched: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    beta = _check_beta(beta, batched=batched)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != beta.shape[1]:
+    if X.ndim != 2 or X.shape[1] != beta.shape[-1]:
         raise ValueError(
-            f"X has shape {X.shape}, expected (n, {beta.shape[1]})"
+            f"X has shape {X.shape}, expected (n, {beta.shape[-1]})"
         )
     return beta, X
 
@@ -240,18 +254,19 @@ def _log_probability_of_label(
     finite.
     """
     z = _shifted_logits(beta, X)
-    z_y = z[y, np.arange(X.shape[0])]
+    z_y = z[..., y, np.arange(X.shape[0])]
     np.exp(z, out=z)
-    return z_y - np.log(z.sum(axis=0))
+    return z_y - np.log(z.sum(axis=-2))
 
 
-def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
+def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``sum_i w_i * cross_entropy_i``, the one weighted-loss reduction.
 
-    numpy's pairwise sum, not a BLAS dot: its rounding is smaller and
-    does not depend on the BLAS thread count.
+    numpy's pairwise sum along each row, not a BLAS dot: its rounding is
+    smaller and does not depend on the BLAS thread count. A ``(B, K, d)``
+    stack of coefficients with ``(B, n)`` weights gives ``B`` sums.
     """
-    return float(np.sum(w * -_log_probability_of_label(beta, X, y)))
+    return np.sum(w * -_log_probability_of_label(beta, X, y), axis=-1)
 
 
 def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
@@ -283,7 +298,7 @@ def dataset_loss(
         raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    return _loss_sum(beta, data.X, data.y, weights) / data.n
+    return float(_loss_sum(beta, data.X, data.y, weights) / data.n)
 
 
 def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
@@ -381,10 +396,12 @@ def _pair_product_views(
     Multiplying each first view into the second, out to the third, fills
     ``out`` with ``src[a] * src[c]`` for the pairs ``a <= c`` in
     ``triu_indices`` order; the third view's row 0 is the pair ``(a, a)``.
+    Rows are the second-to-last axis, so a stack of tables is filled
+    element by element with the same calls.
     """
-    m, views, t = len(src), [], 0
+    m, views, t = src.shape[-2], [], 0
     for a in range(m):
-        views.append((src[a, :b], src[a:, :b], out[t : t + m - a, :b]))
+        views.append((src[..., a : a + 1, :b], src[..., a:, :b], out[..., t : t + m - a, :b]))
         t += m - a
     return views
 
@@ -405,15 +422,19 @@ def _pair_blocks(
     So ``sum_i w_i C_i kron x_i x_i^T`` has block ``(k, l)`` entry
     ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. Both
     arrays are scratch reused by the next block.
+
+    A ``(B, K, d)`` stack of coefficients, with ``(B, n)`` weights, gives
+    a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is built
+    once for the whole stack.
     """
-    beta, X = _check_rows(beta, X)
-    rows = _probabilities(beta, X)[1:] if y is None else _residuals(beta, X, y)
+    beta, X = _check_rows(beta, X, batched=True)
+    rows = _probabilities(beta, X)[..., 1:, :] if y is None else _residuals(beta, X, y)
     n, d = X.shape
-    K = rows.shape[0]
+    K = rows.shape[-2]
     size = min(n, BLOCK_ROWS)
     xt = np.empty((d, size))
-    rt = np.empty((K, size))
-    C = np.empty((K * (K + 1) // 2, size))
+    rt = np.empty(rows.shape[:-1] + (size,))
+    C = np.empty(rows.shape[:-2] + (K * (K + 1) // 2, size))
     Q = np.empty((d * (d + 1) // 2, size))
     # the views are made once per block width: per block, the Python work
     # is d + K ufunc calls on them
@@ -429,15 +450,15 @@ def _pair_blocks(
         np.copyto(xt[:, :width], X[start:stop].T)
         for x_a, x_rest, out in q_views:
             np.multiply(x_a, x_rest, out=out)
-        np.copyto(rt[:, :width], rows[:, start:stop])
+        np.copyto(rt[..., :width], rows[..., start:stop])
         for r_k, r_rest, out in c_views:
             np.multiply(r_k, r_rest, out=out)
             if y is None:
                 np.negative(out, out=out)
-                out[0] += r_k
+                out[..., :1, :] += r_k
         if w is not None:
-            C[:, :width] *= w[start:stop]
-        yield start, stop, C[:, :width], Q[:, :width]
+            C[..., :width] *= w[..., None, start:stop]
+        yield start, stop, C[..., :width], Q[:, :width]
 
 
 def information(
@@ -454,21 +475,28 @@ def information(
     block of rows, then each entry of ``G / n`` is copied to its mirror
     positions, so the result is exactly symmetric. Extra memory is
     O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2). ``w`` defaults to all ones.
+
+    A ``(B, K, d)`` stack of coefficients, with ``w`` of shape ``(B, n)``
+    if given, gives the ``(B, K*d, K*d)`` stack of matrices on the one
+    design ``X``: each block of rows is then one ``(B*P, b) @ (b, T)``
+    GEMM.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if n == 0:
         raise ValueError("empty dataset")
+    beta = _check_beta(beta, d, batched=True)
     if w is not None:
         w = np.asarray(w, dtype=float)
-        if w.shape != (n,):
-            raise ValueError("weights length mismatch")
-    kk, _, aa, _, unpack = _pair_layout(_check_beta(beta, d).shape[0], d)
-    G = np.zeros((len(kk), len(aa)))
+        if w.shape != beta.shape[:-2] + (n,):
+            raise ValueError(f"weights has shape {w.shape}, expected {beta.shape[:-2] + (n,)}")
+    kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], d)
+    G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
+    G_rows = G.reshape(-1, len(aa))
     for _, _, C, Q in _pair_blocks(beta, X, w=w):
-        G += C @ Q.T
+        G_rows += C.reshape(-1, C.shape[-1]) @ Q.T
     G /= n
-    return G.ravel()[unpack]
+    return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
 
 
 def fisher_info(

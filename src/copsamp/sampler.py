@@ -21,9 +21,11 @@ what the 1/r variance analysis of the weighted estimator presumes.
 Where many rows are copies of a few distinct ones, a plan can be made
 over the distinct rows alone: ``make_plan(u, config, counts)`` takes one
 score and one multiplicity per distinct row and returns, per distinct
-row, the probability of each one of its source rows. The draw and the
-refit then read a column ``rows`` that maps every source row to its
-distinct row, so they draw the same source rows as the expanded plan.
+row, the probability of each one of its source rows. The draw then
+reads a column ``rows`` that maps every source row to its distinct row,
+so it draws the same source rows as the expanded plan; the caller sums
+the drawn weights per distinct row and refits on the distinct rows (the
+simulation does this for all of a trial's methods in one batched fit).
 """
 
 from __future__ import annotations
@@ -204,7 +206,16 @@ def draw_subsample(
     """
     if np.any(np.isnan(plan.pi)):
         raise ValueError("sampling distribution contains NaN")
-    pi = plan.pi if rows is None else plan.pi[rows]
+    pi = plan.pi
+    if rows is not None:
+        rows = np.asarray(rows)
+        bad = f"rows must be a nonempty 1-d integer column of entries of the {pi.size}-entry plan"
+        if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size == 0 or rows.min() < 0:
+            raise ValueError(bad)
+        try:
+            pi = pi[rows]
+        except IndexError:
+            raise ValueError(bad) from None
     if pi.shape != (data_len,):
         raise ValueError(f"plan covers {pi.shape[0]} rows, data has {data_len}")
     if r < 1:
@@ -248,38 +259,21 @@ def subsample_and_refit(
     u: np.ndarray,
     config: SamplingConfig,
     label_oracle: Callable[[int], int] | None = None,
-    rows: np.ndarray | None = None,
 ) -> PipelineResult:
     """Plan from scores ``u``, draw r rows, label them, refit with 1/pi_reweight weights.
 
     Labels come from ``data.y`` unless ``label_oracle`` is given; the
     oracle is asked once per distinct drawn row and ``labels_queried``
     records how many rows it labeled.
-
-    ``rows``, when given, makes ``data`` a table of distinct rows, one
-    score each in ``u``, and gives the table row of every source row. The
-    plan is made over the table with the multiplicities of ``rows``, the
-    draw and the oracle see source row indices, and the result is that
-    of the call on ``data.subset(rows)`` with scores ``u[rows]`` up to
-    summation order.
     """
     u = np.asarray(u, dtype=float)
-    counts, n = None, data.n
-    if rows is not None:
-        rows = np.asarray(rows)
-        if rows.ndim != 1 or rows.dtype.kind not in "iu":
-            raise ValueError("rows must be a 1-d integer column")
-        counts, n = np.bincount(rows, minlength=data.n), rows.size
-        if counts.size != data.n:
-            raise ValueError(f"rows index past the {data.n} table rows")
-    plan = make_plan(u, config, counts)
-    sub = draw_subsample(plan, n, config.subsample_size, config.seed, rows)
-    drawn = sub.indices if rows is None else rows[sub.indices]
+    plan = make_plan(u, config)
+    sub = draw_subsample(plan, data.n, config.subsample_size, config.seed)
     labels_queried = None
     if label_oracle is None:
         if not data.labeled:
             raise ValueError("unlabeled data needs a label oracle")
-        y = data.y[drawn]
+        y = data.y[sub.indices]
     else:
         distinct = np.unique(sub.indices)
         labels: dict[int, int] = {}
@@ -290,7 +284,7 @@ def subsample_and_refit(
                 raise LabelingError(f"label oracle failed on index {idx}") from err
         y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
         labels_queried = len(distinct)
-    report = fit_weighted_mle(Dataset(data.X[drawn], y, data.K), sub.weights)
+    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights)
     return PipelineResult(
         subsample=sub,
         beta_bar=report.beta,

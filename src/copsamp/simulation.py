@@ -11,15 +11,18 @@ generated clean test set of the same atom counts.
 
 All rows at an atom share the same features, so the spec holds one
 table of (atom, label) cells and a replica is a column of cell indices.
-No replica is expanded to rows. Per cell: probe members fit per-shard
+No replica is expanded to rows. Per cell: the probe members are one
+batched fit (:func:`copsamp.solver.fit_weighted_batch`) of the shards'
 cell counts, test regret weighs per-cell losses by the test counts, and
 every score and every method's plan is made over the six cells with
-the sampling replica's cell counts as multiplicities. Per row: the
-replica columns themselves, the probe's shard permutation, and the
-draw, which :func:`copsamp.sampler.subsample_and_refit` makes over the
+the sampling replica's cell counts as multiplicities. The methods'
+refits are a second batched fit on the cells, each with its drawn
+rows' weights ``1/pi_reweight`` summed per cell. Per row: the replica
+columns themselves, the probe's shard permutation, and each method's
+draw, which :func:`copsamp.sampler.draw_subsample` makes over the
 sampling column's source rows, so it picks the rows a row-level plan
-would. The refit reads the drawn rows' cells. A test rebuilds the trial
-from the row-level public functions and checks that both agree.
+would. A test rebuilds the trial from the row-level public functions
+and checks that both agree.
 
 A trial builds its replicas, ensemble and scores once and runs every
 method on them, so comparisons within a trial are paired by
@@ -45,8 +48,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from copsamp.model import Coefficients, Dataset, _loss_sum
-from copsamp.sampler import SamplingConfig, _check_integer, plan_scores, subsample_and_refit
-from copsamp.solver import fit_weighted_mle
+from copsamp.sampler import (
+    SamplingConfig,
+    _check_integer,
+    draw_subsample,
+    make_plan,
+    plan_scores,
+)
+from copsamp.solver import fit_weighted_batch
 from copsamp.uncertainty import ProbeEnsemble, shard_indices
 
 __all__ = [
@@ -216,16 +225,23 @@ class ExperimentReport:
 
 
 def _replica_cells(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarray:
-    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``."""
+    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``.
+
+    One uniform draw per row, in row order; the rows of atom ``a`` are
+    the ``counts[a]`` after those of the atoms before it.
+    """
     logits = spec.atom_x @ spec.beta_star[0]
     if corrupted:
         logits = logits + spec.zeta
     # exp overflows to inf below a logit of about -709, where p is 0 anyway
     with np.errstate(over="ignore"):
         p_atom = 1.0 / (1.0 + np.exp(-logits))
-    cell = np.repeat(np.arange(0, 2 * p_atom.size, 2), spec.counts)
-    rng = np.random.default_rng(seed)
-    cell += rng.random(cell.size) < np.repeat(p_atom, spec.counts)
+    u = np.random.default_rng(seed).random(int(spec.counts.sum()))
+    cell = np.empty(u.size, dtype=int)
+    stop = np.cumsum(spec.counts)
+    for a, (start, end) in enumerate(zip(stop - spec.counts, stop)):
+        np.less(u[start:end], p_atom[a], out=cell[start:end])
+        cell[start:end] += 2 * a
     return cell
 
 
@@ -265,10 +281,13 @@ def run_trial(
 
     The trial's datasets, ensemble and scores are built once and shared
     by every method, so comparisons within a trial are paired by
-    construction; only the draw seed is method-specific.
+    construction; only the draw seed is method-specific. The members are
+    fitted as one batch and the refits as another, so a fit that raises
+    fails the whole trial.
     """
     cells = spec.cells
     sampling = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True)
+    counts = np.bincount(sampling, minlength=cells.n)
     test_counts = np.bincount(
         _replica_cells(spec, derive_seed(seed, "test"), corrupted=False), minlength=cells.n)
     uniform = np.ones(cells.n)
@@ -277,10 +296,11 @@ def run_trial(
         # each member's fit to its shard's cell counts is the row-level fit
         probe = _replica_cells(spec, derive_seed(seed, "probe"), corrupted=True)
         M = spec.probe_members
-        members = np.stack([
-            fit_weighted_mle(cells, np.bincount(probe[idx], minlength=cells.n).astype(float)).beta
+        shard_counts = np.stack([
+            np.bincount(probe[idx], minlength=cells.n)
             for idx in shard_indices(probe.size, M, derive_seed(seed, "shards"))
         ])
+        members = np.stack([fit.beta for fit in fit_weighted_batch(cells, shard_counts)])
         ensemble = ProbeEnsemble(members, probe_size=probe.size // M)
         del probe  # freed before the methods run, which read only the members
         # a label-free score is its atom's, shared by both of its cells
@@ -288,14 +308,23 @@ def run_trial(
         scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")
         scores[False] = np.repeat(u_atom, 2)
 
-    results = []
-    for method in spec.methods:
+    # each method's refit on its drawn rows is the fit on the cells with the
+    # drawn weights summed per cell; without-label methods only ever read
+    # labels of the drawn rows, so the stored labels act as the label oracle
+    # of the active pipeline
+    cell_weights = np.empty((len(spec.methods), cells.n))
+    for m, method in enumerate(spec.methods):
         u = uniform if method.scheme == "uniform" else scores[method.with_labels]
         config = spec.sampling_config(method, derive_seed(seed, "draw", method.id))
-        # without-label methods only ever read labels of the drawn rows, so the
-        # stored labels act as the label oracle of the active pipeline
-        beta_bar = subsample_and_refit(cells, u, config, rows=sampling).beta_bar
-        errs = np.abs(np.asarray(beta_bar) - spec.beta_star).reshape(-1)
+        plan = make_plan(u, config, counts)
+        sub = draw_subsample(plan, sampling.size, config.subsample_size, config.seed, sampling)
+        cell_weights[m] = np.bincount(sampling[sub.indices], weights=sub.weights,
+                                      minlength=cells.n)
+
+    results = []
+    for method, refit in zip(spec.methods, fit_weighted_batch(cells, cell_weights)):
+        beta_bar = refit.beta
+        errs = np.abs(beta_bar - spec.beta_star).reshape(-1)
         results.append(TrialResult(
             method_id=method.id,
             case=case,

@@ -1,5 +1,12 @@
 """Damped-Newton fitting of softmax regression, plain and inverse-probability weighted.
 
+One Newton loop runs over a leading batch axis: :func:`fit_weighted_batch`
+fits B weight vectors on one shared design at once, each with its own
+stop test, step halving and :class:`FitReport`, and
+:func:`fit_weighted_mle` is its one-element case. Batching saves the
+per-iteration Python overhead that dominates fits on a few rows, such
+as the simulation's probe members and refits on its six cells.
+
 The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
@@ -10,7 +17,8 @@ weighted class-major score vectors against ``X`` (see
 mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
-is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. Each
+is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix; for a
+batch, each block of rows is one GEMM for all of its elements. Each
 Newton step solves ``(H + ridge * I) step = grad`` with numpy's LU
 solve. A Cholesky factorization of the same matrix decides only whether
 it is positive definite: when it fails, the step is counted in
@@ -37,10 +45,12 @@ from copsamp.model import (
     information,
 )
 
-__all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_mle"]
+__all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_batch", "fit_weighted_mle"]
 
 #: halvings of a Newton step before the fit stops as numerically stationary
 STEP_HALVING_MAX = 30
+#: a predicted decrease up to this fraction of the loss is below the line search's resolution
+NEGLIGIBLE_ULPS = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -77,30 +87,142 @@ class FitReport:
     cholesky_fallbacks: int = 0
 
 
-def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> float:
+def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     return _loss_sum(beta, data.X, data.y, w) / data.n
 
 
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
-    """Gradient of the weighted mean loss w.r.t. vec(beta), shape (K*d,).
+    """Gradients of the weighted mean losses w.r.t. vec(beta), shape (B, K*d).
 
-    One ``(K, n) @ (n, d)`` GEMM of the weighted class-major score vectors
-    against ``X``.
+    Per element one ``(K, n) @ (n, d)`` GEMM of the weighted class-major
+    score vectors against ``X``.
     """
     S = _residuals(beta, data.X, data.y)
-    S *= w
+    S *= w[:, None, :]
     grad_mat = -(S @ data.X) / data.n
-    return grad_mat.reshape(-1)
+    return grad_mat.reshape(len(beta), -1)
 
 
-def _newton_solve(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve ``H step = g``; the flag is True when ``H`` is not positive definite."""
+def _not_positive_definite(H: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``H``, True when its Cholesky factorization fails."""
     try:
         cholesky(H)
-        fell_back = False
+        return np.zeros(len(H), dtype=bool)
     except LinAlgError:
-        fell_back = True
-    return np.linalg.solve(H, g), fell_back
+        pass  # some matrix failed: find which, one at a time
+    failed = np.zeros(len(H), dtype=bool)
+    for b, h in enumerate(H):
+        try:
+            cholesky(h)
+        except LinAlgError:
+            failed[b] = True
+    return failed
+
+
+def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
+    """What is wrong with the first bad row of ``weights``, or None if none is.
+
+    A row is bad when an entry is negative or not finite, when it is all
+    zero, or when its positive-weight samples cover fewer than two
+    distinct classes; the message is the first of these that holds.
+    """
+    invalid = ~np.all(np.isfinite(weights) & (weights >= 0), axis=1)
+    with np.errstate(invalid="ignore"):  # a bad row may sum inf and -inf
+        zero = weights.sum(axis=1) == 0
+    # (B, n) @ (n, K + 1) boolean product: which classes have positive weight
+    present = (weights > 0) @ (y[:, None] == np.arange(K + 1))
+    bad = invalid | zero | (present.sum(axis=1) < 2)
+    if not bad.any():
+        return None
+    b = int(np.argmax(bad))
+    if invalid[b]:
+        return "weights must be finite and nonnegative"
+    if zero[b]:
+        return "weights must not be all zero"
+    return "need samples of at least 2 distinct classes"
+
+
+def fit_weighted_batch(
+    data: Dataset,
+    weights: np.ndarray,
+    config: FitConfig = FitConfig(),
+) -> list[FitReport]:
+    """Fit one weighted objective per row of ``weights`` on the one design ``data``.
+
+    Row ``b`` of the ``(B, n)`` array ``weights`` gives the fit that
+    :func:`fit_weighted_mle` would make with those weights, up to the
+    rounding of the batched information GEMM, and its own
+    :class:`FitReport`: each element has its own convergence test, step
+    halving, iteration count and Cholesky fallbacks. An element leaves
+    the batch when it converges or its line search fails, and each
+    round of the line search evaluates only the elements still
+    searching. A bad row raises the ``ValueError`` that
+    :func:`fit_weighted_mle` raises for it, for the first bad row.
+    """
+    if not data.labeled:
+        raise ValueError("fitting requires labels")
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != data.n or len(weights) == 0:
+        raise ValueError(f"weights has shape {weights.shape}, expected (B, {data.n})")
+    error = _weights_error(data.y, data.K, weights)
+    if error is not None:
+        raise ValueError(error)
+
+    # Mean-one rescaling keeps conditioning and stop criteria independent
+    # of the caller's weight scale; the argmin is unchanged.
+    w = weights * (data.n / weights.sum(axis=1))[:, None]
+    B, K, d = len(w), data.K, data.d
+    beta = np.zeros((B, K, d))
+    loss = _objective(beta, data, w)
+    iterations = np.zeros(B, dtype=int)
+    fallbacks = np.zeros(B, dtype=int)
+    eye = np.eye(K * d)
+    active = np.arange(B)  # elements still iterating
+
+    for _ in range(config.max_iters):
+        g = _gradient(beta[active], data, w[active])
+        moving = np.abs(g).max(axis=1) > config.grad_tol
+        active, g = active[moving], g[moving]
+        if active.size == 0:
+            break
+        H = information(beta[active], data.X, w[active]) + config.ridge * eye
+        fell_back = _not_positive_definite(H)
+        step = np.linalg.solve(H, g[:, :, None])
+        fallbacks[active] += fell_back
+        # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is
+        # below the line search's resolution: the whole step is taken
+        decrease = 0.5 * (g[:, None, :] @ step)[:, 0, 0]
+        negligible = ~fell_back & (decrease <= NEGLIGIBLE_ULPS * loss[active])
+        step = step.reshape(-1, K, d)
+        iterations[active] += 1
+        # the elements still searching have all halved their steps equally often
+        t, pending = 1.0, active
+        for _ in range(STEP_HALVING_MAX + 1):
+            candidate = beta[pending] - t * step
+            candidate_loss = _objective(candidate, data, w[pending])
+            taken = (candidate_loss < loss[pending]) | negligible
+            beta[pending[taken]] = candidate[taken]
+            loss[pending[taken]] = candidate_loss[taken]
+            if taken.all():
+                break
+            pending, step, negligible = pending[~taken], step[~taken], negligible[~taken]
+            t *= 0.5
+        else:  # no descent at the smallest step: numerically stationary
+            active = np.setdiff1d(active, pending, assume_unique=True)
+
+    final_grad_norm = np.abs(_gradient(beta, data, w)).max(axis=1)
+    final_loss = _objective(beta, data, weights)
+    return [
+        FitReport(
+            beta=beta[b],
+            iterations=int(iterations[b]),
+            final_grad_norm=float(final_grad_norm[b]),
+            converged=bool(final_grad_norm[b] <= config.grad_tol),
+            final_loss=float(final_loss[b]),
+            cholesky_fallbacks=int(fallbacks[b]),
+        )
+        for b in range(B)
+    ]
 
 
 def fit_weighted_mle(
@@ -113,67 +235,13 @@ def fit_weighted_mle(
     Non-convergence within ``max_iters`` is reported via
     ``converged=False``, never silently. Raises ``ValueError`` on
     negative/all-zero weights or if the positive-weight samples cover
-    fewer than two distinct classes.
+    fewer than two distinct classes. The one-element case of
+    :func:`fit_weighted_batch`.
     """
-    if not data.labeled:
-        raise ValueError("fitting requires labels")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.n,):
         raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite and nonnegative")
-    total = weights.sum()
-    if total == 0:
-        raise ValueError("weights must not be all zero")
-    if np.unique(data.y[weights > 0]).size < 2:
-        raise ValueError("need samples of at least 2 distinct classes")
-
-    # Mean-one rescaling keeps conditioning and stop criteria independent
-    # of the caller's weight scale; the argmin is unchanged.
-    w = weights * (data.n / total)
-    K, d = data.K, data.d
-    beta = np.zeros((K, d))
-    loss = _objective(beta, data, w)
-    iterations = 0
-    fallbacks = 0
-    eye = np.eye(K * d)
-
-    for _ in range(config.max_iters):
-        g = _gradient(beta, data, w)
-        grad_norm = float(np.abs(g).max())
-        if grad_norm <= config.grad_tol:
-            break
-        H = information(beta, data.X, w) + config.ridge * eye
-        step, fell_back = _newton_solve(H, g)
-        fallbacks += fell_back
-        # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is
-        # below the line search's resolution: the whole step is taken
-        negligible = not fell_back and 0.5 * (g @ step) <= 8 * np.finfo(float).eps * loss
-        step = step.reshape(K, d)
-        t = 1.0
-        accepted = False
-        for _ in range(STEP_HALVING_MAX + 1):
-            candidate = beta - t * step
-            candidate_loss = _objective(candidate, data, w)
-            if candidate_loss < loss or negligible:
-                beta, loss = candidate, candidate_loss
-                accepted = True
-                break
-            t *= 0.5
-        iterations += 1
-        if not accepted:
-            # No descent at the smallest step: numerically stationary.
-            break
-
-    final_grad_norm = float(np.abs(_gradient(beta, data, w)).max())
-    return FitReport(
-        beta=beta,
-        iterations=iterations,
-        final_grad_norm=final_grad_norm,
-        converged=final_grad_norm <= config.grad_tol,
-        final_loss=_objective(beta, data, weights),
-        cholesky_fallbacks=fallbacks,
-    )
+    return fit_weighted_batch(data, weights[None], config)[0]
 
 
 def fit_mle(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:

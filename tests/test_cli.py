@@ -348,6 +348,13 @@ class TestSample:
         scores.write_text("index,u\n0,1.0\n")
         assert run(["sample", scores, "--r", 0]) == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("index,u\n0,1.0\n")
+        assert run(["sample", scores, "--r", 1, "--seed", -1, "--out", tmp_path / "sub"]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sub*"))
+
     def test_byte_identical_reruns(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("index,u\n" + "\n".join(f"{i},{(i % 7) + 0.5}" for i in range(40)) + "\n")

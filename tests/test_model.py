@@ -315,6 +315,15 @@ class TestInformation:
         assert m.shape == (K * d, K * d)
         npt.assert_array_equal(m, m.T)
         assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # a (B, K, d) stack on the same rows, with (B, n) weights if weighted
+        betas = np.stack([beta, rng.normal(scale=0.8, size=(K, d)), np.zeros((K, d))])
+        ws = None if w is None else np.stack([w, rng.uniform(0.0, 3.0, size=300), w[::-1]])
+        stack = information(betas, X, ws)
+        assert stack.shape == (3, K * d, K * d)
+        for b in range(3):
+            oracle = mean_kron_hessian(betas[b], X, None if ws is None else ws[b])
+            npt.assert_array_equal(stack[b], stack[b].T)
+            assert np.abs(stack[b] - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 37, 1])
     @pytest.mark.parametrize("K", [1, 3])
@@ -328,6 +337,13 @@ class TestInformation:
         for weights in (None, w):
             m = information(beta, X, weights)
             oracle = mean_kron_hessian(beta, X, weights)
+            npt.assert_array_equal(m, m.T)
+            assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
+        # a (B, K, d) stack with (B, n) weights, block by block
+        betas = np.stack([beta, -beta])
+        ws = np.stack([w, rng.uniform(0.0, 3.0, size=n)])
+        for b, m in enumerate(information(betas, X, ws)):
+            oracle = mean_kron_hessian(betas[b], X, ws[b])
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -348,6 +364,8 @@ class TestInformation:
     def test_weights_length_rejected(self):
         with pytest.raises(ValueError):
             information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
+        with pytest.raises(ValueError):  # one weight row per stacked beta
+            information(np.zeros((2, 1, 2)), np.ones((3, 2)), np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("K", [1, 3])

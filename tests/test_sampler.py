@@ -16,7 +16,7 @@ from copsamp.sampler import (
     subsample_and_refit,
     subsample_objective,
 )
-from copsamp.solver import fit_weighted_mle
+from copsamp.solver import fit_weighted_batch, fit_weighted_mle
 from copsamp.selfcheck import random_plan_gaps
 from copsamp.uncertainty import ensemble_scores, train_ensemble
 from helpers import constant_ensemble, synthetic
@@ -419,18 +419,31 @@ class TestPipelines:
         rows = rng.integers(0, table.n, 500)
         return table, rows, rng.uniform(0.0, 3.0, table.n)
 
+    @staticmethod
+    def cell_refit(table, rows, u, config):
+        """The simulation's refit: plan over the table, draw source rows, refit on the table."""
+        plan = make_plan(u, config, np.bincount(rows, minlength=table.n))
+        sub = draw_subsample(plan, rows.size, config.subsample_size, config.seed, rows)
+        weights = np.bincount(rows[sub.indices], weights=sub.weights, minlength=table.n)
+        [fit] = fit_weighted_batch(table, weights[None])
+        return plan, sub, fit
+
     @pytest.mark.parametrize("alpha", [None, 3.0])
     def test_table_with_rows_matches_expanded_rows(self, alpha):
         table, rows, u = self.table_and_rows()
         config = cfg(subsample_size=80, seed=9, score_transform="sqrt", alpha_multiplier=alpha)
-        compact = subsample_and_refit(table, u, config, rows=rows)
+        plan, sub, compact = self.cell_refit(table, rows, u, config)
         expanded = subsample_and_refit(table.subset(rows), u[rows], config)
-        npt.assert_array_equal(compact.subsample.indices, expanded.subsample.indices)
-        npt.assert_allclose(compact.subsample.weights, expanded.subsample.weights, rtol=1e-14)
-        npt.assert_allclose(compact.beta_bar, expanded.beta_bar, rtol=1e-12, atol=1e-12)
-        assert compact.plan.pi.shape == (table.n,)
+        npt.assert_array_equal(sub.indices, expanded.subsample.indices)
+        npt.assert_allclose(sub.weights, expanded.subsample.weights, rtol=1e-14)
+        row_level = fit_weighted_mle(table.subset(rows[sub.indices]), sub.weights)
+        npt.assert_allclose(compact.beta, row_level.beta, rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(compact.beta, expanded.beta_bar, rtol=1e-12, atol=1e-12)
+        assert plan.pi.shape == (table.n,)
 
     def test_oracle_sees_source_rows(self):
+        # the table's labels at the drawn rows' entries are what a label oracle
+        # over the source rows answers, so the cell refit is the active pipeline's
         table, rows, u = self.table_and_rows(seed=5)
         config = cfg(subsample_size=40, seed=2, score_transform="sqrt")
         asked = []
@@ -439,11 +452,11 @@ class TestPipelines:
             asked.append(i)
             return int(table.y[rows[i]])
 
-        queried = subsample_and_refit(Dataset(table.X, None, 2), u, config, oracle, rows=rows)
-        expanded = subsample_and_refit(table.subset(rows), u[rows], config)
-        npt.assert_array_equal(queried.subsample.indices, expanded.subsample.indices)
-        npt.assert_allclose(queried.beta_bar, expanded.beta_bar, rtol=1e-12, atol=1e-12)
-        assert sorted(asked) == np.unique(expanded.subsample.indices).tolist()
+        _, sub, compact = self.cell_refit(table, rows, u, config)
+        queried = subsample_and_refit(Dataset(table.X[rows], None, 2), u[rows], config, oracle)
+        npt.assert_array_equal(sub.indices, queried.subsample.indices)
+        npt.assert_allclose(compact.beta, queried.beta_bar, rtol=1e-12, atol=1e-12)
+        assert sorted(asked) == np.unique(sub.indices).tolist()
 
     @pytest.mark.parametrize("rows", [
         np.array([0, 12]),  # past the 12 table rows
@@ -454,8 +467,9 @@ class TestPipelines:
     ])
     def test_bad_rows_rejected(self, rows):
         table, _, u = self.table_and_rows()
-        with pytest.raises(ValueError):
-            subsample_and_refit(table, u, cfg(), rows=rows)
+        plan = make_plan(u, cfg())
+        with pytest.raises(ValueError, match="rows"):
+            draw_subsample(plan, np.size(rows), 5, 0, rows=rows)
 
     def test_unlabeled_without_oracle_rejected(self):
         data, _ = synthetic(9, 100, 1, 2)

@@ -4,7 +4,6 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import copsamp.sampler as sampler
 import copsamp.simulation as sim
 from copsamp.model import Dataset
 from copsamp.sampler import SamplingConfig, subsample_and_refit
@@ -132,15 +131,19 @@ class TestGenerateDataset:
         atom = np.repeat(np.arange(3), spec.counts)
         logits = spec.atom_x @ spec.beta_star[0] + (spec.zeta if corrupted else 0.0)
         p = 1.0 / (1.0 + np.exp(-logits))
-        for seed in (0, 7, derive_seed(1, "sampling")):
+        for seed in (0, 7, derive_seed(1, "sampling"), derive_seed(2, "probe")):
             data = generate_dataset(spec, seed, corrupted)
-            y = (np.random.default_rng(seed).random(atom.size) < p[atom]).astype(int)
+            u = np.random.default_rng(seed).random(atom.size)
+            y = (u < p[atom]).astype(int)
             npt.assert_array_equal(data.X, spec.atom_x[atom])
             npt.assert_array_equal(data.y, y)
             assert data.y.dtype == y.dtype
+            # the column drawn atom by atom is the one-shot np.repeat formula
             cells = sim._replica_cells(spec, seed, corrupted)
-            npt.assert_array_equal(np.bincount(cells, minlength=6),
-                                   np.bincount(2 * atom + y, minlength=6))
+            formula = np.repeat(np.arange(0, 6, 2), spec.counts)
+            formula += u < np.repeat(p, spec.counts)
+            npt.assert_array_equal(cells, formula)
+            assert cells.dtype == formula.dtype
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -272,20 +275,20 @@ class TestRunTrial:
         paired = run_trial(small_spec(methods=PAPER_METHODS), seed)
         assert single == paired[PAPER_METHODS.index(alone)]
 
-        calls = {"_replica_cells": 0, "fit_weighted_mle": 0}
+        replicas = []  # the sampling, test and probe replicas
+        batches = []  # the size of each batched fit: the probe members, then the refits
+        real_cells, real_batch = sim._replica_cells, sim.fit_weighted_batch
 
-        def counted(module, name):
-            real = getattr(module, name)
+        def cells(*args, **kwargs):
+            replicas.append(args)
+            return real_cells(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
+        def batch(data, weights, *args, **kwargs):
+            batches.append(len(weights))
+            return real_batch(data, weights, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(sim, "_replica_cells")  # the sampling, test and probe replicas
-        counted(sim, "fit_weighted_mle")  # the probe members
-        counted(sampler, "fit_weighted_mle")  # each method's refit
+        monkeypatch.setattr(sim, "_replica_cells", cells)
+        monkeypatch.setattr(sim, "fit_weighted_batch", batch)
         for methods, probe_members in (
             ([Method("uniform")], 10),
             ([alone], 10),
@@ -294,13 +297,14 @@ class TestRunTrial:
             (PAPER_METHODS, 3),
         ):
             spec = small_spec(methods=methods, probe_members=probe_members)
-            calls.update(_replica_cells=0, fit_weighted_mle=0)
+            replicas.clear()
+            batches.clear()
             rows = run_trial(spec, seed)
             uniform_only = all(method.scheme == "uniform" for method in methods)
             assert len(rows) == len(methods)
-            assert calls["_replica_cells"] == (2 if uniform_only else 3)
-            assert calls["fit_weighted_mle"] == (
-                len(methods) + (0 if uniform_only else probe_members))
+            assert len(replicas) == (2 if uniform_only else 3)
+            assert sum(batches) == len(methods) + (0 if uniform_only else probe_members)
+            assert batches == ([] if uniform_only else [probe_members]) + [len(methods)]
 
 
 class TestRunExperiment:
@@ -346,23 +350,39 @@ class TestRunExperiment:
         assert len(report.rows) == 2
 
     def test_failures_recorded_not_fatal(self, monkeypatch):
-        # one method's refit fails in trial 1, so the whole trial fails:
+        # one method's draw fails in trial 1, so the whole trial fails:
         # one failure entry per method, trial 0's rows stay as they were
         spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])
         clean = run_experiment(spec)
         bad_draw = derive_seed(derive_seed(spec.seed, "base", 1), "draw", "cops-vanilla-withY")
-        real = sim.subsample_and_refit
+        real = sim.draw_subsample
 
-        def flaky(data, u, config, *args, **kw):
-            if config.seed == bad_draw:
+        def flaky(plan, data_len, r, seed, *args, **kw):
+            if seed == bad_draw:
                 raise RuntimeError("synthetic failure")
-            return real(data, u, config, *args, **kw)
+            return real(plan, data_len, r, seed, *args, **kw)
 
-        monkeypatch.setattr(sim, "subsample_and_refit", flaky)
+        monkeypatch.setattr(sim, "draw_subsample", flaky)
         report = run_experiment(spec)
         assert [(f["trial_index"], f["method_id"]) for f in report.failures] == [
             (1, "uniform"), (1, "cops-vanilla-withY")]
         assert {f["error"] for f in report.failures} == {"RuntimeError: synthetic failure"}
+        assert report.rows == [row for row in clean.rows if row.trial_index == 0]
+
+        # one method's refit fails inside the batched refit: the same, with the
+        # message the method's fit alone would raise
+        def negative_weights(plan, data_len, r, seed, *args, **kw):
+            sub = real(plan, data_len, r, seed, *args, **kw)
+            if seed == bad_draw:
+                sub.weights = -sub.weights
+            return sub
+
+        monkeypatch.setattr(sim, "draw_subsample", negative_weights)
+        report = run_experiment(spec)
+        assert [(f["trial_index"], f["method_id"]) for f in report.failures] == [
+            (1, "uniform"), (1, "cops-vanilla-withY")]
+        assert {f["error"] for f in report.failures} == {
+            "ValueError: weights must be finite and nonnegative"}
         assert report.rows == [row for row in clean.rows if row.trial_index == 0]
 
     def test_threaded_matches_sequential(self):

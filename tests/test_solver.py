@@ -12,9 +12,9 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from copsamp import solver
-from copsamp.model import Dataset, dataset_loss
+from copsamp.model import Dataset, _loss_sum, _residuals, dataset_loss, information
 from copsamp.simulation import SimulationSpec, generate_dataset
-from copsamp.solver import FitConfig, fit_mle, fit_weighted_mle
+from copsamp.solver import FitConfig, fit_mle, fit_weighted_batch, fit_weighted_mle
 from helpers import synthetic
 
 
@@ -134,6 +134,150 @@ def test_weighted_fit_minimizes_weighted_loss():
     for _ in range(20):
         perturbed = rep.beta + rng.normal(scale=0.05, size=rep.beta.shape)
         assert dataset_loss(perturbed, data, w) >= base - 1e-12
+
+
+def reference_fit(data, weights, config=FitConfig()):
+    """The one-at-a-time damped-Newton loop on (K, d) coefficients, step by step.
+
+    The reference of the batched solver: the same stop test, step solve,
+    Cholesky test, negligible-decrease rule and step halving, written for
+    one weight vector with scalar losses.
+    """
+    w = weights * (data.n / weights.sum())
+
+    def objective(beta, weights):
+        return float(_loss_sum(beta, data.X, data.y, weights)) / data.n
+
+    def gradient(beta):
+        S = _residuals(beta, data.X, data.y) * w
+        return (-(S @ data.X) / data.n).reshape(-1)
+
+    K, d = data.K, data.d
+    beta, iterations, fallbacks = np.zeros((K, d)), 0, 0
+    loss = objective(beta, w)
+    for _ in range(config.max_iters):
+        g = gradient(beta)
+        if np.abs(g).max() <= config.grad_tol:
+            break
+        H = information(beta, data.X, w) + config.ridge * np.eye(K * d)
+        try:
+            solver.cholesky(H)
+            fell_back = False
+        except LinAlgError:
+            fell_back = True
+        step = np.linalg.solve(H, g)
+        fallbacks += fell_back
+        negligible = not fell_back and 0.5 * (g @ step) <= 8 * np.finfo(float).eps * loss
+        t, accepted = 1.0, False
+        for _ in range(solver.STEP_HALVING_MAX + 1):
+            candidate = beta - t * step.reshape(K, d)
+            candidate_loss = objective(candidate, w)
+            if candidate_loss < loss or negligible:
+                beta, loss, accepted = candidate, candidate_loss, True
+                break
+            t *= 0.5
+        iterations += 1
+        if not accepted:
+            break
+    grad_norm = float(np.abs(gradient(beta)).max())
+    return solver.FitReport(beta, iterations, grad_norm, grad_norm <= config.grad_tol,
+                            objective(beta, weights), fallbacks)
+
+
+def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
+    # the solver fixtures above; fit_weighted_mle is the batch of one
+    cases = []
+    for seed, n, K, d in ((1, 2000, 3, 4), (2, 500, 2, 3), (4, 600, 2, 3), (5, 500, 1, 3),
+                          (8, 500, 2, 4), (9, 50, 1, 2), (10, 300, 1, 2), (13, 600, 2, 3)):
+        data, _ = synthetic(seed, n, K, d)
+        w = np.random.default_rng(seed).uniform(0.2, 3.0, size=n)
+        for weights in (np.ones(n), 7.3 * np.ones(n), w, 1e6 * w):
+            for config in (FitConfig(), FitConfig(max_iters=2, grad_tol=1e-14)):
+                cases.append((data, weights, config))
+
+    def check():
+        for data, weights, config in cases:
+            fit, ref = fit_weighted_mle(data, weights, config), reference_fit(data, weights, config)
+            npt.assert_array_equal(fit.beta, ref.beta)
+            assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
+                    fit.cholesky_fallbacks) == (ref.iterations, ref.final_grad_norm,
+                                                ref.converged, ref.final_loss,
+                                                ref.cholesky_fallbacks)
+
+    check()
+
+    def failing_cholesky(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(solver, "cholesky", failing_cholesky)
+    check()
+
+
+def test_batch_matches_one_at_a_time(monkeypatch):
+    # four weight vectors on one design: two converge in 5 steps, one needs 7
+    # and stops unconverged at max_iters=6, and one weights only rows with
+    # |x_2| < 0.05, whose Hessian is near singular along x_2
+    data, _ = synthetic(14, 400, 2, 3)
+    rng = np.random.default_rng(14)
+    weights = np.stack([
+        np.ones(data.n),
+        rng.uniform(0.2, 3.0, size=data.n),
+        np.exp(3 * rng.normal(size=data.n)),
+        (np.abs(data.X[:, 2]) < 0.05).astype(float),
+    ])
+    # a Hessian counts as not positive definite below a margin of 1e-3, which
+    # only the near-singular element's Hessians fall under
+    monkeypatch.setattr(solver, "cholesky",
+                        lambda H: np.linalg.cholesky(H - 1e-3 * np.eye(H.shape[-1])))
+
+    def batch_and_alone(config):
+        batch = fit_weighted_batch(data, weights, config)
+        alone = [fit_weighted_mle(data, w, config) for w in weights]
+        for fit, ref in zip(batch, alone, strict=True):
+            assert (fit.iterations, fit.converged, fit.cholesky_fallbacks) == (
+                ref.iterations, ref.converged, ref.cholesky_fallbacks)
+            assert np.abs(fit.beta - ref.beta).max() <= 1e-12 * np.abs(ref.beta).max()
+            assert abs(fit.final_loss - ref.final_loss) <= 1e-12 * ref.final_loss
+            # gradients of the mean-one objective start at order one
+            assert abs(fit.final_grad_norm - ref.final_grad_norm) <= 1e-12
+        return batch
+
+    batch = batch_and_alone(FitConfig(max_iters=6))
+    assert [fit.iterations for fit in batch] == [5, 5, 6, 6]
+    assert [fit.converged for fit in batch] == [True, True, False, True]
+    assert [fit.cholesky_fallbacks for fit in batch] == [0, 0, 0, 6]
+    # with the Hessians shrunk, full Newton steps overshoot: each element
+    # halves its step as often as its own loss asks
+    real_information = solver.information
+    monkeypatch.setattr(solver, "information", lambda *a: 0.3 * real_information(*a))
+    batch_and_alone(FitConfig(max_iters=20))
+
+
+@pytest.mark.parametrize("bad", ["negative", "not finite", "all zero", "one class"])
+def test_batch_raises_the_first_bad_rows_error(bad):
+    # the message is the one the fit of that row alone raises, whatever the
+    # later rows hold, so a trial's recorded failure text does not depend on
+    # batching
+    data, _ = synthetic(9, 50, 1, 2)
+    rows = {
+        "negative": np.where(np.arange(data.n) == 3, -1.0, 1.0),
+        "not finite": np.where(np.arange(data.n) == 3, np.inf, 1.0),
+        "all zero": np.zeros(data.n),
+        "one class": (data.y == 1).astype(float),
+    }
+    with pytest.raises(ValueError) as alone:
+        fit_weighted_mle(data, rows[bad])
+    later = [rows[kind] for kind in rows if kind != bad]
+    with pytest.raises(ValueError) as batched:
+        fit_weighted_batch(data, np.stack([np.ones(data.n), rows[bad], *later]))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_batch_shape_rejected():
+    data, _ = synthetic(9, 50, 1, 2)
+    for weights in (np.ones(data.n), np.ones((2, data.n - 1)), np.ones((0, data.n))):
+        with pytest.raises(ValueError, match="shape"):
+            fit_weighted_batch(data, weights)
 
 
 ATOM_DESIGN = dict(
