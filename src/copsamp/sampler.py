@@ -16,7 +16,10 @@ sampling distribution is proportional to the square root of the trace
 scores; ``identity`` reproduces sampling by the raw scores.
 
 Draws are with replacement (r independent categorical draws), which is
-what the 1/r variance analysis of the weighted estimator presumes.
+what the 1/r variance analysis of the weighted estimator presumes. A
+draw is ``Generator.choice``'s inverse-CDF search, run in place on one
+cumulative sum of the probabilities, so a seed picks the rows ``choice``
+would pick, bit for bit.
 
 Where many rows are copies of a few distinct ones, a plan can be made
 over the distinct rows alone: ``make_plan(u, config, counts)`` takes one
@@ -203,25 +206,39 @@ def draw_subsample(
     ``rows``, when given, maps each of the ``data_len`` source rows to its
     entry of a plan made with counts; the draw still runs over the source
     rows, so it returns the source rows the expanded plan would draw.
+
+    The draw is ``np.random.default_rng(seed).choice(data_len, r, p=...)``
+    bit for bit: the same inverse-CDF search on the same uniforms. The
+    distribution is checked on the plan's entries and on the running total
+    the search builds anyway, not row by row as ``choice`` checks it.
     """
-    if np.any(np.isnan(plan.pi)):
+    _check_integer("r", r, 1)
+    pi = np.asarray(plan.pi, dtype=float)
+    if pi.ndim != 1 or pi.size == 0:
+        raise ValueError("sampling distribution must be a nonempty 1-d array")
+    if np.any(np.isnan(pi)):
         raise ValueError("sampling distribution contains NaN")
-    pi = plan.pi
-    if rows is not None:
+    if np.any(pi < 0):
+        raise ValueError("sampling distribution has a negative entry")
+    if rows is None:
+        cdf = np.cumsum(pi)
+    else:
         rows = np.asarray(rows)
         bad = f"rows must be a nonempty 1-d integer column of entries of the {pi.size}-entry plan"
         if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size == 0 or rows.min() < 0:
             raise ValueError(bad)
         try:
-            pi = pi[rows]
+            cdf = pi[rows]
         except IndexError:
             raise ValueError(bad) from None
-    if pi.shape != (data_len,):
-        raise ValueError(f"plan covers {pi.shape[0]} rows, data has {data_len}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    rng = np.random.default_rng(seed)
-    indices = rng.choice(data_len, size=r, replace=True, p=pi)
+        np.cumsum(cdf, out=cdf)
+    if cdf.shape != (data_len,):
+        raise ValueError(f"plan covers {cdf.shape[0]} rows, data has {data_len}")
+    # Generator.choice's tolerance on the total
+    if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):
+        raise ValueError(f"sampling distribution sums to {cdf[-1]!r}, not 1")
+    cdf /= cdf[-1]
+    indices = cdf.searchsorted(np.random.default_rng(seed).random(r), side="right")
     entries = indices if rows is None else rows[indices]
     return Subsample(indices=indices, weights=1.0 / plan.pi_reweight[entries])
 

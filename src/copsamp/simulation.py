@@ -17,12 +17,15 @@ cell counts, test regret weighs per-cell losses by the test counts, and
 every score and every method's plan is made over the six cells with
 the sampling replica's cell counts as multiplicities. The methods'
 refits are a second batched fit on the cells, each with its drawn
-rows' weights ``1/pi_reweight`` summed per cell. Per row: the replica
-columns themselves, the probe's shard permutation, and each method's
-draw, which :func:`copsamp.sampler.draw_subsample` makes over the
-sampling column's source rows, so it picks the rows a row-level plan
-would. A test rebuilds the trial from the row-level public functions
-and checks that both agree.
+rows' weights ``1/pi_reweight`` summed per cell. Per row: one uniform
+per row of each replica; the columns of the sampling replica (counted
+as it is written) and of the probe replica, but none for the clean test
+replica, whose cell counts come straight from its uniforms; the probe's
+shard permutation; and each method's draw, which
+:func:`copsamp.sampler.draw_subsample` makes over the sampling column's
+source rows, so it picks the rows a row-level plan would. A test
+rebuilds the trial from the row-level public functions and checks that
+both agree.
 
 A trial builds its replicas, ensemble and scores once and runs every
 method on them, so comparisons within a trial are paired by
@@ -43,6 +46,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -224,11 +228,14 @@ class ExperimentReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def _replica_cells(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarray:
-    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``.
+def _atom_uniforms(
+    spec: SimulationSpec, seed: int, corrupted: bool
+) -> tuple[np.ndarray, Iterable[tuple[float, int, int]]]:
+    """One replica's row uniforms and, per atom, its label probability and row range.
 
     One uniform draw per row, in row order; the rows of atom ``a`` are
-    the ``counts[a]`` after those of the atoms before it.
+    the ``counts[a]`` after those of the atoms before it, and a row's
+    label is ``u < p_a``.
     """
     logits = spec.atom_x @ spec.beta_star[0]
     if corrupted:
@@ -237,12 +244,37 @@ def _replica_cells(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarr
     with np.errstate(over="ignore"):
         p_atom = 1.0 / (1.0 + np.exp(-logits))
     u = np.random.default_rng(seed).random(int(spec.counts.sum()))
-    cell = np.empty(u.size, dtype=int)
     stop = np.cumsum(spec.counts)
-    for a, (start, end) in enumerate(zip(stop - spec.counts, stop)):
-        np.less(u[start:end], p_atom[a], out=cell[start:end])
+    return u, zip(p_atom, stop - spec.counts, stop)
+
+
+def _replica_cells(
+    spec: SimulationSpec, seed: int, corrupted: bool, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``.
+
+    ``counts``, when given, is a (2A,) integer array that receives the
+    number of rows of each cell as the column is written.
+    """
+    u, atoms = _atom_uniforms(spec, seed, corrupted)
+    cell = np.empty(u.size, dtype=int)
+    for a, (p, start, end) in enumerate(atoms):
+        np.less(u[start:end], p, out=cell[start:end])
+        if counts is not None:
+            counts[2 * a + 1] = np.count_nonzero(cell[start:end])
+            counts[2 * a] = end - start - counts[2 * a + 1]
         cell[start:end] += 2 * a
     return cell
+
+
+def _replica_counts(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarray:
+    """The cell counts of the replica :func:`_replica_cells` draws, without its column."""
+    u, atoms = _atom_uniforms(spec, seed, corrupted)
+    counts = np.empty(2 * spec.counts.size, dtype=int)
+    for a, (p, start, end) in enumerate(atoms):
+        counts[2 * a + 1] = np.count_nonzero(u[start:end] < p)
+        counts[2 * a] = end - start - counts[2 * a + 1]
+    return counts
 
 
 def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Dataset:
@@ -286,10 +318,9 @@ def run_trial(
     fails the whole trial.
     """
     cells = spec.cells
-    sampling = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True)
-    counts = np.bincount(sampling, minlength=cells.n)
-    test_counts = np.bincount(
-        _replica_cells(spec, derive_seed(seed, "test"), corrupted=False), minlength=cells.n)
+    counts = np.empty(cells.n, dtype=int)
+    sampling = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True, counts=counts)
+    test_counts = _replica_counts(spec, derive_seed(seed, "test"), corrupted=False)
     uniform = np.ones(cells.n)
     scores = {}  # with_labels -> per-cell scores
     if any(method.scheme != "uniform" for method in spec.methods):
@@ -340,30 +371,36 @@ def run_trial(
 _METRICS = ("param_error_l2", "regret")
 
 
-def _stats(vals: np.ndarray) -> dict[str, float]:
-    return {
-        "mean": float(vals.mean()),
-        "median": float(np.median(vals)),
-        "std": float(vals.std(ddof=0)),
-    }
-
-
 def aggregate_rows(rows: Iterable[TrialResult]) -> dict[str, dict[str, dict[str, float]]]:
-    """mean/median/std of each metric, keyed by "case/method_id"."""
+    """mean/median/std of each metric, keyed by "case/method_id".
+
+    Groups with the same trial count are reduced together, one call per
+    statistic along a contiguous trials axis. numpy sums each such row
+    pairwise, as it sums one group's 1-d column, so every figure is the
+    per-group call's bit for bit.
+    """
     grouped: dict[str, list[TrialResult]] = {}
     for row in rows:
         grouped.setdefault(f"{row.case}/{row.method_id}", []).append(row)
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for key in sorted(grouped):
+    out: dict[str, dict[str, dict[str, float]]] = {key: {} for key in sorted(grouped)}
+    metrics = attrgetter(*_METRICS)
+    shapes: dict[tuple[int, int], list[str]] = {}
+    for key in out:
         group = grouped[key]
-        out[key] = {
-            metric: _stats(np.array([getattr(row, metric) for row in group]))
-            for metric in _METRICS
-        }
-        comp = np.array([row.param_error_components for row in group])
-        for j in range(comp.shape[1]):
-            out[key][f"param_error_d{j + 1}"] = _stats(comp[:, j])
-        out[key]["trials"] = {"count": float(len(group))}
+        shapes.setdefault((len(group), len(group[0].param_error_components)), []).append(key)
+    for (trials, d), keys in shapes.items():
+        names = [*_METRICS, *(f"param_error_d{j + 1}" for j in range(d))]
+        table = np.array([  # (groups, trials, metrics)
+            [(*metrics(row), *row.param_error_components) for row in grouped[key]]
+            for key in keys
+        ])
+        table = np.ascontiguousarray(table.transpose(0, 2, 1))  # trials last, contiguous
+        mean, median, std = table.mean(axis=-1), np.median(table, axis=-1), table.std(axis=-1)
+        for g, key in enumerate(keys):
+            for m, name in enumerate(names):
+                out[key][name] = {"mean": float(mean[g, m]), "median": float(median[g, m]),
+                                  "std": float(std[g, m])}
+            out[key]["trials"] = {"count": float(trials)}
     return out
 
 

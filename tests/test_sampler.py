@@ -228,11 +228,57 @@ class TestDrawSubsample:
         sub = draw_subsample(plan, 20, 30, seed=1)
         npt.assert_allclose(sub.weights, 1.0 / plan.pi_reweight[sub.indices], rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 3, 50, 20000])
+    def test_draw_is_generator_choice(self, n):
+        # the draw is Generator.choice's, bit for bit, on the source rows
+        # themselves and through a counted plan over a shuffled column
+        rng = np.random.default_rng(n)
+        for seed in range(20):
+            r = int(rng.integers(1, 3000))
+            u = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.7)
+            u[rng.integers(n)] = 1.0
+            plan = make_plan(u, cfg())
+            expected = np.random.default_rng(seed).choice(n, r, replace=True, p=plan.pi)
+            sub = draw_subsample(plan, n, r, seed)
+            npt.assert_array_equal(sub.indices, expected)
+            assert sub.indices.dtype == expected.dtype
+
+            entries = min(n, 6)
+            rows = rng.permutation(np.arange(n) % entries)
+            counts = np.bincount(rows, minlength=entries)
+            table = rng.uniform(0.1, 1.0, entries) * (np.arange(entries) != entries // 2)
+            plan = make_plan(table if table.any() else np.ones(entries), cfg(), counts)
+            expected = np.random.default_rng(seed).choice(n, r, replace=True, p=plan.pi[rows])
+            sub = draw_subsample(plan, n, r, seed, rows)
+            npt.assert_array_equal(sub.indices, expected)
+            npt.assert_array_equal(sub.weights, 1.0 / plan.pi_reweight[rows[expected]])
+
+    def test_plan_left_unchanged(self):
+        rows = np.array([2, 0, 1, 2, 2, 0])
+        u = np.array([1.0, 2.0, 3.0])
+        for plan, n, column in ((make_plan(u, cfg(), np.bincount(rows)), rows.size, rows),
+                                (make_plan(u, cfg()), u.size, None)):
+            pi = plan.pi.copy()
+            draw_subsample(plan, n, 50, 0, column)
+            npt.assert_array_equal(plan.pi, pi)
+
     def test_nan_rejected(self):
+        # and a negative entry, an infinite one, or a total more than
+        # sqrt(eps) from 1, on the source rows and through a rows column
         plan = make_plan(np.ones(3), cfg())
-        plan.pi = np.array([0.5, np.nan, 0.5])
-        with pytest.raises(ValueError):
-            draw_subsample(plan, 3, 5, seed=0)
+        for pi in ([0.5, np.nan, 0.5], [0.6, -0.1, 0.5], [0.5, np.inf, 0.5],
+                   [0.5, 0.25, 0.25 + 1e-6]):
+            plan.pi = np.array(pi)
+            with pytest.raises(ValueError):
+                draw_subsample(plan, 3, 5, seed=0)
+            with pytest.raises(ValueError):
+                draw_subsample(plan, 3, 5, seed=0, rows=np.arange(3))
+
+    @pytest.mark.parametrize("r", [2.5, True, 0, -3, "5", None])
+    def test_non_integer_r_rejected(self, r):
+        plan = make_plan(np.ones(3), cfg())
+        with pytest.raises(ValueError, match="r must be"):
+            draw_subsample(plan, 3, r, seed=0)
 
 
 class TestPlanAndDrawProperties:

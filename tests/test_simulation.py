@@ -6,7 +6,7 @@ import pytest
 
 import copsamp.simulation as sim
 from copsamp.model import Dataset
-from copsamp.sampler import SamplingConfig, subsample_and_refit
+from copsamp.sampler import SamplingConfig, draw_subsample, subsample_and_refit
 from copsamp.simulation import (
     PAPER_METHODS,
     Method,
@@ -50,6 +50,15 @@ def small_spec(**kw):
     )
     base.update(kw)
     return SimulationSpec(**base)
+
+
+def flaky_draw(bad_seed):
+    """A :func:`draw_subsample` that raises on ``bad_seed``, failing that draw's trial."""
+    def flaky(plan, data_len, r, seed, *args, **kw):
+        if seed == bad_seed:
+            raise RuntimeError("synthetic failure")
+        return draw_subsample(plan, data_len, r, seed, *args, **kw)
+    return flaky
 
 
 class TestMethod:
@@ -144,6 +153,13 @@ class TestGenerateDataset:
             formula += u < np.repeat(p, spec.counts)
             npt.assert_array_equal(cells, formula)
             assert cells.dtype == formula.dtype
+            # the counts written with the column, and the count-only replica
+            # that never builds one, are the column's cell counts
+            bincount = np.bincount(cells, minlength=6)
+            counts = np.empty(6, dtype=int)
+            npt.assert_array_equal(sim._replica_cells(spec, seed, corrupted, counts), cells)
+            npt.assert_array_equal(counts, bincount)
+            npt.assert_array_equal(sim._replica_counts(spec, seed, corrupted), bincount)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -275,19 +291,22 @@ class TestRunTrial:
         paired = run_trial(small_spec(methods=PAPER_METHODS), seed)
         assert single == paired[PAPER_METHODS.index(alone)]
 
-        replicas = []  # the sampling, test and probe replicas
+        replicas = []  # the sampling, test and probe replicas, as columns or counts
         batches = []  # the size of each batched fit: the probe members, then the refits
-        real_cells, real_batch = sim._replica_cells, sim.fit_weighted_batch
+        real_batch = sim.fit_weighted_batch
 
-        def cells(*args, **kwargs):
-            replicas.append(args)
-            return real_cells(*args, **kwargs)
+        def spy(real):
+            def replica(*args, **kwargs):
+                replicas.append(args)
+                return real(*args, **kwargs)
+            return replica
 
         def batch(data, weights, *args, **kwargs):
             batches.append(len(weights))
             return real_batch(data, weights, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "_replica_cells", cells)
+        monkeypatch.setattr(sim, "_replica_cells", spy(sim._replica_cells))
+        monkeypatch.setattr(sim, "_replica_counts", spy(sim._replica_counts))
         monkeypatch.setattr(sim, "fit_weighted_batch", batch)
         for methods, probe_members in (
             ([Method("uniform")], 10),
@@ -333,14 +352,66 @@ class TestRunExperiment:
         b = run_experiment(small_spec(trials=2, methods=methods[::-1]))
         assert a.aggregates == b.aggregates
 
-    def test_aggregates_recomputable_from_rows(self):
+    def test_aggregates_recomputable_from_rows(self, monkeypatch):
+        # every statistic is the per-group numpy call's exactly; the second
+        # round fails trial 1 of one case, so groups of 3 and of 2 trials
+        # are reduced side by side
         spec = small_spec(trials=3, methods=[Method("uniform"), Method("vanilla")])
-        report = run_experiment(spec)
-        for key, agg in report.aggregates.items():
-            case, mid = key.split("/")
-            regs = [r.regret for r in report.rows if r.case == case and r.method_id == mid]
-            assert agg["regret"]["mean"] == pytest.approx(np.mean(regs))
-            assert agg["trials"]["count"] == len(regs)
+        cases = {"base": spec.zeta, "clean": np.zeros(3)}
+        bad_draw = derive_seed(derive_seed(spec.seed, "base", 1), "draw", "cops-vanilla-withY")
+        for failing in (False, True):
+            if failing:
+                monkeypatch.setattr(sim, "draw_subsample", flaky_draw(bad_draw))
+            report = run_experiment(spec, zeta_cases=cases)
+            assert len(report.failures) == (2 if failing else 0)
+            trial_counts = set()
+            for key, agg in report.aggregates.items():
+                case, mid = key.split("/")
+                group = [r for r in report.rows if r.case == case and r.method_id == mid]
+                columns = {
+                    "param_error_l2": [r.param_error_l2 for r in group],
+                    "regret": [r.regret for r in group],
+                    "param_error_d1": [r.param_error_components[0] for r in group],
+                    "param_error_d2": [r.param_error_components[1] for r in group],
+                }
+                assert list(agg) == [*columns, "trials"]
+                for name, vals in columns.items():
+                    assert agg[name] == {"mean": np.mean(vals), "median": np.median(vals),
+                                         "std": np.std(vals)}
+                assert agg["trials"] == {"count": len(group)}
+                trial_counts.add(len(group))
+            assert trial_counts == ({2, 3} if failing else {3})
+
+    def test_aggregates_match_per_group_calls_at_many_trial_counts(self):
+        # above 8 trials numpy's pairwise sums unroll, so a reduction along a
+        # strided trials axis would differ from the per-group calls in the
+        # last bits
+        rng = np.random.default_rng(0)
+        rows = []
+        for case, trials in (("a", 1), ("b", 8), ("c", 9), ("d", 50), ("e", 129), ("f", 50)):
+            for method_id in ("uniform", "cops-vanilla-withY"):
+                for t in range(trials):
+                    errs = np.abs(rng.standard_normal(2)) * 10.0 ** rng.integers(-4, 3)
+                    rows.append(sim.TrialResult(method_id, case, t, tuple(errs),
+                                                float(np.linalg.norm(errs)),
+                                                float(rng.standard_normal() * 1e-3), 0))
+        rng.shuffle(rows)
+        aggregates = sim.aggregate_rows(rows)
+        assert list(aggregates) == sorted(aggregates)
+        for key, agg in aggregates.items():
+            group = [r for r in rows if f"{r.case}/{r.method_id}" == key]
+            comps = np.array([r.param_error_components for r in group])
+            columns = {
+                "param_error_l2": np.array([r.param_error_l2 for r in group]),
+                "regret": np.array([r.regret for r in group]),
+                "param_error_d1": comps[:, 0],
+                "param_error_d2": comps[:, 1],
+            }
+            assert list(agg) == [*columns, "trials"]
+            for name, vals in columns.items():
+                assert agg[name] == {"mean": vals.mean(), "median": np.median(vals),
+                                     "std": vals.std()}
+            assert agg["trials"] == {"count": len(group)}
 
     def test_multiple_cases(self):
         spec = small_spec(trials=1, methods=[Method("uniform")])
@@ -356,13 +427,7 @@ class TestRunExperiment:
         clean = run_experiment(spec)
         bad_draw = derive_seed(derive_seed(spec.seed, "base", 1), "draw", "cops-vanilla-withY")
         real = sim.draw_subsample
-
-        def flaky(plan, data_len, r, seed, *args, **kw):
-            if seed == bad_draw:
-                raise RuntimeError("synthetic failure")
-            return real(plan, data_len, r, seed, *args, **kw)
-
-        monkeypatch.setattr(sim, "draw_subsample", flaky)
+        monkeypatch.setattr(sim, "draw_subsample", flaky_draw(bad_draw))
         report = run_experiment(spec)
         assert [(f["trial_index"], f["method_id"]) for f in report.failures] == [
             (1, "uniform"), (1, "cops-vanilla-withY")]
