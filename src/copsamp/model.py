@@ -499,11 +499,7 @@ def information(
     return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
 
 
-def fisher_info(
-    beta: Coefficients,
-    data: Dataset,
-    weights: np.ndarray | None = None,
-) -> FisherInfo:
+def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
     """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset, by :func:`information`.
 
     Labels are unused, so unlabeled datasets are accepted. A
@@ -511,7 +507,7 @@ def fisher_info(
     largest) emits a ``RuntimeWarning``; downstream inversions apply a
     ridge instead of failing here.
     """
-    m = information(beta, data.X, weights)
+    m = information(beta, data.X)
     eigs = np.linalg.eigvalsh(m)
     near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))
     if near_singular:

@@ -17,15 +17,15 @@ cell counts, test regret weighs per-cell losses by the test counts, and
 every score and every method's plan is made over the six cells with
 the sampling replica's cell counts as multiplicities. The methods'
 refits are a second batched fit on the cells, each with its drawn
-rows' weights ``1/pi_reweight`` summed per cell. Per row: one uniform
-per row of each replica; the columns of the sampling replica (counted
-as it is written) and of the probe replica, but none for the clean test
-replica, whose cell counts come straight from its uniforms; the probe's
-shard permutation; and each method's draw, which
-:func:`copsamp.sampler.draw_subsample` makes over the sampling column's
-source rows, so it picks the rows a row-level plan would. A test
-rebuilds the trial from the row-level public functions and checks that
-both agree.
+rows' weights ``1/pi_reweight`` summed per cell. Per row: every
+replica, drawn by one routine with one uniform per row that it compares
+with the row's atom's label probability, counting each cell and writing
+the column only for the sampling and probe replicas, never for the
+clean test replica; the probe's shard permutation; and each method's
+draw, which :func:`copsamp.sampler.draw_subsample` makes over the
+sampling column's source rows, so it picks the rows a row-level plan
+would. A test rebuilds the trial from the row-level public functions
+and checks that both agree.
 
 A trial builds its replicas, ensemble and scores once and runs every
 method on them, so comparisons within a trial are paired by
@@ -228,14 +228,15 @@ class ExperimentReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def _atom_uniforms(
-    spec: SimulationSpec, seed: int, corrupted: bool
-) -> tuple[np.ndarray, Iterable[tuple[float, int, int]]]:
-    """One replica's row uniforms and, per atom, its label probability and row range.
+def _replica(
+    spec: SimulationSpec, seed: int, corrupted: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw one replica and return its (2A,) cell counts.
 
     One uniform draw per row, in row order; the rows of atom ``a`` are
     the ``counts[a]`` after those of the atoms before it, and a row's
-    label is ``u < p_a``.
+    label is ``u < p_a``. ``out``, when given, is an integer array of
+    one entry per row that receives the row's cell ``2a + y``.
     """
     logits = spec.atom_x @ spec.beta_star[0]
     if corrupted:
@@ -244,42 +245,24 @@ def _atom_uniforms(
     with np.errstate(over="ignore"):
         p_atom = 1.0 / (1.0 + np.exp(-logits))
     u = np.random.default_rng(seed).random(int(spec.counts.sum()))
-    stop = np.cumsum(spec.counts)
-    return u, zip(p_atom, stop - spec.counts, stop)
-
-
-def _replica_cells(
-    spec: SimulationSpec, seed: int, corrupted: bool, counts: np.ndarray | None = None
-) -> np.ndarray:
-    """The cell ``2a + y`` of each row of one replica: atom ``a``, Bernoulli label ``y``.
-
-    ``counts``, when given, is a (2A,) integer array that receives the
-    number of rows of each cell as the column is written.
-    """
-    u, atoms = _atom_uniforms(spec, seed, corrupted)
-    cell = np.empty(u.size, dtype=int)
-    for a, (p, start, end) in enumerate(atoms):
-        np.less(u[start:end], p, out=cell[start:end])
-        if counts is not None:
-            counts[2 * a + 1] = np.count_nonzero(cell[start:end])
-            counts[2 * a] = end - start - counts[2 * a + 1]
-        cell[start:end] += 2 * a
-    return cell
-
-
-def _replica_counts(spec: SimulationSpec, seed: int, corrupted: bool) -> np.ndarray:
-    """The cell counts of the replica :func:`_replica_cells` draws, without its column."""
-    u, atoms = _atom_uniforms(spec, seed, corrupted)
     counts = np.empty(2 * spec.counts.size, dtype=int)
-    for a, (p, start, end) in enumerate(atoms):
-        counts[2 * a + 1] = np.count_nonzero(u[start:end] < p)
+    start = 0
+    for a, (p, end) in enumerate(zip(p_atom, np.cumsum(spec.counts))):
+        if out is None:
+            counts[2 * a + 1] = np.count_nonzero(u[start:end] < p)
+        else:
+            counts[2 * a + 1] = np.count_nonzero(np.less(u[start:end], p, out=out[start:end]))
+            out[start:end] += 2 * a
         counts[2 * a] = end - start - counts[2 * a + 1]
+        start = end
     return counts
 
 
 def generate_dataset(spec: SimulationSpec, seed: int, corrupted: bool) -> Dataset:
     """Expand atoms to rows and draw Bernoulli labels, optionally corrupted."""
-    return spec.cells.subset(_replica_cells(spec, seed, corrupted))
+    column = np.empty(int(spec.counts.sum()), dtype=int)
+    _replica(spec, seed, corrupted, out=column)
+    return spec.cells.subset(column)
 
 
 def regret(
@@ -317,28 +300,29 @@ def run_trial(
     fitted as one batch and the refits as another, so a fit that raises
     fails the whole trial.
     """
-    cells = spec.cells
-    counts = np.empty(cells.n, dtype=int)
-    sampling = _replica_cells(spec, derive_seed(seed, "sampling"), corrupted=True, counts=counts)
-    test_counts = _replica_counts(spec, derive_seed(seed, "test"), corrupted=False)
+    cells, n = spec.cells, int(spec.counts.sum())
+    test_counts = _replica(spec, derive_seed(seed, "test"), corrupted=False)
     uniform = np.ones(cells.n)
     scores = {}  # with_labels -> per-cell scores
     if any(method.scheme != "uniform" for method in spec.methods):
         # each member's fit to its shard's cell counts is the row-level fit
-        probe = _replica_cells(spec, derive_seed(seed, "probe"), corrupted=True)
+        probe = np.empty(n, dtype=int)
+        _replica(spec, derive_seed(seed, "probe"), corrupted=True, out=probe)
         M = spec.probe_members
         shard_counts = np.stack([
             np.bincount(probe[idx], minlength=cells.n)
-            for idx in shard_indices(probe.size, M, derive_seed(seed, "shards"))
+            for idx in shard_indices(n, M, derive_seed(seed, "shards"))
         ])
         members = np.stack([fit.beta for fit in fit_weighted_batch(cells, shard_counts)])
-        ensemble = ProbeEnsemble(members, probe_size=probe.size // M)
-        del probe  # freed before the methods run, which read only the members
+        ensemble = ProbeEnsemble(members, probe_size=n // M)
+        del probe  # freed before the sampling column is drawn: the two never coexist
         # a label-free score is its atom's, shared by both of its cells
         u_atom = plan_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active", "ensemble")
         scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")
         scores[False] = np.repeat(u_atom, 2)
 
+    sampling = np.empty(n, dtype=int)
+    counts = _replica(spec, derive_seed(seed, "sampling"), corrupted=True, out=sampling)
     # each method's refit on its drawn rows is the fit on the cells with the
     # drawn weights summed per cell; without-label methods only ever read
     # labels of the drawn rows, so the stored labels act as the label oracle
@@ -348,7 +332,7 @@ def run_trial(
         u = uniform if method.scheme == "uniform" else scores[method.with_labels]
         config = spec.sampling_config(method, derive_seed(seed, "draw", method.id))
         plan = make_plan(u, config, counts)
-        sub = draw_subsample(plan, sampling.size, config.subsample_size, config.seed, sampling)
+        sub = draw_subsample(plan, n, config.subsample_size, config.seed, sampling)
         cell_weights[m] = np.bincount(sampling[sub.indices], weights=sub.weights,
                                       minlength=cells.n)
 

@@ -123,15 +123,19 @@ def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
     """What is wrong with the first bad row of ``weights``, or None if none is.
 
     A row is bad when an entry is negative or not finite, when it is all
-    zero, or when its positive-weight samples cover fewer than two
-    distinct classes; the message is the first of these that holds.
+    zero, when its sum or the mean-one scale ``n / sum`` overflows, or
+    when its positive-weight samples cover fewer than two distinct
+    classes; the message is the first of these that holds.
     """
     invalid = ~np.all(np.isfinite(weights) & (weights >= 0), axis=1)
-    with np.errstate(invalid="ignore"):  # a bad row may sum inf and -inf
-        zero = weights.sum(axis=1) == 0
+    # a bad row may sum inf and -inf; an all-zero row divides by zero
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        total = weights.sum(axis=1)
+        unscalable = ~np.isfinite(total) | ~np.isfinite(weights.shape[1] / total)
+    zero = total == 0
     # (B, n) @ (n, K + 1) boolean product: which classes have positive weight
     present = (weights > 0) @ (y[:, None] == np.arange(K + 1))
-    bad = invalid | zero | (present.sum(axis=1) < 2)
+    bad = invalid | zero | unscalable | (present.sum(axis=1) < 2)
     if not bad.any():
         return None
     b = int(np.argmax(bad))
@@ -139,6 +143,8 @@ def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
         return "weights must be finite and nonnegative"
     if zero[b]:
         return "weights must not be all zero"
+    if unscalable[b]:
+        return f"weights sum to {total[b]:.3g}: the sum or its mean-one scale n/sum overflows"
     return "need samples of at least 2 distinct classes"
 
 
@@ -180,6 +186,8 @@ def fit_weighted_batch(
     active = np.arange(B)  # elements still iterating
 
     for _ in range(config.max_iters):
+        if active.size == 0:  # the last elements stalled in the line search
+            break
         g = _gradient(beta[active], data, w[active])
         moving = np.abs(g).max(axis=1) > config.grad_tol
         active, g = active[moving], g[moving]
@@ -234,8 +242,9 @@ def fit_weighted_mle(
 
     Non-convergence within ``max_iters`` is reported via
     ``converged=False``, never silently. Raises ``ValueError`` on
-    negative/all-zero weights or if the positive-weight samples cover
-    fewer than two distinct classes. The one-element case of
+    negative/all-zero weights, on weights whose sum or mean-one scale
+    overflows, or if the positive-weight samples cover fewer than two
+    distinct classes. The one-element case of
     :func:`fit_weighted_batch`.
     """
     weights = np.asarray(weights, dtype=float)

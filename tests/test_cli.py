@@ -154,6 +154,27 @@ class TestFit:
         assert run(["fit", data_path, "--out", out, "--max-iters", 1,
                     "--grad-tol", 1e-14, "--strict"]) == 1
 
+    def test_stalled_fit_reported_not_converged(self, tmp_path):
+        # separable rows at scale 1e10: the Newton line search runs out of
+        # halvings, and the fit stops with its report
+        X = np.random.default_rng(2).normal(size=(20, 2)) * 1e10
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("x0,x1,y\n" + "".join(
+            f"{a!r},{b!r},{int(b > 0)}\n" for a, b in X.tolist()))
+        out = tmp_path / "fit.json"
+        assert run(["fit", data_path, "--out", out]) == 0
+        assert '"converged": false' in out.read_text()
+        assert run(["fit", data_path, "--out", out, "--strict"]) == 1
+
+    def test_overflowing_weight_sum_exit_2(self, tmp_path, capsys):
+        data_path = tmp_path / "data.csv"
+        synthetic_csv(data_path, seed=9, n=50, weights=True)
+        data_path.write_text(data_path.read_text().replace(",1.0\n", ",1e308\n"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", data_path, "--weights-col", "w", "--out", out]) == 2
+        assert "weights sum to inf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScore:
     def test_identical_members_zero_scores(self, tmp_path):
@@ -444,6 +465,54 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, reader):
     assert not list(tmp_path.glob("out*"))
 
 
+@pytest.mark.parametrize("case, message", [
+    ("unopenable input", "cannot open"),
+    ("empty dataset", "empty file"),
+    ("features out of order", "header must contain x0..x{d-1} in order"),
+    ("fit without y", "labeled data needs a 'y' column"),
+    ("missing weights column", "no column named 'w'"),
+    ("members disagree with d", "members shape disagrees with declared k/d"),
+    ("config not an object", "config must be a JSON object"),
+    ("empty zeta_cases", "'zeta_cases' must be a non-empty object"),
+    ("labels above K", "class mismatch"),
+    ("scores without u", "expected a header with a 'u' column"),
+])
+def test_refused_input_exit_2(tmp_path, capsys, case, message):
+    data_path = tmp_path / "data.csv"
+    synthetic_csv(data_path, seed=8, n=30)
+    three_class_path = tmp_path / "three_class.csv"
+    synthetic_csv(three_class_path, seed=8, n=30, K=2)
+    ens_path = tmp_path / "ens.json"
+    write_ensemble(ens_path, ProbeEnsemble(np.array([[[0.4, -0.2]], [[0.1, 0.3]]]), 50))
+    doc = json.loads(ens_path.read_text())
+    doc["d"] = 3
+    wide_ens_path = tmp_path / "wide_ens.json"
+    wide_ens_path.write_text(json.dumps(doc))
+    cfg = json.loads(tiny_sim_config(tmp_path).read_text())
+    cfg["zeta_cases"] = {}
+    no_cases_path = tmp_path / "no_cases.json"
+    no_cases_path.write_text(json.dumps(cfg))
+    bad = tmp_path / "bad"
+    text, argv = {
+        "unopenable input": (None, ["fit", tmp_path / "absent.csv"]),
+        "empty dataset": ("", ["fit", bad]),
+        "features out of order": ("x1,x0,y\n1.0,2.0,1\n", ["fit", bad]),
+        "fit without y": ("x0,x1\n1.0,2.0\n", ["fit", bad]),
+        "missing weights column": (None, ["fit", data_path, "--weights-col", "w"]),
+        "members disagree with d": (None, ["score", data_path, wide_ens_path]),
+        "config not an object": ("[1, 2]\n", ["simulate", bad]),
+        "empty zeta_cases": (None, ["simulate", no_cases_path]),
+        "labels above K": (None, ["score", three_class_path, ens_path]),
+        "scores without u": ("index,v\n0,1.0\n", ["sample", bad, "--r", 2]),
+    }[case]
+    if text is not None:
+        bad.write_text(text)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)
@@ -580,6 +649,22 @@ class TestSimulate:
                     "--out", out]) == 2
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_trial_failing_is_recorded(self, tmp_path, capsys):
+        # nine probe rows in nine one-row shards: no member has two classes,
+        # so every trial's probe fit fails, for each of its methods
+        cfg = json.loads(tiny_sim_config(tmp_path, trials=1).read_text())
+        cfg.update(atoms=[{"x": x, "count": 3} for x in ([1.0, 0.0], [0.1, 0.1], [0.0, 1.0])],
+                   zeta_cases={"clean": [0.0, 0.0, 0.0]}, r=5, probe_members=9)
+        path = tmp_path / "failing.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["simulate", path, "--out", out]) == 0
+        assert "3 trial failures recorded" in capsys.readouterr().out
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["rows"] == []
+        assert [f["method_id"] for f in doc["failures"]] == cfg["methods"]
+        assert all("2 distinct classes" in f["error"] for f in doc["failures"])
 
     def test_report_aggregates_match_trial_rows(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)

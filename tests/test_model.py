@@ -430,3 +430,40 @@ def test_class_major_probabilities_match_row_major(K):
     S = residual_matrix(beta, X, y)
     onehot = (y[:, None] == np.arange(1, K + 1)).astype(float)
     npt.assert_array_equal(S, onehot - P[:, 1:])
+
+
+LABELED = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 1)
+
+#: each refused input of the model layer, and the message it raises
+REFUSALS = {
+    "X not 2-d": (lambda: Dataset(np.ones(3), None, 1), "X must be 2-dimensional"),
+    "K below 1": (lambda: Dataset(np.ones((3, 2)), None, 0), "K must be >= 1"),
+    "y of the wrong shape": (lambda: Dataset(np.ones((3, 2)), np.zeros(2, dtype=int), 1),
+                             r"y has shape \(2,\), expected \(3,\)"),
+    "label above K": (lambda: Dataset(np.ones((3, 2)), np.array([0, 2, 1]), 1),
+                      r"labels must lie in \[0, 1\]"),
+    "beta not (K, d)": (lambda: dataset_loss(np.zeros(2), LABELED),
+                        r"beta must be a \(K, d\) matrix"),
+    "beta not finite": (lambda: dataset_loss(np.array([[0.0, np.inf]]), LABELED),
+                        "beta contains non-finite entries"),
+    "beta of the wrong d": (lambda: dataset_loss(np.zeros((1, 3)), LABELED),
+                            "beta has feature dimension 3, data has 2"),
+    "loss of unlabeled data": (lambda: dataset_loss(np.zeros((1, 2)), Dataset(LABELED.X, None, 1)),
+                               "dataset_loss needs labels"),
+    "loss of empty data": (lambda: dataset_loss(np.zeros((1, 2)),
+                                                Dataset(np.empty((0, 2)), np.empty(0, int), 1)),
+                           "empty dataset"),
+    "loss weights of the wrong shape": (lambda: dataset_loss(np.zeros((1, 2)), LABELED, np.ones(2)),
+                                        r"weights has shape \(2,\), expected \(3,\)"),
+    "label above K of one row": (lambda: cross_entropy(np.zeros((1, 2)), np.ones(2), 2),
+                                 r"label 2 outside \[0, 1\]"),
+    "rows of the wrong d": (lambda: probability_matrix(np.zeros((1, 2)), np.ones((3, 3))),
+                            r"X has shape \(3, 3\), expected \(n, 2\)"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_input(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

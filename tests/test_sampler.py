@@ -9,6 +9,7 @@ from copsamp.model import Dataset
 from copsamp.sampler import (
     LabelingError,
     SamplingConfig,
+    SamplingPlan,
     cops_active,
     cops_coreset,
     draw_subsample,
@@ -521,3 +522,26 @@ class TestPipelines:
         data, _ = synthetic(9, 100, 1, 2)
         with pytest.raises(ValueError, match="oracle"):
             subsample_and_refit(Dataset(data.X, None, 1), np.ones(100), cfg())
+
+
+#: each refused input of the sampling layer, and the message it raises
+REFUSALS = {
+    "2-d scores": (lambda: make_plan(np.ones((2, 2)), cfg()), "scores must be a nonempty 1-d array"),
+    "2-d plan": (lambda: draw_subsample(SamplingPlan(np.full((2, 2), 0.25), np.full((2, 2), 0.25)),
+                                        4, 2, 0),
+                 "sampling distribution must be a nonempty 1-d array"),
+    "plan of the wrong length": (lambda: draw_subsample(make_plan(np.ones(3), cfg()), 4, 2, 0),
+                                 "plan covers 3 rows, data has 4"),
+    "objective of mismatched lengths": (lambda: subsample_objective(np.ones(3), np.ones(2) / 2),
+                                        "u and pi must have the same length"),
+    "coreset of unlabeled data": (lambda: cops_coreset(Dataset(np.ones((3, 2)), None, 1),
+                                                       constant_ensemble(np.zeros((1, 2))), cfg()),
+                                  "coreset selection needs labels"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_input(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -148,18 +148,17 @@ class TestGenerateDataset:
             npt.assert_array_equal(data.y, y)
             assert data.y.dtype == y.dtype
             # the column drawn atom by atom is the one-shot np.repeat formula
-            cells = sim._replica_cells(spec, seed, corrupted)
+            cells = np.empty(atom.size, dtype=int)
+            counts = sim._replica(spec, seed, corrupted, out=cells)
             formula = np.repeat(np.arange(0, 6, 2), spec.counts)
             formula += u < np.repeat(p, spec.counts)
             npt.assert_array_equal(cells, formula)
             assert cells.dtype == formula.dtype
-            # the counts written with the column, and the count-only replica
-            # that never builds one, are the column's cell counts
+            # the counts returned with the column, and without one, are the
+            # column's cell counts
             bincount = np.bincount(cells, minlength=6)
-            counts = np.empty(6, dtype=int)
-            npt.assert_array_equal(sim._replica_cells(spec, seed, corrupted, counts), cells)
             npt.assert_array_equal(counts, bincount)
-            npt.assert_array_equal(sim._replica_counts(spec, seed, corrupted), bincount)
+            npt.assert_array_equal(sim._replica(spec, seed, corrupted), bincount)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -291,22 +290,19 @@ class TestRunTrial:
         paired = run_trial(small_spec(methods=PAPER_METHODS), seed)
         assert single == paired[PAPER_METHODS.index(alone)]
 
-        replicas = []  # the sampling, test and probe replicas, as columns or counts
+        replicas = []  # the sampling, test and probe replicas
         batches = []  # the size of each batched fit: the probe members, then the refits
-        real_batch = sim.fit_weighted_batch
+        real_replica, real_batch = sim._replica, sim.fit_weighted_batch
 
-        def spy(real):
-            def replica(*args, **kwargs):
-                replicas.append(args)
-                return real(*args, **kwargs)
-            return replica
+        def replica(*args, **kwargs):
+            replicas.append(args)
+            return real_replica(*args, **kwargs)
 
         def batch(data, weights, *args, **kwargs):
             batches.append(len(weights))
             return real_batch(data, weights, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "_replica_cells", spy(sim._replica_cells))
-        monkeypatch.setattr(sim, "_replica_counts", spy(sim._replica_counts))
+        monkeypatch.setattr(sim, "_replica", replica)
         monkeypatch.setattr(sim, "fit_weighted_batch", batch)
         for methods, probe_members in (
             ([Method("uniform")], 10),
@@ -490,3 +486,20 @@ class TestOrderings:
             regs_u.append(unif.regret)
             regs_v.append(van.regret)
         assert np.mean(regs_v) <= np.mean(regs_u)
+
+
+#: each refused input of the simulation layer, and the message it raises
+REFUSALS = {
+    "unknown scheme": (lambda: Method("bogus"), "unknown scheme 'bogus'"),
+    "1-d atom_x": (lambda: small_spec(atom_x=np.array([1.0, 0.1, 0.0])), r"atom_x must be \(A, d\)"),
+    "regret on unlabeled data": (
+        lambda: regret(np.zeros((1, 2)), np.zeros((1, 2)), Dataset(np.ones((3, 2)), None, 1)),
+        "regret needs labeled test data"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_input(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

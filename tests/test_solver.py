@@ -319,3 +319,68 @@ def test_atom_design_fit_converges_with_one_blas_thread():
     out = subprocess.run([sys.executable, "-c", code, str(here)], env=env,
                          capture_output=True, text=True, check=True).stdout.split()
     assert out[0] == "True", f"not converged: iterations {out[1]}, grad norm {out[2]}"
+
+
+def separable_scaled_data():
+    """Separable rows at scale 1e10: the line search runs out of halvings."""
+    X = np.random.default_rng(2).normal(size=(20, 2)) * 1e10
+    return Dataset(X, (X[:, 1] > 0).astype(int), 1)
+
+
+def test_fit_stops_when_its_last_elements_stall():
+    # the only element leaves the batch in the line search, not by
+    # converging; the loop then stops with the report it has
+    rep = fit_mle(separable_scaled_data())
+    assert not rep.converged
+    assert (rep.iterations, rep.cholesky_fallbacks) == (42, 0)
+    assert rep.final_grad_norm == pytest.approx(3.2834e-8, rel=1e-3)
+
+
+def test_element_without_descent_leaves_the_batch(monkeypatch):
+    # element 0's Hessian is negated, so its first Newton step ascends at
+    # every step length; it stops after one iteration, and the other
+    # element's fit is its fit alone
+    data, _ = synthetic(9, 50, 1, 2)
+    weights = np.stack([np.ones(data.n), np.random.default_rng(9).uniform(0.2, 3.0, data.n)])
+    alone = fit_weighted_mle(data, weights[1])
+    real_information = solver.information
+
+    def negate_first(beta, X, w):
+        H = real_information(beta, X, w)
+        if len(H) == 2:
+            H[0] = -H[0]
+        return H
+
+    monkeypatch.setattr(solver, "information", negate_first)
+    stalled, fit = fit_weighted_batch(data, weights)
+    assert (stalled.converged, stalled.iterations, stalled.cholesky_fallbacks) == (False, 1, 1)
+    npt.assert_array_equal(stalled.beta, 0.0)
+    npt.assert_array_equal(fit.beta, alone.beta)
+    assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
+            fit.cholesky_fallbacks) == (alone.iterations, alone.final_grad_norm,
+                                        alone.converged, alone.final_loss,
+                                        alone.cholesky_fallbacks)
+
+
+OVERFLOWING_WEIGHTS = {
+    "sum overflows": np.full(50, 1e308),
+    "two huge weights": np.where(np.isin(np.arange(50), [3, 7]), 1e308, 1.0),
+    "scale overflows": np.full(50, 1e-310),
+}
+
+
+@pytest.mark.parametrize("kind", OVERFLOWING_WEIGHTS)
+def test_weights_that_cannot_be_rescaled_rejected(kind):
+    data, _ = synthetic(9, 50, 1, 2)
+    with pytest.raises(ValueError, match="mean-one scale n/sum overflows") as alone:
+        fit_weighted_mle(data, OVERFLOWING_WEIGHTS[kind])
+    with pytest.raises(ValueError) as batched:
+        fit_weighted_batch(data, np.stack([np.ones(data.n), OVERFLOWING_WEIGHTS[kind]]))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_refused_settings_and_data():
+    with pytest.raises(ValueError, match="all FitConfig fields must be positive"):
+        FitConfig(max_iters=0)
+    with pytest.raises(ValueError, match="fitting requires labels"):
+        fit_weighted_batch(Dataset(np.ones((3, 2)), None, 1), np.ones((1, 3)))

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from copsamp import uncertainty
 from copsamp.model import (
     BLOCK_ROWS,
     Dataset,
@@ -16,7 +17,7 @@ from copsamp.model import (
     psi,
 )
 from copsamp.selfcheck import label_average
-from copsamp.solver import fit_mle
+from copsamp.solver import FitConfig, fit_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
     SingularInformationError,
@@ -27,6 +28,7 @@ from copsamp.uncertainty import (
     exact_score_coreset,
     exact_scores,
     logit_covariance,
+    score_rows,
     train_ensemble,
 )
 from helpers import binary_exact_scores, constant_ensemble, ridged, synthetic
@@ -84,6 +86,14 @@ class TestTrainEnsemble:
         members[1, 0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ProbeEnsemble(members, probe_size=50)
+
+    def test_unconverged_member_warns(self, monkeypatch):
+        data, _ = synthetic(3, 400, 1, 2)
+        monkeypatch.setattr(uncertainty, "fit_mle",
+                            lambda probe: fit_mle(probe, FitConfig(max_iters=1)))
+        with pytest.warns(RuntimeWarning, match=r"ensemble member \d did not converge") as caught:
+            ens = train_ensemble(data, 4, seed=0)
+        assert len(caught) == ens.M == 4
 
 
 class TestLogitCovariance:
@@ -309,3 +319,38 @@ class TestExactScores:
         assert np.all(ensemble_scores(ens, data, "coreset") >= 0)
         assert np.all(ensemble_scores(ens, data, "active") >= 0)
 
+
+
+ENSEMBLE = constant_ensemble(np.array([[0.5, -0.2]]))
+ROWS = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 1)
+
+#: each refused input of the scoring layer, and the message it raises
+REFUSALS = {
+    "members not (M, K, d)": (lambda: ProbeEnsemble(np.zeros((3, 2)), probe_size=50),
+                              r"members must be \(M, K, d\)"),
+    "unlabeled probe": (lambda: train_ensemble(Dataset(ROWS.X, None, 1), 2),
+                        "probe data must be labeled"),
+    "unknown score kind": (lambda: ensemble_scores(ENSEMBLE, ROWS, "bogus"),
+                           "unknown score kind 'bogus'"),
+    "coreset scores without labels": (
+        lambda: ensemble_scores(ENSEMBLE, Dataset(ROWS.X, None, 1), "coreset"),
+        "coreset scoring needs labels"),
+    "K*d mismatch": (lambda: ensemble_scores(ENSEMBLE, Dataset(ROWS.X, ROWS.y, 2), "coreset"),
+                     "data dimensions do not match the score matrix"),
+    "d mismatch": (lambda: ensemble_scores(ENSEMBLE, Dataset(np.ones((3, 3)), None, 1), "active"),
+                   "data dimension 3 != ensemble dimension 2"),
+    "unknown estimator": (lambda: score_rows(ENSEMBLE, ROWS, "coreset", "bogus"),
+                          "unknown estimator 'bogus'"),
+    "x of the wrong d": (lambda: logit_covariance(ENSEMBLE, np.ones(3)),
+                         r"x has shape \(3,\), expected \(2,\)"),
+    "exact score of the wrong d": (
+        lambda: exact_score_coreset(np.zeros((1, 2)), FisherInfo(np.eye(3)), np.ones(2), 1),
+        "beta/x dimensions do not match the information matrix"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refused_input(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
