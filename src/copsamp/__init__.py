@@ -23,7 +23,7 @@ from copsamp.model import (
     psi,
     score_vector,
 )
-from copsamp.solver import FitConfig, FitReport, fit_mle, fit_weighted_batch, fit_weighted_mle
+from copsamp.solver import FitReport, fit_mle, fit_weighted_batch, fit_weighted_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
     SingularInformationError,
@@ -69,7 +69,6 @@ __all__ = [
     "phi",
     "psi",
     "score_vector",
-    "FitConfig",
     "FitReport",
     "fit_mle",
     "fit_weighted_batch",

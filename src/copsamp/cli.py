@@ -34,12 +34,12 @@ from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from copsamp import __version__
+from copsamp import __version__, solver
 from copsamp.model import Dataset
 from copsamp.sampler import SamplingConfig, draw_subsample, make_plan
 from copsamp.selfcheck import run_selfcheck
 from copsamp.simulation import Method, SimulationSpec, run_experiment
-from copsamp.solver import FitConfig, fit_weighted_mle
+from copsamp.solver import fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, score_rows
 
 EXIT_OK = 0
@@ -567,13 +567,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     started = time.time()
     data, weights = read_dataset_csv(args.data, labels=True, weights_col=args.weights_col)
-    config = FitConfig(
-        grad_tol=args.grad_tol, max_iters=args.max_iters, ridge=args.ridge
-    )
     if weights is None:
         weights = np.ones(data.n)
     try:
-        report = fit_weighted_mle(data, weights, config)
+        report = fit_weighted_mle(data, weights)
     except ValueError as err:
         raise CliError(str(err)) from err
     out_path = args.out or "fit.json"
@@ -592,8 +589,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     atomic_write(out_path, json_text(doc))
     write_manifest(
         out_path + ".manifest.json", "fit",
-        {"grad_tol": config.grad_tol, "max_iters": config.max_iters,
-         "ridge": config.ridge, "weights_col": args.weights_col},
+        {"grad_tol": solver.GRAD_TOL, "max_iters": solver.MAX_ITERS,
+         "ridge": solver.RIDGE, "weights_col": args.weights_col},
         None, [os.path.abspath(args.data)], [os.path.abspath(out_path)], started,
     )
     print(f"fit: converged={report.converged} iterations={report.iterations} -> {out_path}")
@@ -734,9 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-col", type=str, default=None)
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the fit does not converge")
-    p.add_argument("--grad-tol", type=float, default=FitConfig.grad_tol)
-    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
-    p.add_argument("--ridge", type=float, default=FitConfig.ridge)
     p.add_argument("--out", type=str, default=None, help="fit document path")
     p.set_defaults(func=cmd_fit)
 

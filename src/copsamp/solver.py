@@ -19,15 +19,21 @@ class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
 is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix; for a
 batch, each block of rows is one GEMM for all of its elements. Each
-Newton step solves ``(H + ridge * I) step = grad`` with numpy's LU
+Newton step solves ``(H + RIDGE * I) step = grad`` with numpy's LU
 solve. A Cholesky factorization of the same matrix decides only whether
 it is positive definite: when it fails, the step is counted in
-``FitReport.cholesky_fallbacks``. Each step is halved until the
-objective decreases, so the objective is non-increasing across accepted
-steps; a step whose predicted decrease is within a few ulps of the
-objective, where rounding alone would decide, is taken whole. Iteration
-starts at ``beta = 0``; the objective is convex, so the optimum does not
-depend on that choice, only reproducibility does.
+``FitReport.cholesky_fallbacks``. A matrix that is exactly singular in
+floating point fails both; its element ends its fit as a stalled line
+search does, at its last accepted iterate with ``converged=False``.
+Each step is halved until the objective decreases, so the objective is
+non-increasing across accepted steps; a step whose predicted decrease
+is within a few ulps of the objective, where rounding alone would
+decide, is taken whole. A fit stops when the infinity norm of its
+gradient is at most ``GRAD_TOL``, after ``MAX_ITERS`` Newton steps, or
+when its line search stalls. Iteration starts at ``beta = 0``; the
+objective is convex, so the optimum does not depend on that choice,
+only reproducibility does. The solver's settings are the module
+constants below, read when a fit runs.
 """
 
 from __future__ import annotations
@@ -45,25 +51,18 @@ from copsamp.model import (
     information,
 )
 
-__all__ = ["FitConfig", "FitReport", "fit_mle", "fit_weighted_batch", "fit_weighted_mle"]
+__all__ = ["FitReport", "fit_mle", "fit_weighted_batch", "fit_weighted_mle"]
 
+#: a fit converges once the infinity norm of its mean-one gradient is at most this
+GRAD_TOL = 1e-8
+#: Newton steps before a fit stops unconverged
+MAX_ITERS = 100
+#: added to the Hessian's diagonal before each Newton step is solved
+RIDGE = 1e-8
 #: halvings of a Newton step before the fit stops as numerically stationary
 STEP_HALVING_MAX = 30
 #: a predicted decrease up to this fraction of the loss is below the line search's resolution
 NEGLIGIBLE_ULPS = 8 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Newton-iteration settings."""
-
-    grad_tol: float = 1e-8
-    max_iters: int = 100
-    ridge: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if min(self.grad_tol, self.max_iters, self.ridge) <= 0:
-            raise ValueError("all FitConfig fields must be positive")
 
 
 @dataclass
@@ -73,10 +72,11 @@ class FitReport:
     ``final_grad_norm`` is the infinity norm of the gradient of the
     internally normalized (mean-one-weight) objective; ``final_loss`` is
     the caller's objective ``(1/n) sum_i w_i * loss_i`` at ``beta``.
-    ``converged`` implies ``final_grad_norm <= grad_tol``.
+    ``converged`` implies ``final_grad_norm <= GRAD_TOL``.
     ``cholesky_fallbacks`` counts the Newton steps whose ridged Hessian
     was not positive definite; such a step need not be a descent
-    direction.
+    direction. A step whose ridged Hessian is singular counts there too,
+    and ends the fit at the iterate before it with ``converged=False``.
     """
 
     beta: Coefficients
@@ -103,20 +103,31 @@ def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     return grad_mat.reshape(len(beta), -1)
 
 
-def _not_positive_definite(H: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack ``H``, True when its Cholesky factorization fails."""
+def _newton_steps(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of the stack ``H``, the step ``H^-1 g`` and whether it fell back.
+
+    A matrix falls back when its Cholesky factorization fails. A singular
+    matrix, whose LU solve fails too, falls back with a zero step, on
+    which the line search stalls. The whole stack is tried at once, and
+    one matrix at a time only when some matrix fails.
+    """
+    fell_back = np.zeros(len(H), dtype=bool)
     try:
         cholesky(H)
-        return np.zeros(len(H), dtype=bool)
+        return np.linalg.solve(H, g), fell_back
     except LinAlgError:
         pass  # some matrix failed: find which, one at a time
-    failed = np.zeros(len(H), dtype=bool)
-    for b, h in enumerate(H):
+    step = np.zeros_like(g)
+    for b, (h, g_b) in enumerate(zip(H, g)):
         try:
             cholesky(h)
         except LinAlgError:
-            failed[b] = True
-    return failed
+            fell_back[b] = True
+        try:
+            step[b] = np.linalg.solve(h, g_b)
+        except LinAlgError:
+            fell_back[b] = True
+    return step, fell_back
 
 
 def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
@@ -148,11 +159,7 @@ def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
     return "need samples of at least 2 distinct classes"
 
 
-def fit_weighted_batch(
-    data: Dataset,
-    weights: np.ndarray,
-    config: FitConfig = FitConfig(),
-) -> list[FitReport]:
+def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     """Fit one weighted objective per row of ``weights`` on the one design ``data``.
 
     Row ``b`` of the ``(B, n)`` array ``weights`` gives the fit that
@@ -185,17 +192,16 @@ def fit_weighted_batch(
     eye = np.eye(K * d)
     active = np.arange(B)  # elements still iterating
 
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         if active.size == 0:  # the last elements stalled in the line search
             break
         g = _gradient(beta[active], data, w[active])
-        moving = np.abs(g).max(axis=1) > config.grad_tol
+        moving = np.abs(g).max(axis=1) > GRAD_TOL
         active, g = active[moving], g[moving]
         if active.size == 0:
             break
-        H = information(beta[active], data.X, w[active]) + config.ridge * eye
-        fell_back = _not_positive_definite(H)
-        step = np.linalg.solve(H, g[:, :, None])
+        H = information(beta[active], data.X, w[active]) + RIDGE * eye
+        step, fell_back = _newton_steps(H, g[:, :, None])
         fallbacks[active] += fell_back
         # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is
         # below the line search's resolution: the whole step is taken
@@ -225,7 +231,7 @@ def fit_weighted_batch(
             beta=beta[b],
             iterations=int(iterations[b]),
             final_grad_norm=float(final_grad_norm[b]),
-            converged=bool(final_grad_norm[b] <= config.grad_tol),
+            converged=bool(final_grad_norm[b] <= GRAD_TOL),
             final_loss=float(final_loss[b]),
             cholesky_fallbacks=int(fallbacks[b]),
         )
@@ -233,14 +239,10 @@ def fit_weighted_batch(
     ]
 
 
-def fit_weighted_mle(
-    data: Dataset,
-    weights: np.ndarray,
-    config: FitConfig = FitConfig(),
-) -> FitReport:
+def fit_weighted_mle(data: Dataset, weights: np.ndarray) -> FitReport:
     """Minimize ``(1/n) sum_i w_i * cross_entropy_i`` by damped Newton.
 
-    Non-convergence within ``max_iters`` is reported via
+    Non-convergence within ``MAX_ITERS`` steps is reported via
     ``converged=False``, never silently. Raises ``ValueError`` on
     negative/all-zero weights, on weights whose sum or mean-one scale
     overflows, or if the positive-weight samples cover fewer than two
@@ -250,9 +252,9 @@ def fit_weighted_mle(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (data.n,):
         raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
-    return fit_weighted_batch(data, weights[None], config)[0]
+    return fit_weighted_batch(data, weights[None])[0]
 
 
-def fit_mle(data: Dataset, config: FitConfig = FitConfig()) -> FitReport:
+def fit_mle(data: Dataset) -> FitReport:
     """Maximum-likelihood fit (all weights one)."""
-    return fit_weighted_mle(data, np.ones(data.n), config)
+    return fit_weighted_mle(data, np.ones(data.n))

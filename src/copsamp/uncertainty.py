@@ -156,8 +156,6 @@ def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (ensemble.d,):
         raise ValueError(f"x has shape {x.shape}, expected ({ensemble.d},)")
-    if ensemble.M < 2:
-        raise ValueError("need at least 2 members")
     Z = ensemble.members @ x
     # the mean model's logits equal the mean of member logits; centering on
     # the computed logit mean keeps identical members at (near) zero

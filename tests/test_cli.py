@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from copsamp import cli, model, selfcheck, uncertainty
+from copsamp import cli, model, selfcheck, solver, uncertainty
 from copsamp.cli import (
     CliError,
     bundled_config_path,
@@ -129,13 +129,17 @@ class TestFit:
         assert "no data rows" in capsys.readouterr().err
         assert not (tmp_path / "fit.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
-    def test_flag_of_another_command_exit_2(self, flag, capsys):
-        # only simulate reads --threads; fit draws nothing, so it takes no seed
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"], ["--grad-tol", "1e-6"],
+                                      ["--max-iters", "5"], ["--ridge", "1"]])
+    def test_flag_of_another_command_exit_2(self, flag, tmp_path, capsys):
+        # only simulate reads --threads; fit draws nothing, so it takes no
+        # seed; the Newton solver's settings are constants, not flags
+        out = tmp_path / "fit.json"
         with pytest.raises(SystemExit) as err:
-            run(["fit", FIXTURES / "tiny_binary.csv"] + flag)
+            run(["fit", FIXTURES / "tiny_binary.csv", "--out", out] + flag)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_exit_1(self, tmp_path, capsys):
         out = tmp_path / "outdir"
@@ -144,15 +148,32 @@ class TestFit:
         assert f"cannot write {out}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.tmp-*"))
 
-    def test_strict_flag_on_nonconvergence(self, tmp_path):
+    def test_strict_flag_on_nonconvergence(self, tmp_path, monkeypatch):
         data_path = tmp_path / "data.csv"
         synthetic_csv(data_path, seed=1, n=300, K=2, d=3)
         out = tmp_path / "fit.json"
-        assert run(["fit", data_path, "--out", out, "--max-iters", 1,
-                    "--grad-tol", 1e-14]) == 0
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
+        monkeypatch.setattr(solver, "GRAD_TOL", 1e-14)
+        assert run(["fit", data_path, "--out", out]) == 0
         assert json.loads(out.read_text())["converged"] is False
-        assert run(["fit", data_path, "--out", out, "--max-iters", 1,
-                    "--grad-tol", 1e-14, "--strict"]) == 1
+        assert run(["fit", data_path, "--out", out, "--strict"]) == 1
+
+    def test_singular_hessian_reported_not_converged(self, tmp_path):
+        # two equal feature columns at scale 1e6: a Newton step's ridged
+        # Hessian is exactly singular, and the fit stops with its report
+        out = tmp_path / "fit.json"
+        assert run(["fit", FIXTURES / "singular_hessian.csv", "--out", out]) == 0
+        assert '"converged": false' in out.read_text()
+        assert run(["fit", FIXTURES / "singular_hessian.csv", "--out", out, "--strict"]) == 1
+
+    def test_manifest_records_solver_settings(self, tmp_path, monkeypatch):
+        # the settings are read from the solver's constants when the fit runs
+        monkeypatch.setattr(solver, "MAX_ITERS", 7)
+        out = tmp_path / "fit.json"
+        assert run(["fit", FIXTURES / "tiny_binary.csv", "--out", out]) == 0
+        config = json.loads((tmp_path / "fit.json.manifest.json").read_text())["config"]
+        assert (config["grad_tol"], config["max_iters"], config["ridge"]) == (
+            solver.GRAD_TOL, solver.MAX_ITERS, solver.RIDGE)
 
     def test_stalled_fit_reported_not_converged(self, tmp_path):
         # separable rows at scale 1e10: the Newton line search runs out of

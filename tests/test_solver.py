@@ -14,7 +14,7 @@ from numpy.linalg import LinAlgError
 from copsamp import solver
 from copsamp.model import Dataset, _loss_sum, _residuals, dataset_loss, information
 from copsamp.simulation import SimulationSpec, generate_dataset
-from copsamp.solver import FitConfig, fit_mle, fit_weighted_batch, fit_weighted_mle
+from copsamp.solver import fit_mle, fit_weighted_batch, fit_weighted_mle
 from helpers import synthetic
 
 
@@ -36,19 +36,22 @@ def test_converges_on_multiclass():
     assert report.final_grad_norm <= 1e-8
 
 
-def test_loss_non_increasing_across_iterations():
+def test_loss_non_increasing_across_iterations(monkeypatch):
     data, _ = synthetic(2, 500, 2, 3)
+    monkeypatch.setattr(solver, "GRAD_TOL", 1e-14)
     losses = []
     for k in range(1, 8):
-        rep = fit_mle(data, FitConfig(max_iters=k, grad_tol=1e-14))
+        monkeypatch.setattr(solver, "MAX_ITERS", k)
+        rep = fit_mle(data)
         losses.append(rep.final_loss)
     diffs = np.diff(losses)
     assert np.all(diffs <= 1e-15)
 
 
-def test_gradient_norm_at_convergence():
+def test_gradient_norm_at_convergence(monkeypatch):
     data, _ = synthetic(3, 800, 1, 2)
-    rep = fit_mle(data, FitConfig(grad_tol=1e-10))
+    monkeypatch.setattr(solver, "GRAD_TOL", 1e-10)
+    rep = fit_mle(data)
     assert rep.converged and rep.final_grad_norm <= 1e-10
 
 
@@ -89,9 +92,11 @@ def test_determinism_bit_identical():
     )
 
 
-def test_non_convergence_reported():
+def test_non_convergence_reported(monkeypatch):
     data, _ = synthetic(8, 500, 2, 4)
-    rep = fit_mle(data, FitConfig(max_iters=1, grad_tol=1e-14))
+    monkeypatch.setattr(solver, "MAX_ITERS", 1)
+    monkeypatch.setattr(solver, "GRAD_TOL", 1e-14)
+    rep = fit_mle(data)
     assert not rep.converged
 
 
@@ -136,12 +141,12 @@ def test_weighted_fit_minimizes_weighted_loss():
         assert dataset_loss(perturbed, data, w) >= base - 1e-12
 
 
-def reference_fit(data, weights, config=FitConfig()):
+def reference_fit(data, weights):
     """The one-at-a-time damped-Newton loop on (K, d) coefficients, step by step.
 
     The reference of the batched solver: the same stop test, step solve,
     Cholesky test, negligible-decrease rule and step halving, written for
-    one weight vector with scalar losses.
+    one weight vector with scalar losses, on the solver's settings.
     """
     w = weights * (data.n / weights.sum())
 
@@ -155,11 +160,11 @@ def reference_fit(data, weights, config=FitConfig()):
     K, d = data.K, data.d
     beta, iterations, fallbacks = np.zeros((K, d)), 0, 0
     loss = objective(beta, w)
-    for _ in range(config.max_iters):
+    for _ in range(solver.MAX_ITERS):
         g = gradient(beta)
-        if np.abs(g).max() <= config.grad_tol:
+        if np.abs(g).max() <= solver.GRAD_TOL:
             break
-        H = information(beta, data.X, w) + config.ridge * np.eye(K * d)
+        H = information(beta, data.X, w) + solver.RIDGE * np.eye(K * d)
         try:
             solver.cholesky(H)
             fell_back = False
@@ -180,7 +185,7 @@ def reference_fit(data, weights, config=FitConfig()):
         if not accepted:
             break
     grad_norm = float(np.abs(gradient(beta)).max())
-    return solver.FitReport(beta, iterations, grad_norm, grad_norm <= config.grad_tol,
+    return solver.FitReport(beta, iterations, grad_norm, grad_norm <= solver.GRAD_TOL,
                             objective(beta, weights), fallbacks)
 
 
@@ -192,17 +197,21 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
         data, _ = synthetic(seed, n, K, d)
         w = np.random.default_rng(seed).uniform(0.2, 3.0, size=n)
         for weights in (np.ones(n), 7.3 * np.ones(n), w, 1e6 * w):
-            for config in (FitConfig(), FitConfig(max_iters=2, grad_tol=1e-14)):
-                cases.append((data, weights, config))
+            cases.append((data, weights))
 
     def check():
-        for data, weights, config in cases:
-            fit, ref = fit_weighted_mle(data, weights, config), reference_fit(data, weights, config)
-            npt.assert_array_equal(fit.beta, ref.beta)
-            assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
-                    fit.cholesky_fallbacks) == (ref.iterations, ref.final_grad_norm,
-                                                ref.converged, ref.final_loss,
-                                                ref.cholesky_fallbacks)
+        # the default settings, then two steps with a stop test none passes
+        for max_iters, grad_tol in ((solver.MAX_ITERS, solver.GRAD_TOL), (2, 1e-14)):
+            with monkeypatch.context() as settings:
+                settings.setattr(solver, "MAX_ITERS", max_iters)
+                settings.setattr(solver, "GRAD_TOL", grad_tol)
+                for data, weights in cases:
+                    fit, ref = fit_weighted_mle(data, weights), reference_fit(data, weights)
+                    npt.assert_array_equal(fit.beta, ref.beta)
+                    assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
+                            fit.cholesky_fallbacks) == (ref.iterations, ref.final_grad_norm,
+                                                        ref.converged, ref.final_loss,
+                                                        ref.cholesky_fallbacks)
 
     check()
 
@@ -230,9 +239,10 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     monkeypatch.setattr(solver, "cholesky",
                         lambda H: np.linalg.cholesky(H - 1e-3 * np.eye(H.shape[-1])))
 
-    def batch_and_alone(config):
-        batch = fit_weighted_batch(data, weights, config)
-        alone = [fit_weighted_mle(data, w, config) for w in weights]
+    def batch_and_alone(max_iters):
+        monkeypatch.setattr(solver, "MAX_ITERS", max_iters)
+        batch = fit_weighted_batch(data, weights)
+        alone = [fit_weighted_mle(data, w) for w in weights]
         for fit, ref in zip(batch, alone, strict=True):
             assert (fit.iterations, fit.converged, fit.cholesky_fallbacks) == (
                 ref.iterations, ref.converged, ref.cholesky_fallbacks)
@@ -242,7 +252,7 @@ def test_batch_matches_one_at_a_time(monkeypatch):
             assert abs(fit.final_grad_norm - ref.final_grad_norm) <= 1e-12
         return batch
 
-    batch = batch_and_alone(FitConfig(max_iters=6))
+    batch = batch_and_alone(6)
     assert [fit.iterations for fit in batch] == [5, 5, 6, 6]
     assert [fit.converged for fit in batch] == [True, True, False, True]
     assert [fit.cholesky_fallbacks for fit in batch] == [0, 0, 0, 6]
@@ -250,7 +260,7 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     # halves its step as often as its own loss asks
     real_information = solver.information
     monkeypatch.setattr(solver, "information", lambda *a: 0.3 * real_information(*a))
-    batch_and_alone(FitConfig(max_iters=20))
+    batch_and_alone(20)
 
 
 @pytest.mark.parametrize("bad", ["negative", "not finite", "all zero", "one class"])
@@ -336,31 +346,65 @@ def test_fit_stops_when_its_last_elements_stall():
     assert rep.final_grad_norm == pytest.approx(3.2834e-8, rel=1e-3)
 
 
-def test_element_without_descent_leaves_the_batch(monkeypatch):
-    # element 0's Hessian is negated, so its first Newton step ascends at
-    # every step length; it stops after one iteration, and the other
-    # element's fit is its fit alone
+def batch_with_first_information(monkeypatch, replace):
+    """Element 0's report of a two-element batch whose element 0's information is ``replace``d.
+
+    Checks that element 1's report is its fit alone, bit for bit.
+    """
     data, _ = synthetic(9, 50, 1, 2)
     weights = np.stack([np.ones(data.n), np.random.default_rng(9).uniform(0.2, 3.0, data.n)])
     alone = fit_weighted_mle(data, weights[1])
     real_information = solver.information
 
-    def negate_first(beta, X, w):
+    def replace_first(beta, X, w):
         H = real_information(beta, X, w)
         if len(H) == 2:
-            H[0] = -H[0]
+            H[0] = replace(H[0])
         return H
 
-    monkeypatch.setattr(solver, "information", negate_first)
-    stalled, fit = fit_weighted_batch(data, weights)
-    assert (stalled.converged, stalled.iterations, stalled.cholesky_fallbacks) == (False, 1, 1)
-    npt.assert_array_equal(stalled.beta, 0.0)
+    monkeypatch.setattr(solver, "information", replace_first)
+    first, fit = fit_weighted_batch(data, weights)
     npt.assert_array_equal(fit.beta, alone.beta)
     assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
             fit.cholesky_fallbacks) == (alone.iterations, alone.final_grad_norm,
                                         alone.converged, alone.final_loss,
                                         alone.cholesky_fallbacks)
+    return first
 
+
+def test_element_without_descent_leaves_the_batch(monkeypatch):
+    # element 0's Hessian is negated, so its first Newton step ascends at
+    # every step length; it stops after one iteration, and the other
+    # element's fit is its fit alone
+    stalled = batch_with_first_information(monkeypatch, lambda H: -H)
+    assert (stalled.converged, stalled.iterations, stalled.cholesky_fallbacks) == (False, 1, 1)
+    npt.assert_array_equal(stalled.beta, 0.0)
+
+
+def singular_hessian_data():
+    """Two equal feature columns at scale 1e6: a ridged Hessian is exactly singular."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=50) * 1e6
+    return Dataset(np.column_stack([x, x]), (rng.random(50) < 0.5).astype(int), 1)
+
+
+def test_singular_hessian_ends_the_fit_unconverged():
+    # the LU solve of the second step fails; the fit stops at its first
+    # step's iterate, as a stalled line search does
+    rep = fit_mle(singular_hessian_data())
+    assert not rep.converged
+    assert (rep.iterations, rep.cholesky_fallbacks) == (2, 2)
+    assert rep.final_loss < np.log(2)  # the loss at beta = 0
+
+
+def test_singular_element_leaves_the_batch(monkeypatch):
+    # element 0's information is -RIDGE * I, so its ridged Hessian is exactly
+    # zero; it stops after one step that is not taken, and the other
+    # element's fit is its fit alone
+    singular = batch_with_first_information(monkeypatch,
+                                            lambda H: -solver.RIDGE * np.eye(len(H)))
+    assert (singular.converged, singular.iterations, singular.cholesky_fallbacks) == (False, 1, 1)
+    npt.assert_array_equal(singular.beta, 0.0)
 
 OVERFLOWING_WEIGHTS = {
     "sum overflows": np.full(50, 1e308),
@@ -379,8 +423,6 @@ def test_weights_that_cannot_be_rescaled_rejected(kind):
     assert str(batched.value) == str(alone.value)
 
 
-def test_refused_settings_and_data():
-    with pytest.raises(ValueError, match="all FitConfig fields must be positive"):
-        FitConfig(max_iters=0)
+def test_refused_data():
     with pytest.raises(ValueError, match="fitting requires labels"):
         fit_weighted_batch(Dataset(np.ones((3, 2)), None, 1), np.ones((1, 3)))

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from copsamp import uncertainty
+from copsamp import solver, uncertainty
 from copsamp.model import (
     BLOCK_ROWS,
     Dataset,
@@ -17,7 +17,7 @@ from copsamp.model import (
     psi,
 )
 from copsamp.selfcheck import label_average
-from copsamp.solver import FitConfig, fit_mle
+from copsamp.solver import fit_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
     SingularInformationError,
@@ -89,8 +89,7 @@ class TestTrainEnsemble:
 
     def test_unconverged_member_warns(self, monkeypatch):
         data, _ = synthetic(3, 400, 1, 2)
-        monkeypatch.setattr(uncertainty, "fit_mle",
-                            lambda probe: fit_mle(probe, FitConfig(max_iters=1)))
+        monkeypatch.setattr(solver, "MAX_ITERS", 1)
         with pytest.warns(RuntimeWarning, match=r"ensemble member \d did not converge") as caught:
             ens = train_ensemble(data, 4, seed=0)
         assert len(caught) == ens.M == 4
