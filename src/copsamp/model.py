@@ -34,15 +34,14 @@ of its ``(d, d)`` blocks is symmetric and every block reads the same
 products ``x_a x_b``, so :func:`information` builds it from one
 feature-pair table: the T = d(d+1)/2 products with ``a <= b`` and the
 P = K(K+1)/2 class-pair coefficients with ``k <= l``, in row blocks of
-``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. The trace scores
-of :mod:`copsamp.uncertainty` read the same table.
+``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. Only the exact
+scores of :mod:`copsamp.uncertainty` read the same table.
 
 The private builders, the weighted loss and :func:`information` also
 take a ``(B, K, d)`` stack of coefficients on one design, with ``(B, n)``
 weights: the batched Newton solver's fits. Every per-row quantity gains
-the leading batch axis, the feature products are built once for the
-whole stack, and each block of rows of the information matrices is one
-``(B*P, b) @ (b, T)`` GEMM.
+the leading batch axis and the feature products are built once for the
+whole stack, but each element gets the GEMMs it would get alone.
 
 Every function in this module is a pure function of its inputs and is
 safe to call concurrently.
@@ -143,6 +142,14 @@ class FisherInfo:
 
     m: np.ndarray
     near_singular: bool = field(default=False)
+
+
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Refuse ``value`` unless it is an int or a numpy integer, not a bool, >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_beta(
@@ -340,8 +347,8 @@ def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
     return np.kron(phi(beta, x), np.outer(x, x))
 
 
-#: rows per block of the feature-pair kernels: their scratch is
-#: O(BLOCK_ROWS * (d^2 + K^2)) whatever the number of rows
+#: rows per block of the row-blocked kernels: the feature-pair ones take
+#: O(BLOCK_ROWS * (d^2 + K^2)) scratch whatever the number of rows
 BLOCK_ROWS = 1024
 
 
@@ -478,8 +485,7 @@ def information(
 
     A ``(B, K, d)`` stack of coefficients, with ``w`` of shape ``(B, n)``
     if given, gives the ``(B, K*d, K*d)`` stack of matrices on the one
-    design ``X``: each block of rows is then one ``(B*P, b) @ (b, T)``
-    GEMM.
+    design ``X``, each element from its own ``(P, b) @ (b, T)`` GEMMs.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -492,9 +498,8 @@ def information(
             raise ValueError(f"weights has shape {w.shape}, expected {beta.shape[:-2] + (n,)}")
     kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], d)
     G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
-    G_rows = G.reshape(-1, len(aa))
     for _, _, C, Q in _pair_blocks(beta, X, w=w):
-        G_rows += C.reshape(-1, C.shape[-1]) @ Q.T
+        G += C @ Q.T
     G /= n
     return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
 

@@ -38,7 +38,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset
+from copsamp.model import Coefficients, Dataset, _check_integer
 from copsamp.solver import FitReport, fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, score_rows
 
@@ -62,14 +62,6 @@ class LabelingError(RuntimeError):
     """The label oracle failed on a drawn index; the pipeline aborts."""
 
 
-def _check_integer(name: str, value, minimum: int | None = None) -> None:
-    """Refuse ``value`` unless it is an int or a numpy integer, not a bool, >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class SamplingConfig:
     """Settings shared by the subsampling pipelines.
@@ -89,7 +81,7 @@ class SamplingConfig:
 
     def __post_init__(self) -> None:
         _check_integer("subsample_size", self.subsample_size, 1)
-        _check_integer("seed", self.seed)
+        _check_integer("seed", self.seed, 0)
         # written so that NaN fails each comparison and is rejected
         if self.alpha_multiplier is not None and not 1 < self.alpha_multiplier < np.inf:
             raise ValueError(

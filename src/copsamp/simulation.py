@@ -51,10 +51,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset, _loss_sum
+from copsamp.model import Coefficients, Dataset, _check_integer, _loss_sum
 from copsamp.sampler import (
     SamplingConfig,
-    _check_integer,
     draw_subsample,
     make_plan,
     plan_scores,

@@ -17,8 +17,8 @@ weighted class-major score vectors against ``X`` (see
 mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
-is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix; for a
-batch, each block of rows is one GEMM for all of its elements. Each
+is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. A batch
+element gets the GEMMs its fit alone would get, bit for bit. Each
 Newton step solves ``(H + RIDGE * I) step = grad`` with numpy's LU
 solve. A Cholesky factorization of the same matrix decides only whether
 it is positive definite: when it fails, the step is counted in
@@ -163,8 +163,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     """Fit one weighted objective per row of ``weights`` on the one design ``data``.
 
     Row ``b`` of the ``(B, n)`` array ``weights`` gives the fit that
-    :func:`fit_weighted_mle` would make with those weights, up to the
-    rounding of the batched information GEMM, and its own
+    :func:`fit_weighted_mle` would make with those weights, and its own
     :class:`FitReport`: each element has its own convergence test, step
     halving, iteration count and Cholesky fallbacks. An element leaves
     the batch when it converges or its line search fails, and each

@@ -1,24 +1,21 @@
 """Per-sample uncertainty scores, exact and ensemble-based.
 
-Both estimators are one trace, ``sum_kl C[k, l] x^T V_kl x`` over the
-``(d, d)`` blocks of a ``(K*d, K*d)`` matrix ``V``, with ``C = s s^T``
-when the label is known (coreset selection) and ``C = phi`` when it is
-not (active learning). Exact scores take ``V = M^-1``, the inverse of
-the ridge-stabilized Fisher information. Ensemble scores take the sample
-covariance ``V = Cov(vec beta_m)`` of M probe models, whose logit
-covariance at ``x`` is ``(I kron x)^T V (I kron x)``, and ``C`` at the
-ensemble mean. Each member fits n' rows and ``n' * Cov(vec beta_m) ~
-M^-1``, so ensemble scores times n' approach the exact ones; the
-subsampling pipelines plan on that scale.
+Both estimators score a row ``x`` by ``sum_kl C[k, l] Cov(z_k, z_l)`` over
+its logits ``z``, with ``C = s s^T`` when the label is known (coreset
+selection) and ``C = phi`` when it is not (active learning). Exact scores
+take ``Cov(z) = (I kron x)^T M^-1 (I kron x)``, ``M`` the ridge-stabilized
+Fisher information; ensemble scores take the sample covariance of the M
+probe members' logits, and ``C`` at their mean. Each member fits n' rows
+and ``n' * Cov(vec beta_m) ~ M^-1``, so ensemble scores times n' approach
+the exact ones; the subsampling pipelines plan on that scale.
 
-Both batched scorers run one kernel over the feature-pair table of
-:func:`copsamp.model.information`: ``V`` is packed once into a ``(P, T)``
-matrix ``W`` over the class pairs ``k <= l`` and feature pairs
-``a <= b``, and each block of rows costs one ``(P, T) @ (T, b)`` GEMM
-and a column sum against the pair coefficients, a single pass over
-``X``. Their memory is O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) for any
-M. The per-sample functions take independent routes and serve as
-oracles. Scoring is pure and thread-safe.
+Batched exact scores pack ``M^-1`` into the feature-pair table of
+:func:`copsamp.model.information`: one ``(P, T) @ (T, b)`` GEMM per block
+of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
+scorers read the members' logit deviations from one function; the batched
+one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample exact functions
+take independent routes and serve as oracles. Scoring is pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -31,10 +28,15 @@ import numpy as np
 from numpy.linalg import LinAlgError, cholesky
 
 from copsamp.model import (
+    BLOCK_ROWS,
     Coefficients,
     Dataset,
     FisherInfo,
+    _check_integer,
+    _check_x,
     _pair_blocks,
+    _probabilities,
+    _residuals,
     _trace_weights,
     fisher_info,
     phi,
@@ -85,16 +87,6 @@ class ProbeEnsemble:
         return self.members.mean(axis=0)
 
     @property
-    def covariance(self) -> np.ndarray:
-        """Sample covariance (M-1 divisor) of the members' ``vec(beta)``, ``(K*d, K*d)``.
-
-        Round-off deviations are stripped, so identical members give exactly 0.
-        """
-        B = self.members.reshape(self.M, -1)
-        dev = _strip_roundoff(B - B.mean(axis=0), B, axis=0)
-        return dev.T @ dev / (self.M - 1)
-
-    @property
     def M(self) -> int:
         return self.members.shape[0]
 
@@ -124,8 +116,8 @@ def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
     The shards come from :func:`shard_indices` shuffled by ``seed``; each
     member is a plain maximum-likelihood fit of its shard.
     """
-    if M < 2:
-        raise ValueError("M must be >= 2")
+    _check_integer("M", M, 2)
+    _check_integer("seed", seed, 0)
     if not probe.labeled:
         raise ValueError("probe data must be labeled")
     probe_size = probe.n // M
@@ -148,19 +140,27 @@ def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
     return ProbeEnsemble(members=members, probe_size=probe_size)
 
 
+def _logit_deviations(members: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The members' logits at the rows of ``X`` minus their mean, shape ``(M, K, n)``.
+
+    Deviations within 8 ulps of their row's and class's largest logit are
+    rounding noise (a mean of identical values need not be exact): zeroed.
+    """
+    M, K, d = members.shape
+    Z = (members.reshape(M * K, d) @ X.T).reshape(M, K, -1)
+    tol = 8 * np.finfo(float).eps * np.abs(Z).max(axis=0)
+    Z -= Z.mean(axis=0)  # Z now holds the deviations
+    Z[np.abs(Z) <= tol] = 0.0
+    return Z
+
+
 def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
     """Sample covariance of member logit vectors at ``x``, shape (K, K).
 
     Uses the M-1 divisor and centers on the mean model's logits.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ensemble.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({ensemble.d},)")
-    Z = ensemble.members @ x
-    # the mean model's logits equal the mean of member logits; centering on
-    # the computed logit mean keeps identical members at (near) zero
-    dev = Z - Z.mean(axis=0)
-    dev = _strip_roundoff(dev, Z, axis=0)
+    x = _check_x(x, ensemble.members[0])
+    dev = _logit_deviations(ensemble.members, x[None, :])[..., 0]
     sigma = dev.T @ dev / (ensemble.M - 1)
     return 0.5 * (sigma + sigma.T)
 
@@ -168,17 +168,6 @@ def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
 def _clamp(u: np.ndarray | float) -> np.ndarray | float:
     """Zero out round-off negatives of PSD quadratic forms."""
     return np.maximum(u, 0.0)
-
-
-def _strip_roundoff(dev: np.ndarray, Z: np.ndarray, axis: int) -> np.ndarray:
-    """Zero deviations within a few ulps of the magnitude of the values.
-
-    A spread that small is indistinguishable from identical members
-    (the mean of M identical values need not be bit-exact), and its
-    squared contribution to the covariance is pure rounding noise.
-    """
-    tol = 8 * np.finfo(float).eps * np.abs(Z).max(axis=axis, keepdims=True)
-    return np.where(np.abs(dev) <= tol, 0.0, dev)
 
 
 def ensemble_score_coreset(ensemble: ProbeEnsemble, x: np.ndarray, y: int) -> float:
@@ -194,27 +183,15 @@ def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
     return float(_clamp(np.sum(phi(ensemble.mean, x) * sigma)))
 
 
-def _trace_scores(
-    beta: Coefficients, V: np.ndarray, data: Dataset, kind: str
-) -> np.ndarray:
-    """``u_i = sum_kl c_kl(x_i) x_i^T V_kl x_i`` over the row blocks of ``_pair_blocks``.
-
-    Per block of rows it is ``sum_p C[p] * (W @ Q)[p]`` with ``W`` the
-    ``(P, T)`` packing of ``V`` by ``_trace_weights``.
-    """
+def _scored_labels(data: Dataset, kind: str, size: int) -> np.ndarray | None:
+    """The labels a ``kind`` score reads (None: active), after both batched scorers' checks."""
     if kind not in ("coreset", "active"):
         raise ValueError(f"unknown score kind {kind!r}")
     if kind == "coreset" and not data.labeled:
         raise ValueError("coreset scoring needs labels")
-    K, d = data.K, data.d
-    if K * d != V.shape[0]:
+    if data.K * data.d != size:
         raise ValueError("data dimensions do not match the score matrix")
-    W = _trace_weights(V, K, d)
-    u = np.empty(data.n)
-    y = data.y if kind == "coreset" else None
-    for start, stop, C, Q in _pair_blocks(beta, data.X, y):
-        np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])
-    return _clamp(u)
+    return data.y if kind == "coreset" else None
 
 
 def ensemble_scores(
@@ -222,10 +199,30 @@ def ensemble_scores(
     data: Dataset,
     kind: Literal["coreset", "active"],
 ) -> np.ndarray:
-    """Vectorized ensemble scores: traces against the members' coefficient covariance."""
+    """Vectorized ensemble scores: :func:`logit_covariance` against ``C`` per row.
+
+    Per block of rows it is ``sum_m c(dev_m) / (M - 1)`` over the members'
+    logit deviations ``dev_m``, with ``c = (s^T dev)^2`` for coreset
+    scores and ``dev^T phi dev`` for active ones.
+    """
     if data.d != ensemble.d:
         raise ValueError(f"data dimension {data.d} != ensemble dimension {ensemble.d}")
-    return _trace_scores(ensemble.mean, ensemble.covariance, data, kind)
+    y = _scored_labels(data, kind, ensemble.K * ensemble.d)
+    K, mean = ensemble.K, ensemble.mean
+    # class-major (K, n) probabilities or score vectors at the mean, built once
+    c = _probabilities(mean, data.X)[1:] if y is None else _residuals(mean, data.X, y)
+    u = np.empty(data.n)
+    for start in range(0, data.n, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        dev = _logit_deviations(ensemble.members, data.X[rows])
+        if y is None:  # phi = diag(p) - p p^T per row, formed as :func:`phi` forms it
+            phi_rows = -(c[:, None, rows] * c[:, rows])
+            phi_rows.reshape(K * K, -1)[:: K + 1] += c[:, rows]
+            np.einsum("mkb,klb,mlb->b", dev, phi_rows, dev, out=u[rows])
+        else:
+            s_dev = np.einsum("kb,mkb->mb", c[:, rows], dev)
+            np.einsum("mb,mb->b", s_dev, s_dev, out=u[rows])
+    return _clamp(u / (ensemble.M - 1))
 
 
 def _factorize(info: FisherInfo) -> np.ndarray:
@@ -280,10 +277,16 @@ def exact_scores(
 ) -> np.ndarray:
     """Vectorized exact scores ``Tr((C_i kron x_i x_i^T) M^-1)`` over every row.
 
-    ``M^-1`` is formed once from the Cholesky factor of the ridged matrix.
+    ``M^-1`` is packed into the ``(P, T)`` table ``W``: per block of rows
+    of ``_pair_blocks`` the scores are ``sum_p C[p] * (W @ Q)[p]``.
     """
+    y = _scored_labels(data, kind, info.m.shape[0])
     factor_inv = np.linalg.inv(_factorize(info))
-    return _trace_scores(beta, factor_inv.T @ factor_inv, data, kind)
+    W = _trace_weights(factor_inv.T @ factor_inv, data.K, data.d)
+    u = np.empty(data.n)
+    for start, stop, C, Q in _pair_blocks(beta, data.X, y):
+        np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])
+    return _clamp(u)
 
 
 def score_rows(

@@ -6,7 +6,7 @@ this module holds the ones that only the tests use.
 
 import numpy as np
 
-from copsamp.model import Dataset, class_probabilities, probability_matrix
+from copsamp.model import Dataset, class_probabilities, phi, probability_matrix, score_vector
 from copsamp.selfcheck import sample_labels
 from copsamp.uncertainty import ProbeEnsemble
 
@@ -24,6 +24,26 @@ def constant_ensemble(beta, M=4, probe_size=100):
     """M identical members: every covariance, and so every ensemble score, is zero."""
     members = np.repeat(np.asarray(beta)[None, :, :], M, axis=0)
     return ProbeEnsemble(members, probe_size)
+
+
+def kronecker_ensemble_score(ensemble, x, y=None):
+    """``tr((C kron x x^T) V)`` with ``V`` the members' ``np.cov`` of ``vec(beta)``.
+
+    The dense definition of an ensemble score at ``x``: ``C`` is ``s s^T``
+    at label ``y``, or ``phi`` without one, at the ensemble mean. It
+    shares no code with the members' logit deviations, and it runs in
+    extended precision: its sum of (K*d)^2 terms of both signs, like the
+    entries of ``s s^T``, loses more digits than the logit route does.
+    """
+    ext = np.longdouble
+    if y is None:
+        C = phi(ensemble.mean, x).astype(ext)
+    else:
+        s = score_vector(ensemble.mean, x, y).astype(ext)
+        C = np.outer(s, s)
+    V = np.cov(ensemble.members.reshape(ensemble.M, -1).astype(ext), rowvar=False)
+    x = np.asarray(x, dtype=ext)
+    return float(np.sum(np.kron(C, np.outer(x, x)) * V))
 
 
 def ridged(m):

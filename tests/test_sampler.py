@@ -105,7 +105,8 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             cfg(score_transform="cubic")
         for field, value in [("subsample_size", 10.7), ("subsample_size", 10.0),
-                             ("subsample_size", True), ("seed", 1.5), ("seed", False)]:
+                             ("subsample_size", True), ("seed", 1.5), ("seed", False),
+                             ("seed", -1)]:
             with pytest.raises(ValueError, match=field):
                 cfg(**{field: value})
         assert cfg(subsample_size=np.int64(5), seed=np.uint64(2**64 - 1)).subsample_size == 5

@@ -246,10 +246,8 @@ def test_batch_matches_one_at_a_time(monkeypatch):
         for fit, ref in zip(batch, alone, strict=True):
             assert (fit.iterations, fit.converged, fit.cholesky_fallbacks) == (
                 ref.iterations, ref.converged, ref.cholesky_fallbacks)
-            assert np.abs(fit.beta - ref.beta).max() <= 1e-12 * np.abs(ref.beta).max()
-            assert abs(fit.final_loss - ref.final_loss) <= 1e-12 * ref.final_loss
-            # gradients of the mean-one objective start at order one
-            assert abs(fit.final_grad_norm - ref.final_grad_norm) <= 1e-12
+            npt.assert_array_equal(fit.beta, ref.beta)
+            assert (fit.final_loss, fit.final_grad_norm) == (ref.final_loss, ref.final_grad_norm)
         return batch
 
     batch = batch_and_alone(6)
@@ -261,6 +259,20 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     real_information = solver.information
     monkeypatch.setattr(solver, "information", lambda *a: 0.3 * real_information(*a))
     batch_and_alone(20)
+
+
+@pytest.mark.parametrize("K, d, n, B", [(1, 2, 6, 10), (2, 3, 50, 7), (6, 30, 1200, 3),
+                                         (3, 5, 3000, 12)])
+def test_batch_element_is_its_fit_alone_bit_for_bit(K, d, n, B):
+    # each element's information GEMM is the one its fit alone makes, so the
+    # batch size does not change a bit of any element
+    data, _ = synthetic(K * d + n, n, K, d)
+    weights = 2 * np.random.default_rng(1).random((B, n))
+    for fit, w in zip(fit_weighted_batch(data, weights), weights, strict=True):
+        ref = fit_weighted_mle(data, w)
+        npt.assert_array_equal(fit.beta, ref.beta)
+        assert (fit.iterations, fit.final_loss, fit.final_grad_norm) == (
+            ref.iterations, ref.final_loss, ref.final_grad_norm)
 
 
 @pytest.mark.parametrize("bad", ["negative", "not finite", "all zero", "one class"])

@@ -31,7 +31,13 @@ from copsamp.uncertainty import (
     score_rows,
     train_ensemble,
 )
-from helpers import binary_exact_scores, constant_ensemble, ridged, synthetic
+from helpers import (
+    binary_exact_scores,
+    constant_ensemble,
+    kronecker_ensemble_score,
+    ridged,
+    synthetic,
+)
 
 
 class TestTrainEnsemble:
@@ -153,20 +159,47 @@ class TestEnsembleScores:
         assert not np.array_equal(ens.mean, beta)
         data = Dataset(np.random.default_rng(24).normal(size=(50, 2)),
                        np.arange(50) % 3, 2)
-        npt.assert_array_equal(ens.covariance, 0.0)
+        for x in data.X:
+            npt.assert_array_equal(logit_covariance(ens, x), 0.0)
         npt.assert_array_equal(ensemble_scores(ens, data, "coreset"), 0.0)
         npt.assert_array_equal(ensemble_scores(ens, data, "active"), 0.0)
 
     def test_covariance_of_vectorized_members(self):
         data, _ = synthetic(25, 600, 2, 3)
         ens = train_ensemble(data, 5, seed=2)
-        oracle = np.cov(ens.members.reshape(5, -1), rowvar=False)
-        npt.assert_allclose(ens.covariance, oracle, rtol=1e-12, atol=1e-18)
+        cov = np.cov(ens.members.reshape(5, -1), rowvar=False)
         # the logit covariance at x is (I kron x)^T Cov(vec beta) (I kron x)
         x = data.X[0]
         lift = np.kron(np.eye(2), x[:, None])
-        npt.assert_allclose(lift.T @ ens.covariance @ lift, logit_covariance(ens, x),
-                            rtol=1e-12)
+        npt.assert_allclose(lift.T @ cov @ lift, logit_covariance(ens, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("M", [2, 10])
+    @pytest.mark.parametrize("K, d", [(1, 2), (2, 3), (3, 5), (4, 2)])
+    def test_batch_matches_kronecker_oracle(self, K, d, M):
+        train, _ = synthetic(30 + K * d, 60 * M * (K + d), K, d)
+        ens = train_ensemble(train, M, seed=M)
+        data, _ = synthetic(31, 80, K, d)
+        u_core = ensemble_scores(ens, data, "coreset")
+        u_act = ensemble_scores(ens, data, "active")
+        for i, x in enumerate(data.X):
+            npt.assert_allclose(u_core[i], kronecker_ensemble_score(ens, x, int(data.y[i])),
+                                rtol=1e-12)
+            npt.assert_allclose(u_act[i], kronecker_ensemble_score(ens, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["coreset", "active"])
+    def test_batch_peak_memory_bounded_in_d(self, kind):
+        # K=9, d=128: one BLOCK_ROWS block of the d(d+1)/2 feature products
+        # alone is 67.6 MB, and Cov(vec beta) is 10.6 MB
+        data, beta = synthetic(29, 4096, 9, 128, scale=0.05)
+        rng = np.random.default_rng(29)
+        ens = ProbeEnsemble(beta + rng.normal(scale=0.01, size=(10, 9, 128)), 100)
+        tracemalloc.start()
+        try:
+            ensemble_scores(ens, data, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"{kind}: peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("kind", ["coreset", "active"])
     @pytest.mark.parametrize("M", [5, 50])
@@ -275,7 +308,7 @@ class TestExactScores:
     @pytest.mark.parametrize("n", [2 * BLOCK_ROWS + 37, 1])
     def test_row_blocks_match_pointwise(self, n):
         # several full row blocks plus a remainder, and a single row, for
-        # both trace scorers: exact against M^-1, ensemble against Cov(vec beta)
+        # both batched scorers against their per-sample functions
         train, beta = synthetic(19, 400, 3, 4)
         info = fisher_info(beta, train)
         ens = train_ensemble(train, 4, seed=3)
@@ -329,6 +362,10 @@ REFUSALS = {
                               r"members must be \(M, K, d\)"),
     "unlabeled probe": (lambda: train_ensemble(Dataset(ROWS.X, None, 1), 2),
                         "probe data must be labeled"),
+    "member count not an integer": (lambda: train_ensemble(ROWS, 2.5),
+                                    "M must be an integer, got 2.5"),
+    "negative ensemble seed": (lambda: train_ensemble(ROWS, 2, seed=-1),
+                               "seed must be >= 0, got -1"),
     "unknown score kind": (lambda: ensemble_scores(ENSEMBLE, ROWS, "bogus"),
                            "unknown score kind 'bogus'"),
     "coreset scores without labels": (
