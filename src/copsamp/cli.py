@@ -659,7 +659,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             beta_floor=args.beta_floor,
         )
         plan = make_plan(u, config)
-        sub = draw_subsample(plan, u.size, args.r, config.seed)
+        sub = draw_subsample(plan, args.r, config.seed)
     except ValueError as err:
         raise CliError(str(err)) from err
     out_prefix = args.out or "subsample"

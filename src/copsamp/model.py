@@ -11,12 +11,13 @@ concatenates row 1, then row 2, ..., row K, so that the per-sample loss
 Hessian is ``kron(phi, outer(x, x))`` whose ``(k, l)`` block is
 ``phi[k, l] * outer(x, x)``, and the loss gradient is ``-kron(s, x)``.
 
-Batched functions hold their per-row quantities class-major: logits and
-probabilities as ``(K + 1, n)``, score vectors as ``(K, n)``, so that
-every reduction over the classes runs along the long axis and the loss
-gradient is one ``(K, n) @ (n, d)`` GEMM. One private builder writes
+Batched functions hold their per-row quantities class-major as
+``(K + 1, n)``: logits, probabilities and residuals, so that every
+reduction over the classes runs along the long axis and the loss
+gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM, even at K = 1.
+Rows 1..K of the residuals are the score vectors. One private builder writes
 ``beta @ X.T`` into rows 1..K of a ``(K + 1, n)`` array whose row 0 is
-zero and max-shifts each column; probabilities, score vectors, losses
+zero and max-shifts each column; probabilities, residuals, losses
 and the feature-pair table all start from it. The public
 :func:`probability_matrix` and :func:`residual_matrix` return
 row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. The
@@ -200,11 +201,10 @@ def _probabilities(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _residuals(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Class-major score vectors, shape ``(K, n)``: ``indicator(y_i == k) - p_k(x_i)``."""
-    S = -_probabilities(beta, X)[..., 1:, :]
-    y = np.asarray(y, dtype=int)
-    labeled = y >= 1
-    S[..., y[labeled] - 1, np.flatnonzero(labeled)] += 1.0
+    """Class-major residuals of classes 0..K, ``(K + 1, n)``: ``indicator(y_i == k) - p_k(x_i)``."""
+    S = _probabilities(beta, X)
+    np.negative(S, out=S)
+    S[..., np.asarray(y, dtype=int), np.arange(X.shape[0])] += 1.0
     return S
 
 
@@ -233,9 +233,9 @@ def residual_matrix(beta: Coefficients, X: np.ndarray, y: np.ndarray) -> np.ndar
 
     Row ``i`` is :func:`score_vector` at ``(x_i, y_i)``, i.e. the one-hot
     label minus the probabilities of classes ``1..K``. A transposed view
-    of the class-major ``(K, n)`` array.
+    of rows 1..K of the class-major ``(K + 1, n)`` residuals.
     """
-    return _residuals(*_check_rows(beta, X), y).T
+    return _residuals(*_check_rows(beta, X), y)[1:].T
 
 
 def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
@@ -435,7 +435,7 @@ def _pair_blocks(
     once for the whole stack.
     """
     beta, X = _check_rows(beta, X, batched=True)
-    rows = _probabilities(beta, X)[..., 1:, :] if y is None else _residuals(beta, X, y)
+    rows = (_probabilities(beta, X) if y is None else _residuals(beta, X, y))[..., 1:, :]
     n, d = X.shape
     K = rows.shape[-2]
     size = min(n, BLOCK_ROWS)

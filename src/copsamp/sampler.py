@@ -21,14 +21,15 @@ draw is ``Generator.choice``'s inverse-CDF search, run in place on one
 cumulative sum of the probabilities, so a seed picks the rows ``choice``
 would pick, bit for bit.
 
-Where many rows are copies of a few distinct ones, a plan can be made
-over the distinct rows alone: ``make_plan(u, config, counts)`` takes one
-score and one multiplicity per distinct row and returns, per distinct
-row, the probability of each one of its source rows. The draw then
-reads a column ``rows`` that maps every source row to its distinct row,
-so it draws the same source rows as the expanded plan; the caller sums
-the drawn weights per distinct row and refits on the distinct rows (the
-simulation does this for all of a trial's methods in one batched fit).
+Every plan is a counted plan: ``make_plan(u, config, counts)`` takes one
+score and one multiplicity per entry, one each by default, and returns,
+per entry, the probability of each one of its source rows. Where many
+rows are copies of a few distinct ones, the plan is made over the
+distinct rows alone, and the draw reads a column ``rows`` that maps every
+source row to its distinct row, so it draws the same source rows as the
+expanded plan; the caller sums the drawn weights per distinct row and
+refits on the distinct rows (the simulation does this for all of a
+trial's methods in one batched fit).
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def make_plan(
 ) -> SamplingPlan:
     """Turn nonnegative scores into sampling and reweighting distributions.
 
-    With ``counts``, ``u[i]`` is the score shared by ``counts[i]`` source
-    rows, and the plan is that of ``np.repeat(u, counts)`` compressed to
-    one entry per score: ``pi[i]`` and ``pi_reweight[i]`` are the
-    probabilities of each one of those rows, so ``counts @ pi == 1``.
+    ``u[i]`` is the score shared by ``counts[i]`` source rows, one by
+    default, and the plan is that of ``np.repeat(u, counts)`` compressed
+    to one entry per score: ``pi[i]`` and ``pi_reweight[i]`` are the
+    probabilities of each one of those rows, so ``sum(counts * pi) == 1``.
     Only entries with ``counts > 0`` set alpha and the uniform fallback,
     and n is ``counts.sum()``.
     """
@@ -152,14 +153,8 @@ def make_plan(
     if np.any(u < 0) or not np.all(np.isfinite(u)):
         raise ValueError("scores must be finite and nonnegative")
     v = np.sqrt(u) if config.score_transform == "sqrt" else u
-    if counts is None:
-        n, present, total = v.size, v, np.sum
-    else:
-        counts = _check_counts(counts, v.size)
-        n, present = int(counts.sum()), v[counts > 0]
-
-        def total(a: np.ndarray) -> float:
-            return float(counts @ a)
+    counts = np.ones(v.size) if counts is None else _check_counts(counts, v.size)
+    n, present = int(counts.sum()), v[counts > 0]
     if not np.any(present > 0):
         uniform = np.full(v.size, 1.0 / n)
         return SamplingPlan(
@@ -176,11 +171,13 @@ def make_plan(
     if config.alpha_multiplier is not None:
         alpha = config.alpha_multiplier * present[present > 0].min()
         sampling = np.minimum(v, alpha)
-    pi = sampling / total(sampling)
+    # numpy's pairwise sum, as for the weighted loss: a BLAS dot would round
+    # differently with the BLAS thread count
+    pi = sampling / np.sum(counts * sampling)
     floored = np.maximum(v, config.beta_floor)
-    pi_reweight = floored / total(floored)
+    pi_reweight = floored / np.sum(counts * floored)
     # rows with pi = 0 are never drawn, so their weights never occur
-    drawn = pi > 0 if counts is None else (pi > 0) & (counts > 0)
+    drawn = (pi > 0) & (counts > 0)
     max_weight_ratio = float(1.0 / (n * pi_reweight[drawn].min()))
     return SamplingPlan(
         pi=pi,
@@ -191,18 +188,19 @@ def make_plan(
 
 
 def draw_subsample(
-    plan: SamplingPlan, data_len: int, r: int, seed: int, rows: np.ndarray | None = None
+    plan: SamplingPlan, r: int, seed: int, rows: np.ndarray | None = None
 ) -> Subsample:
     """r independent categorical draws from ``plan.pi``, weights from ``pi_reweight``.
 
-    ``rows``, when given, maps each of the ``data_len`` source rows to its
-    entry of a plan made with counts; the draw still runs over the source
-    rows, so it returns the source rows the expanded plan would draw.
+    ``rows``, when given, maps each source row to its entry of a plan made
+    with counts; the draw then runs over the source rows, so it returns
+    the source rows the expanded plan would draw.
 
-    The draw is ``np.random.default_rng(seed).choice(data_len, r, p=...)``
-    bit for bit: the same inverse-CDF search on the same uniforms. The
-    distribution is checked on the plan's entries and on the running total
-    the search builds anyway, not row by row as ``choice`` checks it.
+    Over its n entries or source rows, the draw is
+    ``np.random.default_rng(seed).choice(n, r, p=...)`` bit for bit: the
+    same inverse-CDF search on the same uniforms. The distribution is
+    checked on the plan's entries and on the running total the search
+    builds anyway, not row by row as ``choice`` checks it.
     """
     _check_integer("r", r, 1)
     pi = np.asarray(plan.pi, dtype=float)
@@ -224,8 +222,6 @@ def draw_subsample(
         except IndexError:
             raise ValueError(bad) from None
         np.cumsum(cdf, out=cdf)
-    if cdf.shape != (data_len,):
-        raise ValueError(f"plan covers {cdf.shape[0]} rows, data has {data_len}")
     # Generator.choice's tolerance on the total
     if not abs(cdf[-1] - 1.0) <= np.sqrt(np.finfo(float).eps):
         raise ValueError(f"sampling distribution sums to {cdf[-1]!r}, not 1")
@@ -263,6 +259,21 @@ class PipelineResult:
     labels_queried: int | None = None
 
 
+def _ask(label_oracle: Callable[[int], int], idx: int, K: int) -> int:
+    """The oracle's label of row ``idx``, refused unless an int or numpy integer in ``[0, K]``."""
+    try:
+        label = label_oracle(idx)
+    except Exception as err:
+        raise LabelingError(f"label oracle failed on index {idx}") from err
+    try:
+        _check_integer("label", label, 0)
+    except ValueError as err:
+        raise LabelingError(f"label oracle answered {label!r} for index {idx}") from err
+    if label > K:
+        raise LabelingError(f"label oracle answered {label!r} for index {idx}, above K = {K}")
+    return label
+
+
 def subsample_and_refit(
     data: Dataset,
     u: np.ndarray,
@@ -271,29 +282,26 @@ def subsample_and_refit(
 ) -> PipelineResult:
     """Plan from scores ``u``, draw r rows, label them, refit with 1/pi_reweight weights.
 
-    Labels come from ``data.y`` unless ``label_oracle`` is given; the
-    oracle is asked once per distinct drawn row and ``labels_queried``
-    records how many rows it labeled.
+    Labels come from ``data.y`` unless ``label_oracle`` is given. The
+    oracle is asked once per distinct drawn row and must answer an int
+    label in ``[0, K]``, or the pipeline aborts with a
+    :class:`LabelingError` naming the row; ``labels_queried`` records how
+    many rows it labeled.
     """
     u = np.asarray(u, dtype=float)
+    if u.shape != (data.n,):
+        raise ValueError(f"scores have shape {u.shape}, expected one per row of data: ({data.n},)")
+    if label_oracle is None and not data.labeled:
+        raise ValueError("unlabeled data needs a label oracle")
     plan = make_plan(u, config)
-    sub = draw_subsample(plan, data.n, config.subsample_size, config.seed)
-    labels_queried = None
+    sub = draw_subsample(plan, config.subsample_size, config.seed)
+    distinct, inverse = np.unique(sub.indices, return_inverse=True)
     if label_oracle is None:
-        if not data.labeled:
-            raise ValueError("unlabeled data needs a label oracle")
-        y = data.y[sub.indices]
+        labels, labels_queried = data.y[distinct], None
     else:
-        distinct = np.unique(sub.indices)
-        labels: dict[int, int] = {}
-        for idx in distinct:
-            try:
-                labels[int(idx)] = int(label_oracle(int(idx)))
-            except Exception as err:
-                raise LabelingError(f"label oracle failed on index {idx}") from err
-        y = np.array([labels[int(i)] for i in sub.indices], dtype=int)
-        labels_queried = len(distinct)
-    report = fit_weighted_mle(Dataset(data.X[sub.indices], y, data.K), sub.weights)
+        labels = np.array([_ask(label_oracle, i, data.K) for i in distinct.tolist()], dtype=int)
+        labels_queried = distinct.size
+    report = fit_weighted_mle(Dataset(data.X[sub.indices], labels[inverse], data.K), sub.weights)
     return PipelineResult(
         subsample=sub,
         beta_bar=report.beta,

@@ -331,7 +331,7 @@ def run_trial(
         u = uniform if method.scheme == "uniform" else scores[method.with_labels]
         config = spec.sampling_config(method, derive_seed(seed, "draw", method.id))
         plan = make_plan(u, config, counts)
-        sub = draw_subsample(plan, n, config.subsample_size, config.seed, sampling)
+        sub = draw_subsample(plan, config.subsample_size, config.seed, sampling)
         cell_weights[m] = np.bincount(sampling[sub.indices], weights=sub.weights,
                                       minlength=cells.n)
 

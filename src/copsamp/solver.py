@@ -11,9 +11,10 @@ The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
-objective. The gradient is one ``(K, n) @ (n, d)`` GEMM of the
-weighted class-major score vectors against ``X`` (see
-:mod:`copsamp.model`). The Hessian ``H`` is :func:`copsamp.model.information` of the
+objective. The gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM
+of the weighted class-major residuals against ``X``, a GEMM even at K = 1,
+where a ``(1, n)`` GEMV would round by X's layout and the BLAS thread
+count (see :mod:`copsamp.model`). The Hessian ``H`` is :func:`copsamp.model.information` of the
 mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
@@ -94,12 +95,12 @@ def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
 def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     """Gradients of the weighted mean losses w.r.t. vec(beta), shape (B, K*d).
 
-    Per element one ``(K, n) @ (n, d)`` GEMM of the weighted class-major
-    score vectors against ``X``.
+    Per element rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM of the
+    weighted class-major residuals against ``X``.
     """
     S = _residuals(beta, data.X, data.y)
     S *= w[:, None, :]
-    grad_mat = -(S @ data.X) / data.n
+    grad_mat = -(S @ data.X)[:, 1:] / data.n
     return grad_mat.reshape(len(beta), -1)
 
 

@@ -210,7 +210,7 @@ def ensemble_scores(
     y = _scored_labels(data, kind, ensemble.K * ensemble.d)
     K, mean = ensemble.K, ensemble.mean
     # class-major (K, n) probabilities or score vectors at the mean, built once
-    c = _probabilities(mean, data.X)[1:] if y is None else _residuals(mean, data.X, y)
+    c = (_probabilities(mean, data.X) if y is None else _residuals(mean, data.X, y))[1:]
     u = np.empty(data.n)
     for start in range(0, data.n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)

@@ -166,6 +166,19 @@ class TestFit:
         assert '"converged": false' in out.read_text()
         assert run(["fit", FIXTURES / "singular_hessian.csv", "--out", out, "--strict"]) == 1
 
+    @pytest.mark.parametrize("name", ["singular_hessian.csv", "tiny_binary.csv"])
+    def test_fit_is_the_library_fit_bit_for_bit(self, tmp_path, name):
+        # the reader's X is a strided view of its parse; the library's is C-contiguous
+        out = tmp_path / "fit.json"
+        assert run(["fit", FIXTURES / name, "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        table = np.loadtxt(FIXTURES / name, delimiter=",", skiprows=1)
+        X, y = np.ascontiguousarray(table[:, :-1]), table[:, -1].astype(int)
+        report = solver.fit_mle(Dataset(X, y, doc["k"]))
+        assert doc["coefficients"] == report.beta.tolist()
+        assert (doc["iterations"], doc["final_grad_norm"], doc["final_loss"]) == (
+            report.iterations, report.final_grad_norm, report.final_loss)
+
     def test_manifest_records_solver_settings(self, tmp_path, monkeypatch):
         # the settings are read from the solver's constants when the fit runs
         monkeypatch.setattr(solver, "MAX_ITERS", 7)

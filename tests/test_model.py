@@ -137,12 +137,17 @@ class TestDatasetLoss:
             dataset_loss(np.zeros((1, 1)), data, np.array([1.0, -1.0]))
 
     def test_weighted_losses_independent_of_blas_threads(self):
-        # dataset_loss and row-level regret share one pairwise sum; a BLAS
-        # dot would round differently with 1 and 2 BLAS threads at this size
+        # dataset_loss, row-level regret and a counted plan's normalizers share
+        # one pairwise sum, and a binary fit's gradient is a GEMM, not a GEMV; a
+        # BLAS dot or GEMV would round differently with 1 and 2 BLAS threads
+        # at this size
         script = (
+            "import hashlib\n"
             "import numpy as np\n"
             "from copsamp.model import Dataset, dataset_loss\n"
+            "from copsamp.sampler import SamplingConfig, make_plan\n"
             "from copsamp.simulation import regret\n"
+            "from copsamp.solver import fit_mle\n"
             "rng = np.random.default_rng(0)\n"
             "n, d, K = 200_000, 10, 2\n"
             "X = rng.normal(size=(n, d))\n"
@@ -151,6 +156,11 @@ class TestDatasetLoss:
             "w = rng.uniform(0.0, 2.0, size=n)\n"
             "print(repr(dataset_loss(beta, data, w)), "
             "repr(regret(beta, np.zeros((K, d)), data)))\n"
+            "plan = make_plan(rng.random(n), SamplingConfig(subsample_size=10), "
+            "rng.integers(0, 5, n))\n"
+            "print(hashlib.sha1(plan.pi.tobytes() + plan.pi_reweight.tobytes()).hexdigest())\n"
+            "fit = fit_mle(Dataset(X, (X @ beta[0] > rng.logistic(size=n)).astype(int), 1))\n"
+            "print(fit.beta.tobytes().hex(), repr(fit.final_grad_norm))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -190,6 +190,15 @@ class TestPlanWithCounts:
         plan = make_plan(np.array([1.0, 4.0]), cfg(beta_floor=0.0), np.array([3, 1]))
         assert plan.max_weight_ratio == pytest.approx(7 / 4, rel=1e-15)
 
+    @pytest.mark.parametrize("u", [[0.0, 0.0, 0.0], [0.0, 1e-6, 2.0, 9.0], np.arange(40.0) ** 3])
+    def test_row_level_plan_is_unit_count_plan(self, u):
+        u = np.array(u)
+        for config in (cfg(), cfg(score_transform="sqrt", alpha_multiplier=3.0, beta_floor=1.5)):
+            plan = make_plan(u, config)
+            counted = make_plan(u, config, np.ones(u.size, dtype=int))
+            for field in ("pi", "pi_reweight", "uniform_fallback", "max_weight_ratio"):
+                npt.assert_array_equal(getattr(plan, field), getattr(counted, field))
+
     @pytest.mark.parametrize("counts", [
         [1, 2],  # one short
         [[1, 2, 3]],  # not 1-d
@@ -207,27 +216,27 @@ class TestPlanWithCounts:
 class TestDrawSubsample:
     def test_point_mass(self):
         plan = make_plan(np.array([1.0, 0.0, 0.0]), cfg())
-        sub = draw_subsample(plan, 3, 20, seed=0)
+        sub = draw_subsample(plan, 20, seed=0)
         assert np.all(sub.indices == 0)
 
     def test_empirical_frequencies(self):
         pi = np.array([0.2, 0.3, 0.5])
         plan = make_plan(pi, cfg())
-        sub = draw_subsample(plan, 3, 100_000, seed=7)
+        sub = draw_subsample(plan, 100_000, seed=7)
         freq = np.bincount(sub.indices, minlength=3) / 100_000
         npt.assert_allclose(freq, pi, atol=0.01)
 
     def test_same_seed_same_draw(self):
         plan = make_plan(np.random.default_rng(0).uniform(0.1, 1, 50), cfg())
-        a = draw_subsample(plan, 50, 200, seed=3)
-        b = draw_subsample(plan, 50, 200, seed=3)
+        a = draw_subsample(plan, 200, seed=3)
+        b = draw_subsample(plan, 200, seed=3)
         npt.assert_array_equal(a.indices, b.indices)
         npt.assert_array_equal(a.weights, b.weights)
 
     def test_weights_are_inverse_reweighting(self):
         u = np.random.default_rng(1).uniform(0.1, 1, 20)
         plan = make_plan(u, cfg())
-        sub = draw_subsample(plan, 20, 30, seed=1)
+        sub = draw_subsample(plan, 30, seed=1)
         npt.assert_allclose(sub.weights, 1.0 / plan.pi_reweight[sub.indices], rtol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3, 50, 20000])
@@ -241,7 +250,7 @@ class TestDrawSubsample:
             u[rng.integers(n)] = 1.0
             plan = make_plan(u, cfg())
             expected = np.random.default_rng(seed).choice(n, r, replace=True, p=plan.pi)
-            sub = draw_subsample(plan, n, r, seed)
+            sub = draw_subsample(plan, r, seed)
             npt.assert_array_equal(sub.indices, expected)
             assert sub.indices.dtype == expected.dtype
 
@@ -251,17 +260,17 @@ class TestDrawSubsample:
             table = rng.uniform(0.1, 1.0, entries) * (np.arange(entries) != entries // 2)
             plan = make_plan(table if table.any() else np.ones(entries), cfg(), counts)
             expected = np.random.default_rng(seed).choice(n, r, replace=True, p=plan.pi[rows])
-            sub = draw_subsample(plan, n, r, seed, rows)
+            sub = draw_subsample(plan, r, seed, rows)
             npt.assert_array_equal(sub.indices, expected)
             npt.assert_array_equal(sub.weights, 1.0 / plan.pi_reweight[rows[expected]])
 
     def test_plan_left_unchanged(self):
         rows = np.array([2, 0, 1, 2, 2, 0])
         u = np.array([1.0, 2.0, 3.0])
-        for plan, n, column in ((make_plan(u, cfg(), np.bincount(rows)), rows.size, rows),
-                                (make_plan(u, cfg()), u.size, None)):
+        for plan, column in ((make_plan(u, cfg(), np.bincount(rows)), rows),
+                             (make_plan(u, cfg()), None)):
             pi = plan.pi.copy()
-            draw_subsample(plan, n, 50, 0, column)
+            draw_subsample(plan, 50, 0, column)
             npt.assert_array_equal(plan.pi, pi)
 
     def test_nan_rejected(self):
@@ -272,15 +281,15 @@ class TestDrawSubsample:
                    [0.5, 0.25, 0.25 + 1e-6]):
             plan.pi = np.array(pi)
             with pytest.raises(ValueError):
-                draw_subsample(plan, 3, 5, seed=0)
+                draw_subsample(plan, 5, seed=0)
             with pytest.raises(ValueError):
-                draw_subsample(plan, 3, 5, seed=0, rows=np.arange(3))
+                draw_subsample(plan, 5, seed=0, rows=np.arange(3))
 
     @pytest.mark.parametrize("r", [2.5, True, 0, -3, "5", None])
     def test_non_integer_r_rejected(self, r):
         plan = make_plan(np.ones(3), cfg())
         with pytest.raises(ValueError, match="r must be"):
-            draw_subsample(plan, 3, r, seed=0)
+            draw_subsample(plan, r, seed=0)
 
 
 class TestPlanAndDrawProperties:
@@ -294,7 +303,9 @@ class TestPlanAndDrawProperties:
         beta_floor=st.floats(0.0, 10.0),
     )
 
-    @pytest.mark.filterwarnings("error")
+    # overflow warnings fail the test; a filter of every warning would also turn
+    # the DeprecationWarnings of hypothesis's failure reporting into an internal error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
     @given(scores, configs, st.integers(1, 200), st.integers(0, 2**32 - 1))
     def test_invariants(self, u, config, r, seed):
@@ -305,7 +316,7 @@ class TestPlanAndDrawProperties:
             assert dist.min() >= 0
             assert abs(dist.sum() - 1) <= 1e-12
         assert plan.uniform_fallback == (not np.any(u > 0))
-        sub = draw_subsample(plan, n, r, seed)
+        sub = draw_subsample(plan, r, seed)
         assert np.all(plan.pi[sub.indices] > 0)
         assert np.all(sub.weights <= n * plan.max_weight_ratio * (1 + 1e-12))
 
@@ -394,6 +405,14 @@ class TestPipelines:
             raise KeyError(i)
         with pytest.raises(LabelingError):
             cops_active(unlabeled, oracle, ens, cfg(subsample_size=10, seed=0))
+        # an answer is refused, not coerced, unless it is an integer in [0, K]:
+        # the error names the first distinct drawn row
+        config = cfg(subsample_size=50, seed=0)
+        first = np.unique(cops_active(unlabeled, lambda i: data.y[i], ens, config)
+                          .subsample.indices)[0]
+        for answer in (lambda y: y + 0.7, bool, str, lambda y: 5, lambda y: -1):
+            with pytest.raises(LabelingError, match=rf"for index {first}\b"):
+                cops_active(unlabeled, lambda i: answer(int(data.y[i])), ens, config)
 
     def test_end_to_end_determinism(self):
         data, _ = synthetic(5, 400, 2, 3)
@@ -471,7 +490,7 @@ class TestPipelines:
     def cell_refit(table, rows, u, config):
         """The simulation's refit: plan over the table, draw source rows, refit on the table."""
         plan = make_plan(u, config, np.bincount(rows, minlength=table.n))
-        sub = draw_subsample(plan, rows.size, config.subsample_size, config.seed, rows)
+        sub = draw_subsample(plan, config.subsample_size, config.seed, rows)
         weights = np.bincount(rows[sub.indices], weights=sub.weights, minlength=table.n)
         [fit] = fit_weighted_batch(table, weights[None])
         return plan, sub, fit
@@ -517,22 +536,25 @@ class TestPipelines:
         table, _, u = self.table_and_rows()
         plan = make_plan(u, cfg())
         with pytest.raises(ValueError, match="rows"):
-            draw_subsample(plan, np.size(rows), 5, 0, rows=rows)
+            draw_subsample(plan, 5, 0, rows=rows)
 
     def test_unlabeled_without_oracle_rejected(self):
+        # NaN scores, which make_plan refuses otherwise: the oracle is checked first
         data, _ = synthetic(9, 100, 1, 2)
         with pytest.raises(ValueError, match="oracle"):
-            subsample_and_refit(Dataset(data.X, None, 1), np.ones(100), cfg())
+            subsample_and_refit(Dataset(data.X, None, 1), np.full(100, np.nan), cfg())
 
 
 #: each refused input of the sampling layer, and the message it raises
 REFUSALS = {
     "2-d scores": (lambda: make_plan(np.ones((2, 2)), cfg()), "scores must be a nonempty 1-d array"),
     "2-d plan": (lambda: draw_subsample(SamplingPlan(np.full((2, 2), 0.25), np.full((2, 2), 0.25)),
-                                        4, 2, 0),
+                                        2, 0),
                  "sampling distribution must be a nonempty 1-d array"),
-    "plan of the wrong length": (lambda: draw_subsample(make_plan(np.ones(3), cfg()), 4, 2, 0),
-                                 "plan covers 3 rows, data has 4"),
+    # negative scores, which make_plan refuses otherwise: the length is checked first
+    "scores of the wrong length": (lambda: subsample_and_refit(Dataset(np.ones((4, 2)), np.arange(4) % 2, 1),
+                                                               -np.ones(3), cfg()),
+                                   "scores have shape \\(3,\\), expected one per row of data"),
     "objective of mismatched lengths": (lambda: subsample_objective(np.ones(3), np.ones(2) / 2),
                                         "u and pi must have the same length"),
     "coreset of unlabeled data": (lambda: cops_coreset(Dataset(np.ones((3, 2)), None, 1),

@@ -54,10 +54,10 @@ def small_spec(**kw):
 
 def flaky_draw(bad_seed):
     """A :func:`draw_subsample` that raises on ``bad_seed``, failing that draw's trial."""
-    def flaky(plan, data_len, r, seed, *args, **kw):
+    def flaky(plan, r, seed, *args, **kw):
         if seed == bad_seed:
             raise RuntimeError("synthetic failure")
-        return draw_subsample(plan, data_len, r, seed, *args, **kw)
+        return draw_subsample(plan, r, seed, *args, **kw)
     return flaky
 
 
@@ -433,8 +433,8 @@ class TestRunExperiment:
 
         # one method's refit fails inside the batched refit: the same, with the
         # message the method's fit alone would raise
-        def negative_weights(plan, data_len, r, seed, *args, **kw):
-            sub = real(plan, data_len, r, seed, *args, **kw)
+        def negative_weights(plan, r, seed, *args, **kw):
+            sub = real(plan, r, seed, *args, **kw)
             if seed == bad_draw:
                 sub.weights = -sub.weights
             return sub

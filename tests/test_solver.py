@@ -155,7 +155,7 @@ def reference_fit(data, weights):
 
     def gradient(beta):
         S = _residuals(beta, data.X, data.y) * w
-        return (-(S @ data.X) / data.n).reshape(-1)
+        return (-(S @ data.X)[1:] / data.n).reshape(-1)
 
     K, d = data.K, data.d
     beta, iterations, fallbacks = np.zeros((K, d)), 0, 0
