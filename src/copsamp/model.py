@@ -36,7 +36,12 @@ products ``x_a x_b``, so :func:`information` builds it from one
 feature-pair table: the T = d(d+1)/2 products with ``a <= b`` and the
 P = K(K+1)/2 class-pair coefficients with ``k <= l``, in row blocks of
 ``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. Only the exact
-scores of :mod:`copsamp.uncertainty` read the same table.
+scores of :mod:`copsamp.uncertainty` read the same table. The feature
+products depend on ``X`` alone, so a Newton fit keeps all n*T of them
+for its life when they fit ``PAIR_TABLE_BYTES`` and passes them to every
+:func:`information` call; over the budget each call builds them block by
+block into O(BLOCK_ROWS * d^2) scratch. One routine builds them either
+way, and every block meets the same GEMM, so the two give the same bits.
 
 The private builders, the weighted loss and :func:`information` also
 take a ``(B, K, d)`` stack of coefficients on one design, with ``(B, n)``
@@ -350,6 +355,10 @@ def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
 #: rows per block of the row-blocked kernels: the feature-pair ones take
 #: O(BLOCK_ROWS * (d^2 + K^2)) scratch whatever the number of rows
 BLOCK_ROWS = 1024
+#: bytes of the largest feature-pair table, n * d(d+1)/2 floats, that a
+#: fit keeps for all its Newton steps; over it, each step builds its own
+#: blocks into the O(BLOCK_ROWS * d^2) scratch
+PAIR_TABLE_BYTES = 6 * 2**20
 
 
 @lru_cache(maxsize=32)
@@ -413,22 +422,69 @@ def _pair_product_views(
     return views
 
 
+def _feature_pair_blocks(
+    X: np.ndarray, table: np.ndarray | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The feature products of ``X`` in row blocks, as ``(start, stop, Q)``.
+
+    ``Q`` is ``(T, b)``: row ``t`` holds ``x_a x_b`` of the rows
+    ``start:stop`` for feature pair ``t`` of :func:`_pair_layout`. Each
+    block is built into scratch reused by the next block or, given the
+    ``(T, n)`` ``table``, into its columns ``start:stop``, so that one pass
+    fills the table. This is the one builder of the products.
+    """
+    n, d = X.shape
+    xt = np.empty((d, min(n, BLOCK_ROWS)))
+    scratch = np.empty((d * (d + 1) // 2, xt.shape[1])) if table is None else None
+    width = None
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        # scratch views are made once per block width: per block, the
+        # Python work is d ufunc calls on them
+        if scratch is None or stop - start != width:
+            width = stop - start
+            Q = scratch[:, :width] if table is None else table[:, start:stop]
+            views = _pair_product_views(xt, Q, width)
+        # a per-block transpose of X: a whole-array copy would cost O(n * d)
+        np.copyto(xt[:, :width], X[start:stop].T)
+        for x_a, x_rest, out in views:
+            np.multiply(x_a, x_rest, out=out)
+        yield start, stop, Q
+
+
+def _pair_table(X: np.ndarray) -> np.ndarray | None:
+    """The whole ``(T, n)`` feature-pair table of ``X``, or None over ``PAIR_TABLE_BYTES``.
+
+    A fit builds it once and passes it to :func:`information` on every
+    Newton step, which then reads its blocks instead of building them.
+    """
+    n, d = X.shape
+    T = d * (d + 1) // 2
+    if n * T * 8 > PAIR_TABLE_BYTES:
+        return None
+    table = np.empty((T, n))
+    for _ in _feature_pair_blocks(X, table):
+        pass
+    return table
+
+
 def _pair_blocks(
     beta: Coefficients,
     X: np.ndarray,
     y: np.ndarray | None = None,
     w: np.ndarray | None = None,
+    pairs: np.ndarray | None = None,
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The feature-pair table of ``X`` in row blocks, as ``(start, stop, C, Q)``.
 
-    ``Q`` is ``(T, b)``: row ``t`` holds ``x_a x_b`` of the rows
-    ``start:stop`` for feature pair ``t`` of :func:`_pair_layout`. ``C`` is
+    ``Q`` is a block of :func:`_feature_pair_blocks`, read from ``pairs``,
+    the whole table of :func:`_pair_table`, when given. ``C`` is
     ``(P, b)``: row ``p`` holds the coefficient of class pair ``p``, with
     labels ``s_k s_l`` from the score vectors (the entries of ``psi``),
     without them ``phi_kl = [k == l] p_k - p_k p_l``, times ``w`` if given.
     So ``sum_i w_i C_i kron x_i x_i^T`` has block ``(k, l)`` entry
-    ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. Both
-    arrays are scratch reused by the next block.
+    ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. ``C`` and
+    a built ``Q`` are scratch reused by the next block.
 
     A ``(B, K, d)`` stack of coefficients, with ``(B, n)`` weights, gives
     a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is built
@@ -436,42 +492,37 @@ def _pair_blocks(
     """
     beta, X = _check_rows(beta, X, batched=True)
     rows = (_probabilities(beta, X) if y is None else _residuals(beta, X, y))[..., 1:, :]
-    n, d = X.shape
+    n = X.shape[0]
     K = rows.shape[-2]
     size = min(n, BLOCK_ROWS)
-    xt = np.empty((d, size))
     rt = np.empty(rows.shape[:-1] + (size,))
     C = np.empty(rows.shape[:-2] + (K * (K + 1) // 2, size))
-    Q = np.empty((d * (d + 1) // 2, size))
-    # the views are made once per block width: per block, the Python work
-    # is d + K ufunc calls on them
-    width = size
-    q_views, c_views = _pair_product_views(xt, Q, width), _pair_product_views(rt, C, width)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        if stop - start < width:
+    q_blocks = _feature_pair_blocks(X) if pairs is None else (
+        (start, min(start + BLOCK_ROWS, n), pairs[:, start : start + BLOCK_ROWS])
+        for start in range(0, n, BLOCK_ROWS))
+    width = None
+    for start, stop, Q in q_blocks:
+        # the views are made once per block width, as the products' are
+        if stop - start != width:
             width = stop - start
-            q_views, c_views = _pair_product_views(xt, Q, width), _pair_product_views(rt, C, width)
-        # a per-block transpose of X: a whole-array copy would cost O(n * d);
+            views = _pair_product_views(rt, C, width)
         # the class-major rows are copied as they are
-        np.copyto(xt[:, :width], X[start:stop].T)
-        for x_a, x_rest, out in q_views:
-            np.multiply(x_a, x_rest, out=out)
         np.copyto(rt[..., :width], rows[..., start:stop])
-        for r_k, r_rest, out in c_views:
+        for r_k, r_rest, out in views:
             np.multiply(r_k, r_rest, out=out)
             if y is None:
                 np.negative(out, out=out)
                 out[..., :1, :] += r_k
         if w is not None:
             C[..., :width] *= w[..., None, start:stop]
-        yield start, stop, C[..., :width], Q[:, :width]
+        yield start, stop, C[..., :width], Q
 
 
 def information(
     beta: Coefficients,
     X: np.ndarray,
     w: np.ndarray | None = None,
+    pairs: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
@@ -480,12 +531,18 @@ def information(
     table ``G = sum C @ Q^T`` over the row blocks of :func:`_pair_blocks`,
     P = K(K+1)/2 class pairs by T = d(d+1)/2 feature pairs: one GEMM per
     block of rows, then each entry of ``G / n`` is copied to its mirror
-    positions, so the result is exactly symmetric. Extra memory is
-    O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2). ``w`` defaults to all ones.
+    positions, so the result is exactly symmetric. ``w`` defaults to all
+    ones. ``pairs``, the ``(T, n)`` table of ``X`` that
+    :func:`_pair_table` builds, gives the feature products; without it
+    each call builds them block by block. Extra memory is
+    O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2), less the BLOCK_ROWS*d^2
+    scratch of the products when ``pairs`` is given; the table itself is
+    held by the caller, a Newton fit, and is at most ``PAIR_TABLE_BYTES``.
 
     A ``(B, K, d)`` stack of coefficients, with ``w`` of shape ``(B, n)``
     if given, gives the ``(B, K*d, K*d)`` stack of matrices on the one
-    design ``X``, each element from its own ``(P, b) @ (b, T)`` GEMMs.
+    design ``X``, each element from its own ``(P, b) @ (b, T)`` GEMMs,
+    the same GEMMs whether or not ``pairs`` is given.
     """
     X = np.asarray(X, dtype=float)
     n, d = X.shape
@@ -497,8 +554,10 @@ def information(
         if w.shape != beta.shape[:-2] + (n,):
             raise ValueError(f"weights has shape {w.shape}, expected {beta.shape[:-2] + (n,)}")
     kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], d)
+    if pairs is not None and pairs.shape != (len(aa), n):
+        raise ValueError(f"pairs has shape {pairs.shape}, expected {(len(aa), n)}")
     G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
-    for _, _, C, Q in _pair_blocks(beta, X, w=w):
+    for _, _, C, Q in _pair_blocks(beta, X, w=w, pairs=pairs):
         G += C @ Q.T
     G /= n
     return G.reshape(G.shape[:-2] + (-1,))[..., unpack]

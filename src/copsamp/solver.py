@@ -18,8 +18,14 @@ count (see :mod:`copsamp.model`). The Hessian ``H`` is :func:`copsamp.model.info
 mean-one weights: one GEMM per block of rows between the weighted
 class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
 products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
-is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. A batch
-element gets the GEMMs its fit alone would get, bit for bit. Each
+is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. The
+products depend on ``X`` alone: when their n*d(d+1)/2 floats fit
+``copsamp.model.PAIR_TABLE_BYTES``, a fit builds them once and every
+Newton step of every batch element reads them, so the fit holds at most
+that budget besides its O(n*K) per-row arrays; over it, each step builds
+them per block of rows, as :func:`~copsamp.model.information` alone does.
+Either way a batch element gets the GEMMs its fit alone would get, bit
+for bit. Each
 Newton step solves ``(H + RIDGE * I) step = grad`` with numpy's LU
 solve. A Cholesky factorization of the same matrix decides only whether
 it is positive definite: when it fails, the step is counted in
@@ -48,6 +54,7 @@ from copsamp.model import (
     Coefficients,
     Dataset,
     _loss_sum,
+    _pair_table,
     _residuals,
     information,
 )
@@ -190,6 +197,9 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     iterations = np.zeros(B, dtype=int)
     fallbacks = np.zeros(B, dtype=int)
     eye = np.eye(K * d)
+    # the feature products depend on X alone: one table serves every
+    # Newton step of every element, when it fits the budget
+    pairs = _pair_table(data.X)
     active = np.arange(B)  # elements still iterating
 
     for _ in range(MAX_ITERS):
@@ -200,7 +210,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
         active, g = active[moving], g[moving]
         if active.size == 0:
             break
-        H = information(beta[active], data.X, w[active]) + RIDGE * eye
+        H = information(beta[active], data.X, w[active], pairs) + RIDGE * eye
         step, fell_back = _newton_steps(H, g[:, :, None])
         fallbacks[active] += fell_back
         # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is

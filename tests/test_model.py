@@ -16,6 +16,7 @@ from copsamp.model import (
     BLOCK_ROWS,
     Dataset,
     _pair_blocks,
+    _pair_table,
     _pair_layout,
     class_probabilities,
     cross_entropy,
@@ -376,13 +377,16 @@ class TestInformation:
             information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
         with pytest.raises(ValueError):  # one weight row per stacked beta
             information(np.zeros((2, 1, 2)), np.ones((3, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError, match="pairs has shape"):  # the table of other rows
+            information(np.zeros((1, 2)), np.ones((3, 2)), None, _pair_table(np.ones((4, 2))))
 
 
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("labeled", [False, True])
 def test_pair_coefficients_match_pointwise(K, labeled):
     # each k <= l class pair once, equal to the per-sample psi or phi entry
-    # times the weight; each a <= b feature pair once, equal to x_a x_b
+    # times the weight; each a <= b feature pair once, equal to x_a x_b,
+    # whether the blocks are built per call or read from a kept table
     rng = np.random.default_rng(30 + K)
     n, d = BLOCK_ROWS + 40, 3
     beta = rng.normal(size=(K, d))
@@ -392,14 +396,19 @@ def test_pair_coefficients_match_pointwise(K, labeled):
     kk, ll, aa, bb, _ = _pair_layout(K, d)
     assert list(zip(kk, ll)) == [(k, l) for k in range(K) for l in range(k, K)]
     assert list(zip(aa, bb)) == [(a, b) for a in range(d) for b in range(a, d)]
-    blocks = [(start, stop, C.copy(), Q.copy()) for start, stop, C, Q in _pair_blocks(beta, X, y, w)]
-    assert [(start, stop) for start, stop, _, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
-    C = np.concatenate([c for _, _, c, _ in blocks], axis=1)
-    Q = np.concatenate([q for _, _, _, q in blocks], axis=1)
-    for i in list(range(0, n, 97)) + [BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]:
-        pointwise = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
-        npt.assert_allclose(C[:, i], w[i] * pointwise[kk, ll], rtol=1e-13, atol=1e-16)
-        npt.assert_array_equal(Q[:, i], X[i, aa] * X[i, bb])
+    table = _pair_table(X)
+    assert table is not None
+    for pairs in (None, table):
+        blocks = [(start, stop, C.copy(), Q.copy())
+                  for start, stop, C, Q in _pair_blocks(beta, X, y, w, pairs)]
+        assert [(start, stop) for start, stop, _, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
+        C = np.concatenate([c for _, _, c, _ in blocks], axis=1)
+        Q = np.concatenate([q for _, _, _, q in blocks], axis=1)
+        npt.assert_array_equal(Q, table)
+        for i in list(range(0, n, 97)) + [BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]:
+            pointwise = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
+            npt.assert_allclose(C[:, i], w[i] * pointwise[kk, ll], rtol=1e-13, atol=1e-16)
+            npt.assert_array_equal(Q[:, i], X[i, aa] * X[i, bb])
 
 
 def test_probability_matrix_matches_pointwise():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,8 @@ import numpy.testing as npt
 import pytest
 from numpy.linalg import LinAlgError
 
-from copsamp import solver
-from copsamp.model import Dataset, _loss_sum, _residuals, dataset_loss, information
+from copsamp import model, solver
+from copsamp.model import BLOCK_ROWS, Dataset, _loss_sum, _residuals, dataset_loss, information
 from copsamp.simulation import SimulationSpec, generate_dataset
 from copsamp.solver import fit_mle, fit_weighted_batch, fit_weighted_mle
 from helpers import synthetic
@@ -275,6 +276,61 @@ def test_batch_element_is_its_fit_alone_bit_for_bit(K, d, n, B):
             ref.iterations, ref.final_loss, ref.final_grad_norm)
 
 
+@pytest.mark.parametrize("K, d, n, B", [(6, 30, 1200, 1), (3, 5, BLOCK_ROWS, 1), (2, 3, 50, 1),
+                                         (2, 3, 50, 7)])
+def test_kept_pair_table_changes_no_bit(monkeypatch, K, d, n, B):
+    # a fit that keeps its feature-pair table feeds every block to the GEMM
+    # that a fit building the blocks per Newton step uses: (6, 30, 1200) has
+    # two blocks, the last one partial, and the batch's elements leave the
+    # active set at different iterations
+    data, _ = synthetic(K * d + n, n, K, d)
+    weights = 2 * np.random.default_rng(1).random((B, n))
+    real_information = solver.information
+    kept = []
+
+    def spy(beta, X, w, pairs):
+        kept.append(pairs is not None)
+        return real_information(beta, X, w, pairs)
+
+    monkeypatch.setattr(solver, "information", spy)
+    fits = {}
+    for budget in (0, 2**40):
+        monkeypatch.setattr(model, "PAIR_TABLE_BYTES", budget)
+        kept.clear()
+        fits[budget] = fit_weighted_batch(data, weights)
+        assert set(kept) == {budget > 0}
+    for built, held in zip(fits[0], fits[2**40], strict=True):
+        npt.assert_array_equal(built.beta, held.beta)
+        assert (built.iterations, built.final_loss, built.final_grad_norm, built.converged,
+                built.cholesky_fallbacks) == (held.iterations, held.final_loss,
+                                              held.final_grad_norm, held.converged,
+                                              held.cholesky_fallbacks)
+    assert B == 1 or len({fit.iterations for fit in fits[0]}) > 1
+
+
+@pytest.mark.parametrize("within", [False, True])
+def test_fit_keeps_its_pair_table_only_within_the_budget(within):
+    # over the budget (a 44 MB table at 100k x 10) the fit builds its feature
+    # products per Newton step and peaks below X; within it, at the most
+    # rows the budget admits, the fit holds the table and O(n * K) more
+    K, d = 2, 10
+    table_row = 8 * d * (d + 1) // 2
+    n = model.PAIR_TABLE_BYTES // table_row if within else 100_000
+    rng = np.random.default_rng(27)
+    data = Dataset(rng.normal(size=(n, d)), rng.integers(0, K + 1, size=n), K)
+    tracemalloc.start()
+    try:
+        fit_mle(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if not within:
+        assert peak < data.X.nbytes, f"peak {peak / 1e6:.1f} MB for {data.X.nbytes / 1e6:.1f} MB of X"
+    else:
+        assert n * table_row <= peak <= model.PAIR_TABLE_BYTES + 4 * 8 * n * (K + 1), (
+            f"peak {peak / 1e6:.2f} MB for a {n * table_row / 1e6:.2f} MB table")
+
+
 @pytest.mark.parametrize("bad", ["negative", "not finite", "all zero", "one class"])
 def test_batch_raises_the_first_bad_rows_error(bad):
     # the message is the one the fit of that row alone raises, whatever the
@@ -368,8 +424,8 @@ def batch_with_first_information(monkeypatch, replace):
     alone = fit_weighted_mle(data, weights[1])
     real_information = solver.information
 
-    def replace_first(beta, X, w):
-        H = real_information(beta, X, w)
+    def replace_first(beta, X, w, pairs):
+        H = real_information(beta, X, w, pairs)
         if len(H) == 2:
             H[0] = replace(H[0])
         return H
