@@ -35,7 +35,7 @@ from typing import Any, Iterable, Iterator, TextIO
 import numpy as np
 
 from copsamp import __version__, solver
-from copsamp.model import Dataset
+from copsamp.model import Dataset, _nonnegative
 from copsamp.sampler import SamplingConfig, draw_subsample, make_plan
 from copsamp.selfcheck import run_selfcheck
 from copsamp.simulation import Method, SimulationSpec, run_experiment
@@ -535,7 +535,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report_path = os.path.join(out_dir, "report.json")
     atomic_write(report_path, json_text(report_doc))
 
-    ncomp = len(report.rows[0].param_error_components) if report.rows else spec.beta_star.size
+    ncomp = spec.beta_star.size
     trials_path = os.path.join(out_dir, "trials.csv")
     trials_csv = io.StringIO()
     writer = csv.writer(trials_csv, lineterminator="\n")
@@ -638,7 +638,7 @@ def read_scores_csv(path: str) -> np.ndarray:
     u = u[:, 0]
     if u.size == 0:
         raise CliError(f"{path}: no scores")
-    if np.any(u < 0) or not np.all(np.isfinite(u)):
+    if not _nonnegative(u):
         raise CliError(f"{path}: scores must be finite and nonnegative")
     return u
 

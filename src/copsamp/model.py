@@ -20,8 +20,9 @@ Rows 1..K of the residuals are the score vectors. One private builder writes
 zero and max-shifts each column; probabilities, residuals, losses
 and the feature-pair table all start from it. The public
 :func:`probability_matrix` and :func:`residual_matrix` return
-row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. The
-per-sample functions compute their own softmax and serve as oracles.
+row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. The per-sample
+functions but :func:`cross_entropy`, which reads the batched log-probability,
+compute their own softmax in :func:`class_probabilities` and serve as oracles.
 
 All probabilities are computed with max-subtraction and all losses in
 log-space (a max-shifted log-sum-exp); nothing here exponentiates a
@@ -156,6 +157,21 @@ def _check_integer(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _nonnegative(a: np.ndarray, axis: int | None = None):
+    """The rule for weights, counts and scores: all entries (per ``axis``) finite and >= 0."""
+    return np.all(np.isfinite(a) & (a >= 0), axis=axis)
+
+
+def _check_nonnegative(name: str, a, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``a`` as a float array, refused unless of ``shape`` (if given) and :func:`_nonnegative`."""
+    a = np.asarray(a, dtype=float)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    if not _nonnegative(a):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return a
 
 
 def _check_beta(
@@ -297,20 +313,16 @@ def dataset_loss(
 ) -> float:
     """Average (optionally weighted) cross-entropy ``(1/n) sum_i w_i l_i``.
 
-    The caller controls weight normalization; the subsampling pipelines
-    pass inverse sampling probabilities.
+    The caller scales the weights, finite and nonnegative, one per row;
+    the subsampling pipelines pass inverse sampling probabilities.
     """
     beta = _check_beta(beta, data.d)
     if not data.labeled:
         raise ValueError("dataset_loss needs labels")
     if data.n == 0:
         raise ValueError("empty dataset")
-    weights = np.ones(data.n) if weights is None else np.asarray(weights, dtype=float)
-    if weights.shape != (data.n,):
-        raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    return float(_loss_sum(beta, data.X, data.y, weights) / data.n)
+    w = np.ones(data.n) if weights is None else _check_nonnegative("weights", weights, (data.n,))
+    return float(_loss_sum(beta, data.X, data.y, w) / data.n)
 
 
 def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
@@ -531,10 +543,10 @@ def information(
     table ``G = sum C @ Q^T`` over the row blocks of :func:`_pair_blocks`,
     P = K(K+1)/2 class pairs by T = d(d+1)/2 feature pairs: one GEMM per
     block of rows, then each entry of ``G / n`` is copied to its mirror
-    positions, so the result is exactly symmetric. ``w`` defaults to all
-    ones. ``pairs``, the ``(T, n)`` table of ``X`` that
-    :func:`_pair_table` builds, gives the feature products; without it
-    each call builds them block by block. Extra memory is
+    positions, so the result is exactly symmetric. ``w``, finite and
+    nonnegative, defaults to all ones. ``pairs``, the ``(T, n)`` table of
+    ``X`` that :func:`_pair_table` builds, gives the feature products;
+    without it each call builds them block by block. Extra memory is
     O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2), less the BLOCK_ROWS*d^2
     scratch of the products when ``pairs`` is given; the table itself is
     held by the caller, a Newton fit, and is at most ``PAIR_TABLE_BYTES``.
@@ -549,10 +561,7 @@ def information(
     if n == 0:
         raise ValueError("empty dataset")
     beta = _check_beta(beta, d, batched=True)
-    if w is not None:
-        w = np.asarray(w, dtype=float)
-        if w.shape != beta.shape[:-2] + (n,):
-            raise ValueError(f"weights has shape {w.shape}, expected {beta.shape[:-2] + (n,)}")
+    w = None if w is None else _check_nonnegative("weights", w, beta.shape[:-2] + (n,))
     kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], d)
     if pairs is not None and pairs.shape != (len(aa), n):
         raise ValueError(f"pairs has shape {pairs.shape}, expected {(len(aa), n)}")

@@ -39,7 +39,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset, _check_integer
+from copsamp.model import Coefficients, Dataset, _check_integer, _check_nonnegative
 from copsamp.solver import FitReport, fit_weighted_mle
 from copsamp.uncertainty import ProbeEnsemble, score_rows
 
@@ -88,7 +88,7 @@ class SamplingConfig:
             raise ValueError(
                 f"alpha_multiplier must be finite and exceed 1, got {self.alpha_multiplier}"
             )
-        if not 0 <= self.beta_floor < np.inf:
+        if isinstance(self.beta_floor, (bool, np.bool_)) or not 0 <= self.beta_floor < np.inf:
             raise ValueError(f"beta_floor must be finite and >= 0, got {self.beta_floor}")
         if self.score_transform not in ("sqrt", "identity"):
             raise ValueError(f"unknown score_transform {self.score_transform!r}")
@@ -126,13 +126,13 @@ class Subsample:
 
 def _check_counts(counts, size: int) -> np.ndarray:
     """``counts`` as a float array: integers, nonnegative, one per score, not all zero."""
-    counts = np.asarray(counts)
-    if counts.shape != (size,) or counts.dtype.kind not in "iu":
-        raise ValueError(f"counts must be an integer array with one entry per score, "
-                         f"got {counts.dtype} of shape {counts.shape}")
-    if np.any(counts < 0) or not np.any(counts > 0):
-        raise ValueError("counts must be nonnegative and not all zero")
-    return counts.astype(float)
+    dtype = np.asarray(counts).dtype
+    counts = _check_nonnegative("counts", counts, (size,))
+    if dtype.kind not in "iu":
+        raise ValueError(f"counts must be an integer array, got {dtype}")
+    if not counts.any():
+        raise ValueError("counts must not be all zero")
+    return counts
 
 
 def make_plan(
@@ -147,11 +147,9 @@ def make_plan(
     Only entries with ``counts > 0`` set alpha and the uniform fallback,
     and n is ``counts.sum()``.
     """
-    u = np.asarray(u, dtype=float)
+    u = _check_nonnegative("scores", u)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("scores must be a nonempty 1-d array")
-    if np.any(u < 0) or not np.all(np.isfinite(u)):
-        raise ValueError("scores must be finite and nonnegative")
     v = np.sqrt(u) if config.score_transform == "sqrt" else u
     counts = np.ones(v.size) if counts is None else _check_counts(counts, v.size)
     n, present = int(counts.sum()), v[counts > 0]
@@ -203,13 +201,9 @@ def draw_subsample(
     builds anyway, not row by row as ``choice`` checks it.
     """
     _check_integer("r", r, 1)
-    pi = np.asarray(plan.pi, dtype=float)
+    pi = _check_nonnegative("sampling distribution", plan.pi)
     if pi.ndim != 1 or pi.size == 0:
         raise ValueError("sampling distribution must be a nonempty 1-d array")
-    if np.any(np.isnan(pi)):
-        raise ValueError("sampling distribution contains NaN")
-    if np.any(pi < 0):
-        raise ValueError("sampling distribution has a negative entry")
     if rows is None:
         cdf = np.cumsum(pi)
     else:

@@ -45,13 +45,14 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset, _check_integer, _loss_sum
+from copsamp.model import Coefficients, Dataset, _check_integer, _check_nonnegative, _loss_sum
 from copsamp.sampler import (
     SamplingConfig,
     draw_subsample,
@@ -114,7 +115,8 @@ class Method:
             if parts[1] == "vanilla":
                 return Method("vanilla", with_labels=with_labels)
             if parts[1].startswith("clip"):
-                return Method("clip", float(parts[1][4:]), with_labels)
+                with suppress(ValueError):  # a multiplier that is not a float
+                    return Method("clip", float(parts[1][4:]), with_labels)
         raise ValueError(f"unrecognized method id {method_id!r}")
 
 
@@ -272,12 +274,15 @@ def regret(
 ) -> float:
     """Excess mean test loss of ``beta_bar`` over ``beta_star``.
 
-    ``counts``, when given, is the multiplicity of each row of ``test``,
-    so a table of distinct rows stands for the expanded test set.
+    ``counts``, when given, finite, nonnegative and not all zero, is the
+    multiplicity of each row of ``test``, so a table of distinct rows
+    stands for the expanded test set.
     """
     if not test.labeled:
         raise ValueError("regret needs labeled test data")
-    w = np.ones(test.n) if counts is None else np.asarray(counts, dtype=float)
+    w = np.ones(test.n) if counts is None else _check_nonnegative("counts", counts, (test.n,))
+    if not w.any():
+        raise ValueError("counts must not be all zero")
 
     def mean_loss(beta: Coefficients) -> float:
         return _loss_sum(np.asarray(beta, float), test.X, test.y, w) / float(w.sum())
@@ -315,10 +320,8 @@ def run_trial(
         members = np.stack([fit.beta for fit in fit_weighted_batch(cells, shard_counts)])
         ensemble = ProbeEnsemble(members, probe_size=n // M)
         del probe  # freed before the sampling column is drawn: the two never coexist
-        # a label-free score is its atom's, shared by both of its cells
-        u_atom = plan_scores(ensemble, Dataset(spec.atom_x, None, K=1), "active", "ensemble")
         scores[True] = plan_scores(ensemble, cells, "coreset", "ensemble")
-        scores[False] = np.repeat(u_atom, 2)
+        scores[False] = plan_scores(ensemble, cells, "active", "ensemble")
 
     sampling = np.empty(n, dtype=int)
     counts = _replica(spec, derive_seed(seed, "sampling"), corrupted=True, out=sampling)

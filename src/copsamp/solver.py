@@ -53,7 +53,9 @@ from numpy.linalg import LinAlgError, cholesky
 from copsamp.model import (
     Coefficients,
     Dataset,
+    _check_nonnegative,
     _loss_sum,
+    _nonnegative,
     _pair_table,
     _residuals,
     information,
@@ -146,7 +148,7 @@ def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
     when its positive-weight samples cover fewer than two distinct
     classes; the message is the first of these that holds.
     """
-    invalid = ~np.all(np.isfinite(weights) & (weights >= 0), axis=1)
+    invalid = ~_nonnegative(weights, axis=1)
     # a bad row may sum inf and -inf; an all-zero row divides by zero
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         total = weights.sum(axis=1)
@@ -253,15 +255,13 @@ def fit_weighted_mle(data: Dataset, weights: np.ndarray) -> FitReport:
     """Minimize ``(1/n) sum_i w_i * cross_entropy_i`` by damped Newton.
 
     Non-convergence within ``MAX_ITERS`` steps is reported via
-    ``converged=False``, never silently. Raises ``ValueError`` on
-    negative/all-zero weights, on weights whose sum or mean-one scale
-    overflows, or if the positive-weight samples cover fewer than two
-    distinct classes. The one-element case of
+    ``converged=False``, never silently. Raises ``ValueError`` on weights
+    that are not finite and nonnegative or are all zero, on weights whose
+    sum or mean-one scale overflows, or if the positive-weight samples
+    cover fewer than two distinct classes. The one-element case of
     :func:`fit_weighted_batch`.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (data.n,):
-        raise ValueError(f"weights has shape {weights.shape}, expected ({data.n},)")
+    weights = _check_nonnegative("weights", weights, (data.n,))
     return fit_weighted_batch(data, weights[None])[0]
 
 

@@ -474,6 +474,16 @@ REFUSALS = {
                            "empty dataset"),
     "loss weights of the wrong shape": (lambda: dataset_loss(np.zeros((1, 2)), LABELED, np.ones(2)),
                                         r"weights has shape \(2,\), expected \(3,\)"),
+    "loss weights with a NaN": (lambda: dataset_loss(np.zeros((1, 2)), LABELED, [1.0, np.nan, 1.0]),
+                                "weights must be finite and nonnegative"),
+    "loss weights with an inf": (lambda: dataset_loss(np.zeros((1, 2)), LABELED, [1.0, np.inf, 1.0]),
+                                 "weights must be finite and nonnegative"),
+    "information weights with a NaN": (
+        lambda: information(np.zeros((1, 2)), LABELED.X, [1.0, np.nan, 1.0]),
+        "weights must be finite and nonnegative"),
+    "information weights with a negative": (
+        lambda: information(np.zeros((1, 2)), LABELED.X, [1.0, -1.0, 1.0]),
+        "weights must be finite and nonnegative"),
     "label above K of one row": (lambda: cross_entropy(np.zeros((1, 2)), np.ones(2), 2),
                                  r"label 2 outside \[0, 1\]"),
     "rows of the wrong d": (lambda: probability_matrix(np.zeros((1, 2)), np.ones((3, 3))),

@@ -548,6 +548,8 @@ class TestPipelines:
 #: each refused input of the sampling layer, and the message it raises
 REFUSALS = {
     "2-d scores": (lambda: make_plan(np.ones((2, 2)), cfg()), "scores must be a nonempty 1-d array"),
+    # a bool is not a number, as a config's JSON types rule
+    "boolean beta_floor": (lambda: cfg(beta_floor=True), "beta_floor must be finite and >= 0"),
     "2-d plan": (lambda: draw_subsample(SamplingPlan(np.full((2, 2), 0.25), np.full((2, 2), 0.25)),
                                         2, 0),
                  "sampling distribution must be a nonempty 1-d array"),

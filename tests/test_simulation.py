@@ -489,6 +489,9 @@ class TestOrderings:
         assert np.mean(regs_v) <= np.mean(regs_u)
 
 
+#: a model, the truth and labeled test rows, which regret's refused counts are weighed on
+REGRET_ARGS = (np.zeros((1, 2)), np.ones((1, 2)), Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 1))
+
 #: each refused input of the simulation layer, and the message it raises
 REFUSALS = {
     "unknown scheme": (lambda: Method("bogus"), "unknown scheme 'bogus'"),
@@ -496,6 +499,18 @@ REFUSALS = {
     "regret on unlabeled data": (
         lambda: regret(np.zeros((1, 2)), np.zeros((1, 2)), Dataset(np.ones((3, 2)), None, 1)),
         "regret needs labeled test data"),
+    "regret counts of the wrong length": (lambda: regret(*REGRET_ARGS, np.ones(2, dtype=int)),
+                                          r"counts has shape \(2,\), expected \(3,\)"),
+    "negative regret counts": (lambda: regret(*REGRET_ARGS, [1, -1, 1]),
+                               "counts must be finite and nonnegative"),
+    "NaN regret counts": (lambda: regret(*REGRET_ARGS, [1.0, np.nan, 1.0]),
+                          "counts must be finite and nonnegative"),
+    "all-zero regret counts": (lambda: regret(*REGRET_ARGS, np.zeros(3, dtype=int)),
+                               "counts must not be all zero"),
+    "clip method without a multiplier": (lambda: Method.parse("cops-clip-withY"),
+                                         "unrecognized method id 'cops-clip-withY'"),
+    "clip method with a word for a multiplier": (lambda: Method.parse("cops-clipx-withY"),
+                                                 "unrecognized method id 'cops-clipx-withY'"),
 }
 
 
