@@ -25,20 +25,18 @@ Newton step of every batch element reads them, so the fit holds at most
 that budget besides its O(n*K) per-row arrays; over it, each step builds
 them per block of rows, as :func:`~copsamp.model.information` alone does.
 Either way a batch element gets the GEMMs its fit alone would get, bit
-for bit. Each
-Newton step solves ``(H + RIDGE * I) step = grad`` with numpy's LU
-solve. A Cholesky factorization of the same matrix decides only whether
-it is positive definite: when it fails, the step is counted in
-``FitReport.cholesky_fallbacks``. A matrix that is exactly singular in
-floating point fails both; its element ends its fit as a stalled line
-search does, at its last accepted iterate with ``converged=False``.
-Each step is halved until the objective decreases, so the objective is
-non-increasing across accepted steps; a step whose predicted decrease
-is within a few ulps of the objective, where rounding alone would
-decide, is taken whole. A fit stops when the infinity norm of its
-gradient is at most ``GRAD_TOL``, after ``MAX_ITERS`` Newton steps, or
-when its line search stalls. Iteration starts at ``beta = 0``; the
-objective is convex, so the optimum does not depend on that choice,
+for bit. Each Newton step is one LU solve of ``(H + RIDGE * I) step =
+grad``, a zero step where that matrix is exactly singular. A step whose
+predicted decrease ``0.5 grad^T step`` is positive is a descent step;
+every other step counts in ``FitReport.non_descent_steps``, and on the
+convex objective its line search stalls, but for rounding. Each step is
+halved until the objective decreases, so the objective is non-increasing
+across accepted steps; a descent step whose predicted decrease is within
+a few ulps of the objective, where rounding alone would decide, is taken
+whole. A fit stops when the infinity norm of its gradient is at most
+``GRAD_TOL``, after ``MAX_ITERS`` Newton steps, or when its line search
+stalls, at its last accepted iterate. Iteration starts at ``beta = 0``;
+the objective is convex, so the optimum does not depend on that choice,
 only reproducibility does. The solver's settings are the module
 constants below, read when a fit runs.
 """
@@ -48,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
+from numpy.linalg import LinAlgError
 
 from copsamp.model import (
     Coefficients,
@@ -83,10 +81,10 @@ class FitReport:
     internally normalized (mean-one-weight) objective; ``final_loss`` is
     the caller's objective ``(1/n) sum_i w_i * loss_i`` at ``beta``.
     ``converged`` implies ``final_grad_norm <= GRAD_TOL``.
-    ``cholesky_fallbacks`` counts the Newton steps whose ridged Hessian
-    was not positive definite; such a step need not be a descent
-    direction. A step whose ridged Hessian is singular counts there too,
-    and ends the fit at the iterate before it with ``converged=False``.
+    ``non_descent_steps`` counts the Newton steps whose predicted decrease
+    ``0.5 grad^T step`` is not positive, a singular Hessian's zero step
+    among them; none is taken whole as negligible, and each ends its fit at
+    the iterate before it, unconverged.
     """
 
     beta: Coefficients
@@ -94,7 +92,7 @@ class FitReport:
     final_grad_norm: float
     converged: bool
     final_loss: float
-    cholesky_fallbacks: int = 0
+    non_descent_steps: int = 0
 
 
 def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
@@ -113,31 +111,22 @@ def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     return grad_mat.reshape(len(beta), -1)
 
 
-def _newton_steps(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix of the stack ``H``, the step ``H^-1 g`` and whether it fell back.
+def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack ``H``, the step ``H^-1 g``; zero where ``H`` is singular.
 
-    A matrix falls back when its Cholesky factorization fails. A singular
-    matrix, whose LU solve fails too, falls back with a zero step, on
-    which the line search stalls. The whole stack is tried at once, and
-    one matrix at a time only when some matrix fails.
+    One solve of the whole stack, and one per matrix only after it fails.
     """
-    fell_back = np.zeros(len(H), dtype=bool)
     try:
-        cholesky(H)
-        return np.linalg.solve(H, g), fell_back
+        return np.linalg.solve(H, g)
     except LinAlgError:
-        pass  # some matrix failed: find which, one at a time
+        pass  # some matrix is singular: find which, one at a time
     step = np.zeros_like(g)
     for b, (h, g_b) in enumerate(zip(H, g)):
         try:
-            cholesky(h)
-        except LinAlgError:
-            fell_back[b] = True
-        try:
             step[b] = np.linalg.solve(h, g_b)
         except LinAlgError:
-            fell_back[b] = True
-    return step, fell_back
+            pass  # a zero step, on which the line search stalls
+    return step
 
 
 def _weights_error(y: np.ndarray, K: int, weights: np.ndarray) -> str | None:
@@ -175,7 +164,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     Row ``b`` of the ``(B, n)`` array ``weights`` gives the fit that
     :func:`fit_weighted_mle` would make with those weights, and its own
     :class:`FitReport`: each element has its own convergence test, step
-    halving, iteration count and Cholesky fallbacks. An element leaves
+    halving, iteration count and non-descent steps. An element leaves
     the batch when it converges or its line search fails, and each
     round of the line search evaluates only the elements still
     searching. A bad row raises the ``ValueError`` that
@@ -197,7 +186,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     beta = np.zeros((B, K, d))
     loss = _objective(beta, data, w)
     iterations = np.zeros(B, dtype=int)
-    fallbacks = np.zeros(B, dtype=int)
+    non_descent = np.zeros(B, dtype=int)
     eye = np.eye(K * d)
     # the feature products depend on X alone: one table serves every
     # Newton step of every element, when it fits the budget
@@ -213,12 +202,13 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
         if active.size == 0:
             break
         H = information(beta[active], data.X, w[active], pairs) + RIDGE * eye
-        step, fell_back = _newton_steps(H, g[:, :, None])
-        fallbacks[active] += fell_back
-        # a predicted decrease 0.5 g^T H^-1 g within a few ulps of the loss is
-        # below the line search's resolution: the whole step is taken
+        step = _newton_steps(H, g[:, :, None])
+        # a descent step predicts a positive decrease 0.5 g^T H^-1 g; within a few
+        # ulps of the loss it is below the line search's resolution: taken whole
         decrease = 0.5 * (g[:, None, :] @ step)[:, 0, 0]
-        negligible = ~fell_back & (decrease <= NEGLIGIBLE_ULPS * loss[active])
+        descent = decrease > 0
+        non_descent[active] += ~descent
+        negligible = descent & (decrease <= NEGLIGIBLE_ULPS * loss[active])
         step = step.reshape(-1, K, d)
         iterations[active] += 1
         # the elements still searching have all halved their steps equally often
@@ -245,7 +235,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
             final_grad_norm=float(final_grad_norm[b]),
             converged=bool(final_grad_norm[b] <= GRAD_TOL),
             final_loss=float(final_loss[b]),
-            cholesky_fallbacks=int(fallbacks[b]),
+            non_descent_steps=int(non_descent[b]),
         )
         for b in range(B)
     ]

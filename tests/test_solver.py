@@ -13,7 +13,7 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from copsamp import model, solver
-from copsamp.model import BLOCK_ROWS, Dataset, _loss_sum, _residuals, dataset_loss, information
+from copsamp.model import BLOCK_ROWS, Dataset, _loss_sum, _residuals, dataset_loss
 from copsamp.simulation import SimulationSpec, generate_dataset
 from copsamp.solver import fit_mle, fit_weighted_batch, fit_weighted_mle
 from helpers import synthetic
@@ -101,20 +101,6 @@ def test_non_convergence_reported(monkeypatch):
     assert not rep.converged
 
 
-def test_cholesky_fallback_counted(monkeypatch):
-    data, _ = synthetic(13, 600, 2, 3)
-    assert fit_mle(data).cholesky_fallbacks == 0
-
-    def failing_cholesky(*args, **kwargs):
-        raise LinAlgError("not positive definite")
-
-    monkeypatch.setattr(solver, "cholesky", failing_cholesky)
-    rep = fit_mle(data)
-    assert rep.converged
-    assert rep.cholesky_fallbacks >= 1
-    assert rep.cholesky_fallbacks == rep.iterations
-
-
 def test_single_class_rejected():
     data = Dataset(np.random.default_rng(0).normal(size=(10, 2)), np.zeros(10, dtype=int), 1)
     with pytest.raises(ValueError):
@@ -146,8 +132,9 @@ def reference_fit(data, weights):
     """The one-at-a-time damped-Newton loop on (K, d) coefficients, step by step.
 
     The reference of the batched solver: the same stop test, step solve,
-    Cholesky test, negligible-decrease rule and step halving, written for
-    one weight vector with scalar losses, on the solver's settings.
+    descent test, negligible-decrease rule and step halving, written for
+    one weight vector with scalar losses, on the solver's settings and
+    its ``information``.
     """
     w = weights * (data.n / weights.sum())
 
@@ -159,21 +146,20 @@ def reference_fit(data, weights):
         return (-(S @ data.X)[1:] / data.n).reshape(-1)
 
     K, d = data.K, data.d
-    beta, iterations, fallbacks = np.zeros((K, d)), 0, 0
+    beta, iterations, non_descent = np.zeros((K, d)), 0, 0
     loss = objective(beta, w)
     for _ in range(solver.MAX_ITERS):
         g = gradient(beta)
         if np.abs(g).max() <= solver.GRAD_TOL:
             break
-        H = information(beta, data.X, w) + solver.RIDGE * np.eye(K * d)
+        H = solver.information(beta, data.X, w, None) + solver.RIDGE * np.eye(K * d)
         try:
-            solver.cholesky(H)
-            fell_back = False
+            step = np.linalg.solve(H, g)
         except LinAlgError:
-            fell_back = True
-        step = np.linalg.solve(H, g)
-        fallbacks += fell_back
-        negligible = not fell_back and 0.5 * (g @ step) <= 8 * np.finfo(float).eps * loss
+            step = np.zeros_like(g)
+        decrease = 0.5 * (g @ step)
+        non_descent += not decrease > 0
+        negligible = decrease > 0 and decrease <= 8 * np.finfo(float).eps * loss
         t, accepted = 1.0, False
         for _ in range(solver.STEP_HALVING_MAX + 1):
             candidate = beta - t * step.reshape(K, d)
@@ -187,7 +173,7 @@ def reference_fit(data, weights):
             break
     grad_norm = float(np.abs(gradient(beta)).max())
     return solver.FitReport(beta, iterations, grad_norm, grad_norm <= solver.GRAD_TOL,
-                            objective(beta, weights), fallbacks)
+                            objective(beta, weights), non_descent)
 
 
 def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
@@ -210,17 +196,24 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
                     fit, ref = fit_weighted_mle(data, weights), reference_fit(data, weights)
                     npt.assert_array_equal(fit.beta, ref.beta)
                     assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
-                            fit.cholesky_fallbacks) == (ref.iterations, ref.final_grad_norm,
-                                                        ref.converged, ref.final_loss,
-                                                        ref.cholesky_fallbacks)
+                            fit.non_descent_steps) == (ref.iterations, ref.final_grad_norm,
+                                                       ref.converged, ref.final_loss,
+                                                       ref.non_descent_steps)
+                    yield fit
 
-    check()
+    assert {fit.non_descent_steps for fit in check()} == {0}
+    real_information = solver.information
 
-    def failing_cholesky(*args, **kwargs):
-        raise LinAlgError("not positive definite")
+    def ascending_once_moved(beta, X, w, pairs):
+        # the Hessian negated at every iterate but beta = 0: the second
+        # Newton step ascends
+        H = real_information(beta, X, w, pairs)
+        moved = np.any(beta != 0, axis=(-2, -1))
+        return np.where(moved[..., None, None], -H, H)
 
-    monkeypatch.setattr(solver, "cholesky", failing_cholesky)
-    check()
+    monkeypatch.setattr(solver, "information", ascending_once_moved)
+    assert {(fit.iterations, fit.non_descent_steps, fit.converged)
+            for fit in check()} == {(2, 1, False)}
 
 
 def test_batch_matches_one_at_a_time(monkeypatch):
@@ -235,30 +228,36 @@ def test_batch_matches_one_at_a_time(monkeypatch):
         np.exp(3 * rng.normal(size=data.n)),
         (np.abs(data.X[:, 2]) < 0.05).astype(float),
     ])
-    # a Hessian counts as not positive definite below a margin of 1e-3, which
-    # only the near-singular element's Hessians fall under
-    monkeypatch.setattr(solver, "cholesky",
-                        lambda H: np.linalg.cholesky(H - 1e-3 * np.eye(H.shape[-1])))
+    # the near-singular element's information, matched by its zero weights in
+    # the batch and alone, is shifted by -1e-3 * I: its ridged Hessian is
+    # indefinite, and its third Newton step is the first that does not descend
+    real_information = solver.information
+
+    def shifted(beta, X, w, pairs):
+        H = real_information(beta, X, w, pairs)
+        near_singular = (w == 0).any(axis=1)
+        return H - 1e-3 * near_singular[:, None, None] * np.eye(H.shape[-1])
+
+    monkeypatch.setattr(solver, "information", shifted)
 
     def batch_and_alone(max_iters):
         monkeypatch.setattr(solver, "MAX_ITERS", max_iters)
         batch = fit_weighted_batch(data, weights)
         alone = [fit_weighted_mle(data, w) for w in weights]
         for fit, ref in zip(batch, alone, strict=True):
-            assert (fit.iterations, fit.converged, fit.cholesky_fallbacks) == (
-                ref.iterations, ref.converged, ref.cholesky_fallbacks)
+            assert (fit.iterations, fit.converged, fit.non_descent_steps) == (
+                ref.iterations, ref.converged, ref.non_descent_steps)
             npt.assert_array_equal(fit.beta, ref.beta)
             assert (fit.final_loss, fit.final_grad_norm) == (ref.final_loss, ref.final_grad_norm)
         return batch
 
     batch = batch_and_alone(6)
-    assert [fit.iterations for fit in batch] == [5, 5, 6, 6]
-    assert [fit.converged for fit in batch] == [True, True, False, True]
-    assert [fit.cholesky_fallbacks for fit in batch] == [0, 0, 0, 6]
+    assert [fit.iterations for fit in batch] == [5, 5, 6, 3]
+    assert [fit.converged for fit in batch] == [True, True, False, False]
+    assert [fit.non_descent_steps for fit in batch] == [0, 0, 0, 1]
     # with the Hessians shrunk, full Newton steps overshoot: each element
     # halves its step as often as its own loss asks
-    real_information = solver.information
-    monkeypatch.setattr(solver, "information", lambda *a: 0.3 * real_information(*a))
+    monkeypatch.setattr(solver, "information", lambda *a: 0.3 * shifted(*a))
     batch_and_alone(20)
 
 
@@ -302,9 +301,9 @@ def test_kept_pair_table_changes_no_bit(monkeypatch, K, d, n, B):
     for built, held in zip(fits[0], fits[2**40], strict=True):
         npt.assert_array_equal(built.beta, held.beta)
         assert (built.iterations, built.final_loss, built.final_grad_norm, built.converged,
-                built.cholesky_fallbacks) == (held.iterations, held.final_loss,
-                                              held.final_grad_norm, held.converged,
-                                              held.cholesky_fallbacks)
+                built.non_descent_steps) == (held.iterations, held.final_loss,
+                                             held.final_grad_norm, held.converged,
+                                             held.non_descent_steps)
     assert B == 1 or len({fit.iterations for fit in fits[0]}) > 1
 
 
@@ -410,7 +409,7 @@ def test_fit_stops_when_its_last_elements_stall():
     # converging; the loop then stops with the report it has
     rep = fit_mle(separable_scaled_data())
     assert not rep.converged
-    assert (rep.iterations, rep.cholesky_fallbacks) == (42, 0)
+    assert (rep.iterations, rep.non_descent_steps) == (42, 0)
     assert rep.final_grad_norm == pytest.approx(3.2834e-8, rel=1e-3)
 
 
@@ -434,9 +433,9 @@ def batch_with_first_information(monkeypatch, replace):
     first, fit = fit_weighted_batch(data, weights)
     npt.assert_array_equal(fit.beta, alone.beta)
     assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
-            fit.cholesky_fallbacks) == (alone.iterations, alone.final_grad_norm,
-                                        alone.converged, alone.final_loss,
-                                        alone.cholesky_fallbacks)
+            fit.non_descent_steps) == (alone.iterations, alone.final_grad_norm,
+                                       alone.converged, alone.final_loss,
+                                       alone.non_descent_steps)
     return first
 
 
@@ -445,7 +444,7 @@ def test_element_without_descent_leaves_the_batch(monkeypatch):
     # every step length; it stops after one iteration, and the other
     # element's fit is its fit alone
     stalled = batch_with_first_information(monkeypatch, lambda H: -H)
-    assert (stalled.converged, stalled.iterations, stalled.cholesky_fallbacks) == (False, 1, 1)
+    assert (stalled.converged, stalled.iterations, stalled.non_descent_steps) == (False, 1, 1)
     npt.assert_array_equal(stalled.beta, 0.0)
 
 
@@ -457,11 +456,12 @@ def singular_hessian_data():
 
 
 def test_singular_hessian_ends_the_fit_unconverged():
-    # the LU solve of the second step fails; the fit stops at its first
-    # step's iterate, as a stalled line search does
+    # the first step's ridged Hessian is not positive definite, but its LU
+    # step descends; the LU solve of the second step fails, and the fit
+    # stops at its first step's iterate, as a stalled line search does
     rep = fit_mle(singular_hessian_data())
     assert not rep.converged
-    assert (rep.iterations, rep.cholesky_fallbacks) == (2, 2)
+    assert (rep.iterations, rep.non_descent_steps) == (2, 1)
     assert rep.final_loss < np.log(2)  # the loss at beta = 0
 
 
@@ -471,7 +471,7 @@ def test_singular_element_leaves_the_batch(monkeypatch):
     # element's fit is its fit alone
     singular = batch_with_first_information(monkeypatch,
                                             lambda H: -solver.RIDGE * np.eye(len(H)))
-    assert (singular.converged, singular.iterations, singular.cholesky_fallbacks) == (False, 1, 1)
+    assert (singular.converged, singular.iterations, singular.non_descent_steps) == (False, 1, 1)
     npt.assert_array_equal(singular.beta, 0.0)
 
 OVERFLOWING_WEIGHTS = {
