@@ -20,9 +20,9 @@ Rows 1..K of the residuals are the score vectors. One private builder writes
 zero and max-shifts each column; probabilities, residuals, losses
 and the feature-pair table all start from it. The public
 :func:`probability_matrix` and :func:`residual_matrix` return
-row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. The per-sample
-functions but :func:`cross_entropy`, which reads the batched log-probability,
-compute their own softmax in :func:`class_probabilities` and serve as oracles.
+row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. Every function
+here is batched over rows; the per-sample oracles live in
+:mod:`copsamp.selfcheck`.
 
 All probabilities are computed with max-subtraction and all losses in
 log-space (a max-shifted log-sum-exp); nothing here exponentiates a
@@ -67,14 +67,7 @@ __all__ = [
     "Coefficients",
     "Dataset",
     "FisherInfo",
-    "class_probabilities",
-    "cross_entropy",
     "dataset_loss",
-    "score_vector",
-    "loss_gradient",
-    "phi",
-    "psi",
-    "loss_hessian",
     "information",
     "fisher_info",
     "probability_matrix",
@@ -190,13 +183,6 @@ def _check_beta(
     return beta
 
 
-def _check_x(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (beta.shape[1],):
-        raise ValueError(f"x has shape {x.shape}, expected ({beta.shape[1]},)")
-    return x
-
-
 def _shifted_logits(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Class-major logits ``z - max_k z`` of every row of ``X``, shape ``(K + 1, n)``.
 
@@ -252,24 +238,11 @@ def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
 def residual_matrix(beta: Coefficients, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Score vectors of every row, shape ``(n, K)``: ``indicator(y_i == k) - p_k(x_i)``.
 
-    Row ``i`` is :func:`score_vector` at ``(x_i, y_i)``, i.e. the one-hot
-    label minus the probabilities of classes ``1..K``. A transposed view
-    of rows 1..K of the class-major ``(K + 1, n)`` residuals.
+    Row ``i`` is the one-hot label ``y_i`` minus the probabilities of
+    classes ``1..K`` at ``x_i``. A transposed view of rows 1..K of the
+    class-major ``(K + 1, n)`` residuals.
     """
     return _residuals(*_check_rows(beta, X), y)[1:].T
-
-
-def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
-    """Probabilities of classes ``0..K`` at a single point, length K + 1.
-
-    A max-shifted softmax of its own, independent of the batched
-    builder, so that it can serve as the batched functions' oracle.
-    """
-    beta = _check_beta(beta)
-    x = _check_x(x, beta)
-    z = np.concatenate([[0.0], beta @ x])
-    z = np.exp(z - z.max())
-    return z / z.sum()
 
 
 def _log_probability_of_label(
@@ -297,15 +270,6 @@ def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> 
     return np.sum(w * -_log_probability_of_label(beta, X, y), axis=-1)
 
 
-def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
-    """Negative log-probability of label ``y`` at ``x``."""
-    beta = _check_beta(beta)
-    x = _check_x(x, beta)
-    if not 0 <= y <= beta.shape[0]:
-        raise ValueError(f"label {y} outside [0, {beta.shape[0]}]")
-    return float(-_log_probability_of_label(beta, x[None, :], np.array([y]))[0])
-
-
 def dataset_loss(
     beta: Coefficients,
     data: Dataset,
@@ -323,45 +287,6 @@ def dataset_loss(
         raise ValueError("empty dataset")
     w = np.ones(data.n) if weights is None else _check_nonnegative("weights", weights, (data.n,))
     return float(_loss_sum(beta, data.X, data.y, w) / data.n)
-
-
-def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
-    """Length-K vector with entries ``indicator(y == k) - p_k``, k = 1..K."""
-    p = class_probabilities(beta, x)
-    s = -p[1:]
-    if y >= 1:
-        s = s.copy()
-        s[y - 1] += 1.0
-    return s
-
-
-def loss_gradient(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
-    """Gradient of :func:`cross_entropy` w.r.t. ``vec(beta)``: ``-kron(s, x)``."""
-    s = score_vector(beta, x, y)
-    x = np.asarray(x, dtype=float)
-    return -np.kron(s, x)
-
-
-def phi(beta: Coefficients, x: np.ndarray) -> np.ndarray:
-    """``(K, K)`` matrix ``diag(p_1..p_K) - p p^T`` over non-reference classes.
-
-    Symmetric PSD; row sums equal ``p_k * p_0``.
-    """
-    p = class_probabilities(beta, x)[1:]
-    return np.diag(p) - np.outer(p, p)
-
-
-def psi(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
-    """Rank-one matrix ``s s^T`` built from the score vector at ``(x, y)``."""
-    s = score_vector(beta, x, y)
-    return np.outer(s, s)
-
-
-def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
-    """``(K*d, K*d)`` per-sample Hessian ``kron(phi, outer(x, x))``."""
-    beta = _check_beta(beta)
-    x = _check_x(x, beta)
-    return np.kron(phi(beta, x), np.outer(x, x))
 
 
 #: rows per block of the row-blocked kernels: the feature-pair ones take

@@ -51,7 +51,6 @@ __all__ = [
     "PipelineResult",
     "make_plan",
     "draw_subsample",
-    "subsample_objective",
     "subsample_and_refit",
     "plan_scores",
     "cops_coreset",
@@ -223,22 +222,6 @@ def draw_subsample(
     indices = cdf.searchsorted(np.random.default_rng(seed).random(r), side="right")
     entries = indices if rows is None else rows[indices]
     return Subsample(indices=indices, weights=1.0 / plan.pi_reweight[entries])
-
-
-def subsample_objective(u: np.ndarray, pi: np.ndarray) -> float:
-    """``sum_i u_i**2 / pi_i``, the variance proxy the optimal plan minimizes.
-
-    Minimized over distributions at ``pi`` proportional to ``u`` (by the
-    Cauchy-Schwarz inequality), where it equals ``(sum_i u_i)**2``.
-    """
-    u = np.asarray(u, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if u.shape != pi.shape:
-        raise ValueError("u and pi must have the same length")
-    active = u > 0
-    if np.any(pi[active] <= 0):
-        raise ValueError("pi must be positive wherever u is positive")
-    return float(np.sum(u[active] ** 2 / pi[active]))
 
 
 @dataclass

@@ -6,6 +6,16 @@ Hessians, random-search optimality, Monte-Carlo ensemble calibration)
 and compares against the library implementation at a fixed tolerance.
 The routes are public functions, the one home of each oracle: the test
 suite imports them and runs them at its own seeds and tolerances.
+
+The per-sample twins of the batched library functions live here too, one
+row ``x`` at a time: probabilities, the cross entropy, score vectors,
+the loss gradient and Hessian, ``phi`` and ``psi``, the ensemble's logit
+covariance, the exact and ensemble scores, and the variance objective of
+a plan. No pipeline stage calls them. Each one that needs probabilities
+computes its own softmax in :func:`class_probabilities`, independent of
+the batched builder it checks; :func:`cross_entropy` alone reads the
+batched log-probability. The score twins share the members' logit
+deviations and the Cholesky factor with the batched scorers.
 """
 
 from __future__ import annotations
@@ -15,19 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from copsamp.model import (
+    Coefficients,
     Dataset,
-    class_probabilities,
-    cross_entropy,
-    loss_gradient,
-    loss_hessian,
-    phi,
-    probability_matrix,
-    psi,
+    FisherInfo,
+    _check_beta,
+    _log_probability_of_label,
     fisher_info,
+    probability_matrix,
 )
-from copsamp.sampler import subsample_objective
 from copsamp.solver import fit_mle
 from copsamp.uncertainty import (
+    ProbeEnsemble,
+    _clamp,
+    _factorize,
+    _logit_deviations,
     ensemble_scores,
     exact_scores,
     train_ensemble,
@@ -37,6 +48,9 @@ __all__ = [
     "CheckResult", "calibration_medians", "fd_gradient", "fd_hessian", "label_average",
     "mean_kron_hessian", "random_instance", "random_plan_gaps", "run_selfcheck",
     "sample_labels",
+    "class_probabilities", "cross_entropy", "score_vector", "loss_gradient", "phi", "psi",
+    "loss_hessian", "logit_covariance", "ensemble_score_coreset", "ensemble_score_active",
+    "exact_score_coreset", "exact_score_active", "subsample_objective",
 ]
 
 
@@ -46,6 +60,151 @@ class CheckResult:
     threshold: str
     measured: float
     passed: bool
+
+
+def _check_x(x: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (beta.shape[1],):
+        raise ValueError(f"x has shape {x.shape}, expected ({beta.shape[1]},)")
+    return x
+
+
+def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
+    """Probabilities of classes ``0..K`` at a single point, length K + 1.
+
+    A max-shifted softmax of its own, independent of the batched
+    builder, so that it can serve as the batched functions' oracle.
+    """
+    beta = _check_beta(beta)
+    x = _check_x(x, beta)
+    z = np.concatenate([[0.0], beta @ x])
+    z = np.exp(z - z.max())
+    return z / z.sum()
+
+
+def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
+    """Negative log-probability of label ``y`` at ``x``.
+
+    Read from the batched log-probability of :mod:`copsamp.model`, not
+    from :func:`class_probabilities`.
+    """
+    beta = _check_beta(beta)
+    x = _check_x(x, beta)
+    if not 0 <= y <= beta.shape[0]:
+        raise ValueError(f"label {y} outside [0, {beta.shape[0]}]")
+    return float(-_log_probability_of_label(beta, x[None, :], np.array([y]))[0])
+
+
+def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
+    """Length-K vector with entries ``indicator(y == k) - p_k``, k = 1..K."""
+    p = class_probabilities(beta, x)
+    s = -p[1:]
+    if y >= 1:
+        s = s.copy()
+        s[y - 1] += 1.0
+    return s
+
+
+def loss_gradient(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
+    """Gradient of :func:`cross_entropy` w.r.t. ``vec(beta)``: ``-kron(s, x)``."""
+    s = score_vector(beta, x, y)
+    x = np.asarray(x, dtype=float)
+    return -np.kron(s, x)
+
+
+def phi(beta: Coefficients, x: np.ndarray) -> np.ndarray:
+    """``(K, K)`` matrix ``diag(p_1..p_K) - p p^T`` over non-reference classes.
+
+    Symmetric PSD; row sums equal ``p_k * p_0``.
+    """
+    p = class_probabilities(beta, x)[1:]
+    return np.diag(p) - np.outer(p, p)
+
+
+def psi(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:
+    """Rank-one matrix ``s s^T`` built from the score vector at ``(x, y)``."""
+    s = score_vector(beta, x, y)
+    return np.outer(s, s)
+
+
+def loss_hessian(beta: Coefficients, x: np.ndarray) -> np.ndarray:
+    """``(K*d, K*d)`` per-sample Hessian ``kron(phi, outer(x, x))``."""
+    beta = _check_beta(beta)
+    x = _check_x(x, beta)
+    return np.kron(phi(beta, x), np.outer(x, x))
+
+
+def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
+    """Sample covariance of member logit vectors at ``x``, shape (K, K).
+
+    Uses the M-1 divisor and centers on the mean model's logits.
+    """
+    x = _check_x(x, ensemble.members[0])
+    dev = _logit_deviations(ensemble.members, x[None, :])[..., 0]
+    sigma = dev.T @ dev / (ensemble.M - 1)
+    return 0.5 * (sigma + sigma.T)
+
+
+def ensemble_score_coreset(ensemble: ProbeEnsemble, x: np.ndarray, y: int) -> float:
+    """``s^T Sigma_M(x) s`` with the score vector at the ensemble mean."""
+    s = score_vector(ensemble.mean, x, y)
+    sigma = logit_covariance(ensemble, x)
+    return float(_clamp(s @ sigma @ s))
+
+
+def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
+    """``Tr(phi(mean; x) Sigma_M(x))``, the label-averaged coreset score."""
+    sigma = logit_covariance(ensemble, x)
+    return float(_clamp(np.sum(phi(ensemble.mean, x) * sigma)))
+
+
+def exact_score_coreset(
+    beta: Coefficients,
+    info: FisherInfo,
+    x: np.ndarray,
+    y: int,
+) -> float:
+    """``Tr((psi kron xx^T) M^-1)`` as the quadratic form of ``kron(s, x)``."""
+    factor = _factorize(info)
+    g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
+    if g.shape[0] != info.m.shape[0]:
+        raise ValueError("beta/x dimensions do not match the information matrix")
+    z = np.linalg.solve(factor, g)  # g^T M^-1 g = |L^-1 g|^2
+    return float(_clamp(z @ z))
+
+
+def exact_score_active(
+    beta: Coefficients,
+    info: FisherInfo,
+    x: np.ndarray,
+) -> float:
+    """``Tr((phi kron xx^T) M^-1)`` via the eigendecomposition of phi."""
+    factor = _factorize(info)
+    x = np.asarray(x, dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(phi(beta, x))
+    u = 0.0
+    for lam, v in zip(eigvals, eigvecs.T):
+        if lam <= 0:
+            continue
+        z = np.linalg.solve(factor, np.kron(v, x))
+        u += lam * float(z @ z)
+    return float(_clamp(u))
+
+
+def subsample_objective(u: np.ndarray, pi: np.ndarray) -> float:
+    """``sum_i u_i**2 / pi_i``, the variance proxy the optimal plan minimizes.
+
+    Minimized over distributions at ``pi`` proportional to ``u`` (by the
+    Cauchy-Schwarz inequality), where it equals ``(sum_i u_i)**2``.
+    """
+    u = np.asarray(u, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    if u.shape != pi.shape:
+        raise ValueError("u and pi must have the same length")
+    active = u > 0
+    if np.any(pi[active] <= 0):
+        raise ValueError("pi must be positive wherever u is positive")
+    return float(np.sum(u[active] ** 2 / pi[active]))
 
 
 def random_instance(rng: np.random.Generator, K: int, d: int, scale: float = 0.8):

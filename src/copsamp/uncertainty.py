@@ -1,4 +1,4 @@
-"""Per-sample uncertainty scores, exact and ensemble-based.
+"""Per-row uncertainty scores, exact and ensemble-based.
 
 Both estimators score a row ``x`` by ``sum_kl C[k, l] Cov(z_k, z_l)`` over
 its logits ``z``, with ``C = s s^T`` when the label is known (coreset
@@ -13,8 +13,8 @@ Batched exact scores pack ``M^-1`` into the feature-pair table of
 :func:`copsamp.model.information`: one ``(P, T) @ (T, b)`` GEMM per block
 of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
 scorers read the members' logit deviations from one function; the batched
-one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample exact functions
-take independent routes and serve as oracles. Scoring is pure and
+one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of
+both scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
 thread-safe.
 """
 
@@ -33,14 +33,11 @@ from copsamp.model import (
     Dataset,
     FisherInfo,
     _check_integer,
-    _check_x,
     _pair_blocks,
     _probabilities,
     _residuals,
     _trace_weights,
     fisher_info,
-    phi,
-    score_vector,
 )
 from copsamp.solver import fit_mle
 
@@ -48,12 +45,7 @@ __all__ = [
     "ProbeEnsemble",
     "SingularInformationError",
     "train_ensemble",
-    "logit_covariance",
-    "ensemble_score_coreset",
-    "ensemble_score_active",
     "ensemble_scores",
-    "exact_score_coreset",
-    "exact_score_active",
     "exact_scores",
     "score_rows",
 ]
@@ -154,33 +146,9 @@ def _logit_deviations(members: np.ndarray, X: np.ndarray) -> np.ndarray:
     return Z
 
 
-def logit_covariance(ensemble: ProbeEnsemble, x: np.ndarray) -> np.ndarray:
-    """Sample covariance of member logit vectors at ``x``, shape (K, K).
-
-    Uses the M-1 divisor and centers on the mean model's logits.
-    """
-    x = _check_x(x, ensemble.members[0])
-    dev = _logit_deviations(ensemble.members, x[None, :])[..., 0]
-    sigma = dev.T @ dev / (ensemble.M - 1)
-    return 0.5 * (sigma + sigma.T)
-
-
 def _clamp(u: np.ndarray | float) -> np.ndarray | float:
     """Zero out round-off negatives of PSD quadratic forms."""
     return np.maximum(u, 0.0)
-
-
-def ensemble_score_coreset(ensemble: ProbeEnsemble, x: np.ndarray, y: int) -> float:
-    """``s^T Sigma_M(x) s`` with the score vector at the ensemble mean."""
-    s = score_vector(ensemble.mean, x, y)
-    sigma = logit_covariance(ensemble, x)
-    return float(_clamp(s @ sigma @ s))
-
-
-def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
-    """``Tr(phi(mean; x) Sigma_M(x))``, the label-averaged coreset score."""
-    sigma = logit_covariance(ensemble, x)
-    return float(_clamp(np.sum(phi(ensemble.mean, x) * sigma)))
 
 
 def _scored_labels(data: Dataset, kind: str, size: int) -> np.ndarray | None:
@@ -199,7 +167,7 @@ def ensemble_scores(
     data: Dataset,
     kind: Literal["coreset", "active"],
 ) -> np.ndarray:
-    """Vectorized ensemble scores: :func:`logit_covariance` against ``C`` per row.
+    """Vectorized ensemble scores: the members' logit covariance against ``C`` per row.
 
     Per block of rows it is ``sum_m c(dev_m) / (M - 1)`` over the members'
     logit deviations ``dev_m``, with ``c = (s^T dev)^2`` for coreset
@@ -215,7 +183,7 @@ def ensemble_scores(
     for start in range(0, data.n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         dev = _logit_deviations(ensemble.members, data.X[rows])
-        if y is None:  # phi = diag(p) - p p^T per row, formed as :func:`phi` forms it
+        if y is None:  # phi = diag(p) - p p^T per row, formed as selfcheck.phi forms it
             phi_rows = -(c[:, None, rows] * c[:, rows])
             phi_rows.reshape(K * K, -1)[:: K + 1] += c[:, rows]
             np.einsum("mkb,klb,mlb->b", dev, phi_rows, dev, out=u[rows])
@@ -234,39 +202,6 @@ def _factorize(info: FisherInfo) -> np.ndarray:
         raise SingularInformationError(
             f"information matrix not positive definite with ridge {ridge:.3e}"
         ) from err
-
-
-def exact_score_coreset(
-    beta: Coefficients,
-    info: FisherInfo,
-    x: np.ndarray,
-    y: int,
-) -> float:
-    """``Tr((psi kron xx^T) M^-1)`` as the quadratic form of ``kron(s, x)``."""
-    factor = _factorize(info)
-    g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
-    if g.shape[0] != info.m.shape[0]:
-        raise ValueError("beta/x dimensions do not match the information matrix")
-    z = np.linalg.solve(factor, g)  # g^T M^-1 g = |L^-1 g|^2
-    return float(_clamp(z @ z))
-
-
-def exact_score_active(
-    beta: Coefficients,
-    info: FisherInfo,
-    x: np.ndarray,
-) -> float:
-    """``Tr((phi kron xx^T) M^-1)`` via the eigendecomposition of phi."""
-    factor = _factorize(info)
-    x = np.asarray(x, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(phi(beta, x))
-    u = 0.0
-    for lam, v in zip(eigvals, eigvecs.T):
-        if lam <= 0:
-            continue
-        z = np.linalg.solve(factor, np.kron(v, x))
-        u += lam * float(z @ z)
-    return float(_clamp(u))
 
 
 def exact_scores(

@@ -6,8 +6,8 @@ this module holds the ones that only the tests use.
 
 import numpy as np
 
-from copsamp.model import Dataset, class_probabilities, phi, probability_matrix, score_vector
-from copsamp.selfcheck import sample_labels
+from copsamp.model import Dataset, probability_matrix
+from copsamp.selfcheck import class_probabilities, phi, sample_labels, score_vector
 from copsamp.uncertainty import ProbeEnsemble
 
 

@@ -8,28 +8,25 @@ import time
 import numpy as np
 
 from copsamp.cli import main as cli_main
-from copsamp.model import (
-    Dataset,
-    class_probabilities,
-    fisher_info,
-    loss_gradient,
-    loss_hessian,
-    phi,
-    probability_matrix,
-    psi,
-)
+from copsamp.model import Dataset, fisher_info, probability_matrix
 from copsamp.selfcheck import (
     calibration_medians,
+    class_probabilities,
+    exact_score_active,
+    exact_score_coreset,
     fd_gradient,
     fd_hessian,
     label_average,
+    loss_gradient,
+    loss_hessian,
+    phi,
+    psi,
     random_instance,
     random_plan_gaps,
     sample_labels,
 )
 from copsamp.simulation import Method, SimulationSpec, run_experiment
 from copsamp.solver import fit_mle, fit_weighted_mle
-from copsamp.uncertainty import exact_score_active, exact_score_coreset
 from helpers import binary_exact_scores
 
 

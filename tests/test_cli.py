@@ -24,7 +24,8 @@ from copsamp.cli import (
     read_dataset_csv,
     read_scores_csv,
 )
-from copsamp.model import Dataset, class_probabilities
+from copsamp.model import Dataset
+from copsamp.selfcheck import class_probabilities
 from copsamp.simulation import PAPER_METHODS, ExperimentReport, SimulationSpec, TrialResult
 from copsamp.uncertainty import ProbeEnsemble, train_ensemble
 from helpers import synthetic
@@ -721,12 +722,12 @@ def _perturbed_fisher_info(*args):
     return replace(info, m=info.m * (1 + 1e-9))
 
 
-#: a slightly wrong version of a name that copsamp.selfcheck imports, the
-#: check that must catch it, and the selfcheck flags that run that check
+#: a slightly wrong version of a name that copsamp.selfcheck's checks call,
+#: the check that must catch it, and the selfcheck flags that run that check
 WRONG_LIBRARY = {
-    "psi": (_scaled(model.psi, 1.001), "check_label_expectation", ["--quick"]),
-    "loss_gradient": (_scaled(model.loss_gradient, 1.0001), "check_gradient_fd", ["--quick"]),
-    "loss_hessian": (_scaled(model.loss_hessian, 1.0001), "check_hessian_fd", ["--quick"]),
+    "psi": (_scaled(selfcheck.psi, 1.001), "check_label_expectation", ["--quick"]),
+    "loss_gradient": (_scaled(selfcheck.loss_gradient, 1.0001), "check_gradient_fd", ["--quick"]),
+    "loss_hessian": (_scaled(selfcheck.loss_hessian, 1.0001), "check_hessian_fd", ["--quick"]),
     "fisher_info": (_perturbed_fisher_info, "check_fisher_kron", ["--quick"]),
     "exact_scores": (_scaled(uncertainty.exact_scores, 2.0), "check_ensemble_calibration", []),
 }

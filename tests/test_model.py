@@ -18,25 +18,25 @@ from copsamp.model import (
     _pair_blocks,
     _pair_table,
     _pair_layout,
-    class_probabilities,
-    cross_entropy,
     dataset_loss,
     fisher_info,
     information,
-    loss_gradient,
-    loss_hessian,
-    phi,
     probability_matrix,
-    psi,
     residual_matrix,
-    score_vector,
 )
 from copsamp.selfcheck import (
+    class_probabilities,
+    cross_entropy,
     fd_gradient,
     fd_hessian,
     label_average,
+    loss_gradient,
+    loss_hessian,
     mean_kron_hessian,
+    phi,
+    psi,
     random_instance,
+    score_vector,
 )
 
 

@@ -15,10 +15,9 @@ from copsamp.sampler import (
     draw_subsample,
     make_plan,
     subsample_and_refit,
-    subsample_objective,
 )
 from copsamp.solver import fit_weighted_batch, fit_weighted_mle
-from copsamp.selfcheck import random_plan_gaps
+from copsamp.selfcheck import random_plan_gaps, subsample_objective
 from copsamp.uncertainty import ensemble_scores, train_ensemble
 from helpers import constant_ensemble, synthetic
 

@@ -7,27 +7,24 @@ import numpy.testing as npt
 import pytest
 
 from copsamp import solver, uncertainty
-from copsamp.model import (
-    BLOCK_ROWS,
-    Dataset,
-    FisherInfo,
+from copsamp.model import BLOCK_ROWS, Dataset, FisherInfo, fisher_info
+from copsamp.selfcheck import (
     class_probabilities,
-    fisher_info,
+    ensemble_score_active,
+    ensemble_score_coreset,
+    exact_score_active,
+    exact_score_coreset,
+    label_average,
+    logit_covariance,
     phi,
     psi,
 )
-from copsamp.selfcheck import label_average
 from copsamp.solver import fit_mle
 from copsamp.uncertainty import (
     ProbeEnsemble,
     SingularInformationError,
-    ensemble_score_active,
-    ensemble_score_coreset,
     ensemble_scores,
-    exact_score_active,
-    exact_score_coreset,
     exact_scores,
-    logit_covariance,
     score_rows,
     train_ensemble,
 )
