@@ -487,13 +487,25 @@ def information(
         raise ValueError("empty dataset")
     beta = _check_beta(beta, d, batched=True)
     w = None if w is None else _check_nonnegative("weights", w, beta.shape[:-2] + (n,))
-    kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], d)
-    if pairs is not None and pairs.shape != (len(aa), n):
-        raise ValueError(f"pairs has shape {pairs.shape}, expected {(len(aa), n)}")
+    T = d * (d + 1) // 2
+    if pairs is not None and pairs.shape != (T, n):
+        raise ValueError(f"pairs has shape {pairs.shape}, expected {(T, n)}")
+    return _information(beta, X, w, pairs)
+
+
+def _information(
+    beta: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
+) -> np.ndarray:
+    """:func:`information` on inputs it has checked, or that a Newton fit made.
+
+    The fit's own mean-one weights are checked once per fit, not once
+    per Newton step.
+    """
+    kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], X.shape[1])
     G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
     for _, _, C, Q in _pair_blocks(beta, X, w=w, pairs=pairs):
         G += C @ Q.T
-    G /= n
+    G /= X.shape[0]
     return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
 
 

@@ -106,13 +106,20 @@ class SamplingPlan:
     both distributions fall back to uniform. ``max_weight_ratio`` is the
     largest inverse-probability weight of a row that can be drawn
     (``pi > 0``) relative to uniform sampling, a bounded-moments
-    diagnostic.
+    diagnostic. ``capped_fraction`` is the share of source rows whose
+    transformed score the alpha-cap lowered, and ``floored_fraction`` the
+    share whose score the beta-floor raised; a plan made with counts
+    weighs each entry by its count, so it reports what its expanded plan
+    reports. ``capped_fraction`` is 0.0 without alpha, and both are 0.0 in
+    the uniform fallback, where neither distribution reads the scores.
     """
 
     pi: np.ndarray
     pi_reweight: np.ndarray
     uniform_fallback: bool = False
     max_weight_ratio: float = field(default=1.0)
+    capped_fraction: float = 0.0
+    floored_fraction: float = 0.0
 
 
 @dataclass
@@ -164,10 +171,13 @@ def make_plan(
             f"scores too large to normalize: a sum over {n} rows of values "
             f"up to {top:.3g} can overflow a double"
         )
-    sampling = v
+    # the fractions are sums of integer counts, exact in any order: a BLAS dot
+    # cannot round them by the thread count
+    sampling, capped_fraction = v, 0.0
     if config.alpha_multiplier is not None:
         alpha = config.alpha_multiplier * present[present > 0].min()
         sampling = np.minimum(v, alpha)
+        capped_fraction = float(counts @ (v > alpha) / n)
     # numpy's pairwise sum, as for the weighted loss: a BLAS dot would round
     # differently with the BLAS thread count
     pi = sampling / np.sum(counts * sampling)
@@ -181,6 +191,8 @@ def make_plan(
         pi_reweight=pi_reweight,
         uniform_fallback=False,
         max_weight_ratio=max_weight_ratio,
+        capped_fraction=capped_fraction,
+        floored_fraction=float(counts @ (v < config.beta_floor) / n),
     )
 
 

@@ -14,18 +14,21 @@ constant; the reported ``final_loss`` is always of the caller's original
 objective. The gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM
 of the weighted class-major residuals against ``X``, a GEMM even at K = 1,
 where a ``(1, n)`` GEMV would round by X's layout and the BLAS thread
-count (see :mod:`copsamp.model`). The Hessian ``H`` is :func:`copsamp.model.information` of the
-mean-one weights: one GEMM per block of rows between the weighted
-class-pair coefficients ``w phi_kl`` (``k <= l``) and the feature
-products ``x_a x_b`` (``a <= b``), whose ``(P, T)`` sum over the blocks
-is mirrored into the exactly symmetric ``(K*d, K*d)`` matrix. The
-products depend on ``X`` alone: when their n*d(d+1)/2 floats fit
-``copsamp.model.PAIR_TABLE_BYTES``, a fit builds them once and every
-Newton step of every batch element reads them, so the fit holds at most
-that budget besides its O(n*K) per-row arrays; over it, each step builds
-them per block of rows, as :func:`~copsamp.model.information` alone does.
-Either way a batch element gets the GEMMs its fit alone would get, bit
-for bit. Each Newton step is one LU solve of ``(H + RIDGE * I) step =
+count (see :mod:`copsamp.model`). The Hessian ``H`` is
+:func:`copsamp.model.information` of the mean-one weights, read through
+its unchecked kernel: a fit's weights are checked once, by
+:func:`_weights_error`, not on every Newton step. It is one GEMM per
+block of rows between the weighted class-pair coefficients ``w phi_kl``
+(``k <= l``) and the feature products ``x_a x_b`` (``a <= b``), whose
+``(P, T)`` sum over the blocks is mirrored into the exactly symmetric
+``(K*d, K*d)`` matrix. The products depend on ``X`` alone: when their
+n*d(d+1)/2 floats fit ``copsamp.model.PAIR_TABLE_BYTES``, a fit builds
+them once and every Newton step of every batch element reads them, so
+the fit holds at most that budget besides its O(n*K) per-row arrays;
+over it, each step builds them per block of rows, as
+:func:`~copsamp.model.information` alone does. Either way a batch
+element gets the GEMMs its fit alone would get, bit for bit. Each
+Newton step is one LU solve of ``(H + RIDGE * I) step =
 grad``, a zero step where that matrix is exactly singular. A step whose
 predicted decrease ``0.5 grad^T step`` is positive is a descent step;
 every other step counts in ``FitReport.non_descent_steps``, and on the
@@ -51,12 +54,11 @@ from numpy.linalg import LinAlgError
 from copsamp.model import (
     Coefficients,
     Dataset,
-    _check_nonnegative,
+    _information,
     _loss_sum,
     _nonnegative,
     _pair_table,
     _residuals,
-    information,
 )
 
 __all__ = ["FitReport", "fit_mle", "fit_weighted_batch", "fit_weighted_mle"]
@@ -201,7 +203,7 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
         active, g = active[moving], g[moving]
         if active.size == 0:
             break
-        H = information(beta[active], data.X, w[active], pairs) + RIDGE * eye
+        H = _information(beta[active], data.X, w[active], pairs) + RIDGE * eye
         step = _newton_steps(H, g[:, :, None])
         # a descent step predicts a positive decrease 0.5 g^T H^-1 g; within a few
         # ulps of the loss it is below the line search's resolution: taken whole
@@ -249,9 +251,11 @@ def fit_weighted_mle(data: Dataset, weights: np.ndarray) -> FitReport:
     that are not finite and nonnegative or are all zero, on weights whose
     sum or mean-one scale overflows, or if the positive-weight samples
     cover fewer than two distinct classes. The one-element case of
-    :func:`fit_weighted_batch`.
+    :func:`fit_weighted_batch`, which checks the weights' values.
     """
-    weights = _check_nonnegative("weights", weights, (data.n,))
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (data.n,):
+        raise ValueError(f"weights has shape {weights.shape}, expected {(data.n,)}")
     return fit_weighted_batch(data, weights[None])[0]
 
 

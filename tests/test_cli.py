@@ -7,6 +7,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -389,6 +390,11 @@ class TestSample:
         plan = json.loads((tmp_path / "sub_plan.json").read_text())
         npt.assert_allclose(plan["pi"], [1 / 6, 2 / 6, 3 / 6], rtol=1e-15)
         assert plan["beta_floor"] == 0.1
+        # alpha = 3 x 1 caps the score 10; no score is below the floor
+        assert (plan["capped_fraction"], plan["floored_fraction"]) == (1 / 3, 0.0)
+        keys = list(plan)
+        assert keys[keys.index("max_weight_ratio") + 1 : keys.index("pi")] == [
+            "capped_fraction", "floored_fraction"]
 
     def test_subsample_csv_schema(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -1000,14 +1006,57 @@ def _generic_json(values):
     return json_text(values.tolist())
 
 
+#: floats whose bit patterns tie in small arrays: both zeros, NaNs of four
+#: payloads, both infinities, subnormals and two normal numbers
+TIE_POOL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308, 1.5, 0.1],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+              0x7FF0000000000001], dtype=np.uint64).view(np.float64),
+])
+
+
 @settings(max_examples=200, deadline=None)
-@given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2250738585072009e-308]),
-)))
-def test_bulk_float_json_matches_generic(values):
+@given(
+    st.one_of(
+        hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2250738585072009e-308]),
+        )),
+        # tie-heavy: entries of the pool, so chunks take the gathering path
+        hnp.arrays(np.intp, st.integers(0, 40), elements=st.integers(0, TIE_POOL.size - 1))
+        .map(TIE_POOL.__getitem__),
+    ),
+    st.integers(1, 9),
+)
+def test_bulk_float_json_matches_generic(values, chunk_items):
+    # small chunks put chunk boundaries, and chunks of both paths, inside one array
+    with mock.patch.object(cli, "CHUNK_ITEMS", chunk_items):
+        assert json_text(values) == _generic_json(values)
+        assert json_text({"a": {"pi": values}}) == json_text({"a": {"pi": values.tolist()}})
+
+
+def test_float_chunk_paths(monkeypatch):
+    # a chunk where at most half of the entries are distinct bit patterns
+    # formats each distinct value once; any other chunk formats every entry
+    formatted = []
+    joined_floats = cli._joined_floats
+
+    def spy(values, sep):
+        formatted.append(values.size)
+        return joined_floats(values, sep)
+
+    monkeypatch.setattr(cli, "_joined_floats", spy)
+    monkeypatch.setattr(cli, "CHUNK_ITEMS", 8)
+    chunks = [
+        [0.5, 0.5, -0.0, 0.0, 0.5, 0.5, 0.0, -0.0],  # 3 distinct: gathered
+        np.arange(8.0) / 3,                          # tie-free: every entry
+        [1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0],    # 4 distinct of 8: gathered
+        [1.0, 2.0, 3.0, 4.0, 5.0, 3.0, 2.0, 1.0],    # 5 distinct: every entry
+        [np.nan, -np.nan, -np.nan, np.nan],          # a short last chunk, 2 distinct
+    ]
+    values = np.concatenate(chunks)
     assert json_text(values) == _generic_json(values)
-    assert json_text({"a": {"pi": values}}) == json_text({"a": {"pi": values.tolist()}})
+    assert formatted == [3, 8, 4, 8, 2]
 
 
 def test_bulk_float_json_across_chunks():
@@ -1038,7 +1087,7 @@ def test_numeric_csv_rows_match_field_writer():
     rows[3] = (3, 7, float("nan"))
     rows[-1] = (n - 1, 8, -0.0)
     header = ["draw_index", "source_row", "weight"]
-    chunks = list(cli._csv_chunks(header, rows, "{},{},{:.17g}\n"))
+    chunks = list(cli._csv_chunks(header, rows, "%d,%d,%.17g\n"))
     assert len(chunks) == 3
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")

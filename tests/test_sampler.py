@@ -131,6 +131,25 @@ class TestMakePlan:
         assert plan.pi[0] == 0.0
         assert plan.max_weight_ratio == pytest.approx(0.775, rel=1e-15)
 
+    def test_capped_and_floored_fractions(self):
+        # alpha = 2 x 0.5 = 1 lowers the scores 2 and 4, not 1 itself; the
+        # floor 0.75 raises 0 and 0.5, not 0.75 itself
+        u = np.array([0.0, 0.5, 0.75, 1.0, 2.0, 4.0])
+        plan = make_plan(u, cfg(alpha_multiplier=2.0, beta_floor=0.75))
+        assert (plan.capped_fraction, plan.floored_fraction) == (2 / 6, 2 / 6)
+        # without alpha nothing is capped; a zero floor raises nothing
+        plan = make_plan(u, cfg(beta_floor=0.0))
+        assert (plan.capped_fraction, plan.floored_fraction) == (0.0, 0.0)
+        # the fractions are of the transformed scores: sqrt(4) = 2 is the
+        # one above alpha = 2 x sqrt(0.5)
+        plan = make_plan(u, cfg(score_transform="sqrt", alpha_multiplier=2.0, beta_floor=0.75))
+        assert (plan.capped_fraction, plan.floored_fraction) == (1 / 6, 2 / 6)
+
+    def test_uniform_fallback_caps_and_floors_nothing(self):
+        plan = make_plan(np.zeros(4), cfg(alpha_multiplier=2.0, beta_floor=0.5))
+        assert plan.uniform_fallback
+        assert (plan.capped_fraction, plan.floored_fraction) == (0.0, 0.0)
+
     @pytest.mark.parametrize("u, floor", [
         ([1e308, 1e308], 0.1),  # the scores overflow the sum
         ([1.0, 2.0], 1e308),  # the floor overflows the reweighting sum
@@ -166,6 +185,8 @@ class TestPlanWithCounts:
             npt.assert_allclose(plan.pi_reweight[rows], expanded.pi_reweight, rtol=1e-15, atol=0)
             assert plan.uniform_fallback == expanded.uniform_fallback
             assert plan.max_weight_ratio == pytest.approx(expanded.max_weight_ratio, rel=1e-15)
+            assert plan.capped_fraction == expanded.capped_fraction
+            assert plan.floored_fraction == expanded.floored_fraction
             assert counts @ plan.pi == pytest.approx(1.0, rel=1e-15)
             assert counts @ plan.pi_reweight == pytest.approx(1.0, rel=1e-15)
 
@@ -183,6 +204,12 @@ class TestPlanWithCounts:
         npt.assert_allclose(plan.pi, 1 / 7, rtol=1e-15)
         npt.assert_allclose(plan.pi_reweight, 1 / 7, rtol=1e-15)
 
+    def test_fractions_count_rows(self):
+        # 2 of the 6 rows share the capped score 9, 3 the floored score 0
+        u, counts = np.array([0.0, 1.0, 9.0]), np.array([3, 1, 2])
+        plan = make_plan(u, cfg(alpha_multiplier=2.0), counts)
+        assert (plan.capped_fraction, plan.floored_fraction) == (2 / 6, 3 / 6)
+
     def test_max_weight_ratio_uses_row_count(self):
         # pi_reweight = [1, 4] / 7 per row; the lightest drawable row has
         # weight 7 against 4 under uniform sampling of the 4 rows
@@ -195,7 +222,8 @@ class TestPlanWithCounts:
         for config in (cfg(), cfg(score_transform="sqrt", alpha_multiplier=3.0, beta_floor=1.5)):
             plan = make_plan(u, config)
             counted = make_plan(u, config, np.ones(u.size, dtype=int))
-            for field in ("pi", "pi_reweight", "uniform_fallback", "max_weight_ratio"):
+            for field in ("pi", "pi_reweight", "uniform_fallback", "max_weight_ratio",
+                          "capped_fraction", "floored_fraction"):
                 npt.assert_array_equal(getattr(plan, field), getattr(counted, field))
 
     @pytest.mark.parametrize("counts", [

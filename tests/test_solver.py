@@ -117,6 +117,24 @@ def test_bad_weights_rejected():
         fit_weighted_mle(data, np.ones(data.n - 1))
 
 
+def test_weights_checked_once_per_fit(monkeypatch):
+    # the fit checks its weights once; its Newton steps read its own
+    # mean-one weights through the unchecked information kernel
+    data, _ = synthetic(2, 300, 2, 3)
+    checks = []
+    nonnegative = model._nonnegative
+
+    def counted(a, axis=None):
+        checks.append(np.shape(a))
+        return nonnegative(a, axis)
+
+    monkeypatch.setattr(model, "_nonnegative", counted)
+    monkeypatch.setattr(solver, "_nonnegative", counted)
+    report = fit_mle(data)
+    assert report.converged and report.iterations >= 3
+    assert checks == [(1, data.n)]
+
+
 def test_weighted_fit_minimizes_weighted_loss():
     data, _ = synthetic(10, 300, 1, 2)
     w = np.random.default_rng(10).uniform(0.2, 3.0, size=data.n)
@@ -134,7 +152,7 @@ def reference_fit(data, weights):
     The reference of the batched solver: the same stop test, step solve,
     descent test, negligible-decrease rule and step halving, written for
     one weight vector with scalar losses, on the solver's settings and
-    its ``information``.
+    its information kernel.
     """
     w = weights * (data.n / weights.sum())
 
@@ -152,7 +170,7 @@ def reference_fit(data, weights):
         g = gradient(beta)
         if np.abs(g).max() <= solver.GRAD_TOL:
             break
-        H = solver.information(beta, data.X, w, None) + solver.RIDGE * np.eye(K * d)
+        H = solver._information(beta, data.X, w, None) + solver.RIDGE * np.eye(K * d)
         try:
             step = np.linalg.solve(H, g)
         except LinAlgError:
@@ -202,7 +220,7 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
                     yield fit
 
     assert {fit.non_descent_steps for fit in check()} == {0}
-    real_information = solver.information
+    real_information = solver._information
 
     def ascending_once_moved(beta, X, w, pairs):
         # the Hessian negated at every iterate but beta = 0: the second
@@ -211,7 +229,7 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
         moved = np.any(beta != 0, axis=(-2, -1))
         return np.where(moved[..., None, None], -H, H)
 
-    monkeypatch.setattr(solver, "information", ascending_once_moved)
+    monkeypatch.setattr(solver, "_information", ascending_once_moved)
     assert {(fit.iterations, fit.non_descent_steps, fit.converged)
             for fit in check()} == {(2, 1, False)}
 
@@ -231,14 +249,14 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     # the near-singular element's information, matched by its zero weights in
     # the batch and alone, is shifted by -1e-3 * I: its ridged Hessian is
     # indefinite, and its third Newton step is the first that does not descend
-    real_information = solver.information
+    real_information = solver._information
 
     def shifted(beta, X, w, pairs):
         H = real_information(beta, X, w, pairs)
         near_singular = (w == 0).any(axis=1)
         return H - 1e-3 * near_singular[:, None, None] * np.eye(H.shape[-1])
 
-    monkeypatch.setattr(solver, "information", shifted)
+    monkeypatch.setattr(solver, "_information", shifted)
 
     def batch_and_alone(max_iters):
         monkeypatch.setattr(solver, "MAX_ITERS", max_iters)
@@ -257,7 +275,7 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     assert [fit.non_descent_steps for fit in batch] == [0, 0, 0, 1]
     # with the Hessians shrunk, full Newton steps overshoot: each element
     # halves its step as often as its own loss asks
-    monkeypatch.setattr(solver, "information", lambda *a: 0.3 * shifted(*a))
+    monkeypatch.setattr(solver, "_information", lambda *a: 0.3 * shifted(*a))
     batch_and_alone(20)
 
 
@@ -284,14 +302,14 @@ def test_kept_pair_table_changes_no_bit(monkeypatch, K, d, n, B):
     # active set at different iterations
     data, _ = synthetic(K * d + n, n, K, d)
     weights = 2 * np.random.default_rng(1).random((B, n))
-    real_information = solver.information
+    real_information = solver._information
     kept = []
 
     def spy(beta, X, w, pairs):
         kept.append(pairs is not None)
         return real_information(beta, X, w, pairs)
 
-    monkeypatch.setattr(solver, "information", spy)
+    monkeypatch.setattr(solver, "_information", spy)
     fits = {}
     for budget in (0, 2**40):
         monkeypatch.setattr(model, "PAIR_TABLE_BYTES", budget)
@@ -421,7 +439,7 @@ def batch_with_first_information(monkeypatch, replace):
     data, _ = synthetic(9, 50, 1, 2)
     weights = np.stack([np.ones(data.n), np.random.default_rng(9).uniform(0.2, 3.0, data.n)])
     alone = fit_weighted_mle(data, weights[1])
-    real_information = solver.information
+    real_information = solver._information
 
     def replace_first(beta, X, w, pairs):
         H = real_information(beta, X, w, pairs)
@@ -429,7 +447,7 @@ def batch_with_first_information(monkeypatch, replace):
             H[0] = replace(H[0])
         return H
 
-    monkeypatch.setattr(solver, "information", replace_first)
+    monkeypatch.setattr(solver, "_information", replace_first)
     first, fit = fit_weighted_batch(data, weights)
     npt.assert_array_equal(fit.beta, alone.beta)
     assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
