@@ -617,6 +617,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "final_grad_norm": report.final_grad_norm,
         "final_loss": report.final_loss,
         "converged": report.converged,
+        "non_descent_steps": report.non_descent_steps,
     }
     atomic_write(out_path, json_text(doc))
     write_manifest(

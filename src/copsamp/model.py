@@ -19,10 +19,9 @@ Rows 1..K of the residuals are the score vectors. One private builder writes
 ``beta @ X.T`` into rows 1..K of a ``(K + 1, n)`` array whose row 0 is
 zero and max-shifts each column; probabilities, residuals, losses
 and the feature-pair table all start from it. The public
-:func:`probability_matrix` and :func:`residual_matrix` return
-row-major ``(n, K + 1)`` and ``(n, K)`` transposed views. Every function
-here is batched over rows; the per-sample oracles live in
-:mod:`copsamp.selfcheck`.
+:func:`probability_matrix` returns the row-major ``(n, K + 1)``
+transposed view. Every function here is batched over rows; the
+per-sample oracles live in :mod:`copsamp.selfcheck`.
 
 All probabilities are computed with max-subtraction and all losses in
 log-space (a max-shifted log-sum-exp); nothing here exponentiates a
@@ -31,24 +30,23 @@ exactly 0.0 once the spread of logits exceeds roughly 700; losses remain
 finite regardless.
 
 The information matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)`` is the
-Newton Hessian of every fit and the Fisher matrix of exact scoring. Each
-of its ``(d, d)`` blocks is symmetric and every block reads the same
-products ``x_a x_b``, so :func:`information` builds it from one
-feature-pair table: the T = d(d+1)/2 products with ``a <= b`` and the
-P = K(K+1)/2 class-pair coefficients with ``k <= l``, in row blocks of
-``BLOCK_ROWS``, one ``(P, b) @ (b, T)`` GEMM per block. Only the exact
-scores of :mod:`copsamp.uncertainty` read the same table. The feature
-products depend on ``X`` alone, so a Newton fit keeps all n*T of them
-for its life when they fit ``PAIR_TABLE_BYTES`` and passes them to every
-:func:`information` call; over the budget each call builds them block by
-block into O(BLOCK_ROWS * d^2) scratch. One routine builds them either
-way, and every block meets the same GEMM, so the two give the same bits.
+Newton Hessian of every fit (:func:`_information`) and the Fisher matrix
+of exact scoring (:func:`fisher_info`). It is built from one feature-pair
+table, the products ``x_a x_b`` with ``a <= b``, which only the exact
+scores of :mod:`copsamp.uncertainty` also read. A Newton fit keeps the
+whole table for its life when it fits ``PAIR_TABLE_BYTES``; over the
+budget each call builds it block by block. Both give the same bits.
 
-The private builders, the weighted loss and :func:`information` also
+The private builders, the weighted loss and :func:`_information` also
 take a ``(B, K, d)`` stack of coefficients on one design, with ``(B, n)``
 weights: the batched Newton solver's fits. Every per-row quantity gains
 the leading batch axis and the feature products are built once for the
 whole stack, but each element gets the GEMMs it would get alone.
+
+A public function that takes ``beta`` from outside the package checks
+once, on entry, that it is a finite ``(data.K, data.d)`` matrix
+(:func:`_check_beta`); the private kernels, and so the Newton steps,
+check nothing.
 
 Every function in this module is a pure function of its inputs and is
 safe to call concurrently.
@@ -68,10 +66,8 @@ __all__ = [
     "Dataset",
     "FisherInfo",
     "dataset_loss",
-    "information",
     "fisher_info",
     "probability_matrix",
-    "residual_matrix",
 ]
 
 # Coefficients are plain (K, d) float arrays; the alias documents intent
@@ -88,8 +84,10 @@ class Dataset:
     """A design matrix with optional labels.
 
     ``X`` has shape ``(n, d)``; ``y``, when present, holds integer labels
-    in ``[0, K]``. ``K`` is the number of non-reference classes, so a
-    binary problem has ``K == 1``.
+    in ``[0, K]``. ``K``, an integer >= 1, is the number of non-reference
+    classes, so a binary problem has ``K == 1``. Float labels are taken
+    when they are whole numbers; a label an integer cast would change,
+    such as 0.5 or NaN, is refused.
     """
 
     X: np.ndarray
@@ -102,16 +100,21 @@ class Dataset:
             raise ValueError(f"X must be 2-dimensional, got shape {self.X.shape}")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("X contains non-finite entries")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        _check_integer("K", self.K, 1)
         if self.y is not None:
-            self.y = np.asarray(self.y, dtype=int)
-            if self.y.shape != (self.X.shape[0],):
+            y = np.asarray(self.y)
+            if y.shape != (self.X.shape[0],):
                 raise ValueError(
-                    f"y has shape {self.y.shape}, expected ({self.X.shape[0]},)"
+                    f"y has shape {y.shape}, expected ({self.X.shape[0]},)"
                 )
-            if self.y.size and (self.y.min() < 0 or self.y.max() > self.K):
+            if y.dtype.kind == "f":
+                bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
+                if bad.size:
+                    raise ValueError(f"label {y[bad[0]]} of row {bad[0]} is not an integer")
+            # the range is checked before the cast, which would wrap labels outside int64
+            if y.size and (y.min() < 0 or y.max() > self.K):
                 raise ValueError(f"labels must lie in [0, {self.K}]")
+            self.y = np.asarray(y, dtype=int)
 
     @property
     def n(self) -> int:
@@ -167,19 +170,18 @@ def _check_nonnegative(name: str, a, shape: tuple[int, ...] | None = None) -> np
     return a
 
 
-def _check_beta(
-    beta: Coefficients, d: int | None = None, batched: bool = False
-) -> np.ndarray:
-    """``beta`` as a float ``(K, d)`` matrix, or ``(B, K, d)`` stack if ``batched``."""
+def _check_beta(beta: Coefficients, data: Dataset | None = None) -> np.ndarray:
+    """``beta`` as a finite float ``(K, d)`` matrix, of ``data``'s K and d if given."""
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2 and not (batched and beta.ndim == 3):
+    if beta.ndim != 2:
         raise ValueError(f"beta must be a (K, d) matrix, got shape {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise ValueError("beta contains non-finite entries")
-    if d is not None and beta.shape[-1] != d:
-        raise ValueError(
-            f"beta has feature dimension {beta.shape[-1]}, data has {d}"
-        )
+    if data is not None and beta.shape != (data.K, data.d):
+        name, got, want = (("feature dimension", beta.shape[1], data.d) if beta.shape[1] != data.d
+                           else ("class count", beta.shape[0], data.K))
+        raise ValueError(f"beta has {name} {got}, data has {want}: "
+                         f"shape {beta.shape}, expected {(data.K, data.d)}")
     return beta
 
 
@@ -215,34 +217,16 @@ def _residuals(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return S
 
 
-def _check_rows(
-    beta: Coefficients, X: np.ndarray, batched: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    beta = _check_beta(beta, batched=batched)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != beta.shape[-1]:
-        raise ValueError(
-            f"X has shape {X.shape}, expected (n, {beta.shape[-1]})"
-        )
-    return beta, X
-
-
 def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
     """Class probabilities for every row of ``X``, shape ``(n, K + 1)``.
 
     A transposed view of the class-major ``(K + 1, n)`` array.
     """
-    return _probabilities(*_check_rows(beta, X)).T
-
-
-def residual_matrix(beta: Coefficients, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Score vectors of every row, shape ``(n, K)``: ``indicator(y_i == k) - p_k(x_i)``.
-
-    Row ``i`` is the one-hot label ``y_i`` minus the probabilities of
-    classes ``1..K`` at ``x_i``. A transposed view of rows 1..K of the
-    class-major ``(K + 1, n)`` residuals.
-    """
-    return _residuals(*_check_rows(beta, X), y)[1:].T
+    beta = _check_beta(beta)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != beta.shape[1]:
+        raise ValueError(f"X has shape {X.shape}, expected (n, {beta.shape[1]})")
+    return _probabilities(beta, X).T
 
 
 def _log_probability_of_label(
@@ -280,7 +264,7 @@ def dataset_loss(
     The caller scales the weights, finite and nonnegative, one per row;
     the subsampling pipelines pass inverse sampling probabilities.
     """
-    beta = _check_beta(beta, data.d)
+    beta = _check_beta(beta, data)
     if not data.labeled:
         raise ValueError("dataset_loss needs labels")
     if data.n == 0:
@@ -392,7 +376,7 @@ def _feature_pair_blocks(
 def _pair_table(X: np.ndarray) -> np.ndarray | None:
     """The whole ``(T, n)`` feature-pair table of ``X``, or None over ``PAIR_TABLE_BYTES``.
 
-    A fit builds it once and passes it to :func:`information` on every
+    A fit builds it once and passes it to :func:`_information` on every
     Newton step, which then reads its blocks instead of building them.
     """
     n, d = X.shape
@@ -406,7 +390,7 @@ def _pair_table(X: np.ndarray) -> np.ndarray | None:
 
 
 def _pair_blocks(
-    beta: Coefficients,
+    beta: np.ndarray,
     X: np.ndarray,
     y: np.ndarray | None = None,
     w: np.ndarray | None = None,
@@ -427,7 +411,6 @@ def _pair_blocks(
     a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is built
     once for the whole stack.
     """
-    beta, X = _check_rows(beta, X, batched=True)
     rows = (_probabilities(beta, X) if y is None else _residuals(beta, X, y))[..., 1:, :]
     n = X.shape[0]
     K = rows.shape[-2]
@@ -455,11 +438,8 @@ def _pair_blocks(
         yield start, stop, C[..., :width], Q
 
 
-def information(
-    beta: Coefficients,
-    X: np.ndarray,
-    w: np.ndarray | None = None,
-    pairs: np.ndarray | None = None,
+def _information(
+    beta: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
 ) -> np.ndarray:
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
@@ -469,37 +449,19 @@ def information(
     P = K(K+1)/2 class pairs by T = d(d+1)/2 feature pairs: one GEMM per
     block of rows, then each entry of ``G / n`` is copied to its mirror
     positions, so the result is exactly symmetric. ``w``, finite and
-    nonnegative, defaults to all ones. ``pairs``, the ``(T, n)`` table of
-    ``X`` that :func:`_pair_table` builds, gives the feature products;
-    without it each call builds them block by block. Extra memory is
-    O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2), less the BLOCK_ROWS*d^2
-    scratch of the products when ``pairs`` is given; the table itself is
-    held by the caller, a Newton fit, and is at most ``PAIR_TABLE_BYTES``.
+    nonnegative, stands for all ones when None. ``pairs``, the ``(T, n)``
+    table of ``X`` that :func:`_pair_table` builds, gives the feature
+    products; without it each call builds them block by block. Extra
+    memory is O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2), less the
+    BLOCK_ROWS*d^2 scratch of the products when ``pairs`` is given; the
+    table itself is held by the caller, a Newton fit, and is at most
+    ``PAIR_TABLE_BYTES``.
 
     A ``(B, K, d)`` stack of coefficients, with ``w`` of shape ``(B, n)``
     if given, gives the ``(B, K*d, K*d)`` stack of matrices on the one
     design ``X``, each element from its own ``(P, b) @ (b, T)`` GEMMs,
-    the same GEMMs whether or not ``pairs`` is given.
-    """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if n == 0:
-        raise ValueError("empty dataset")
-    beta = _check_beta(beta, d, batched=True)
-    w = None if w is None else _check_nonnegative("weights", w, beta.shape[:-2] + (n,))
-    T = d * (d + 1) // 2
-    if pairs is not None and pairs.shape != (T, n):
-        raise ValueError(f"pairs has shape {pairs.shape}, expected {(T, n)}")
-    return _information(beta, X, w, pairs)
-
-
-def _information(
-    beta: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
-) -> np.ndarray:
-    """:func:`information` on inputs it has checked, or that a Newton fit made.
-
-    The fit's own mean-one weights are checked once per fit, not once
-    per Newton step.
+    the same GEMMs whether or not ``pairs`` is given. Nothing is checked:
+    :func:`fisher_info` checks ``beta`` and a Newton fit its weights.
     """
     kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], X.shape[1])
     G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
@@ -510,14 +472,17 @@ def _information(
 
 
 def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
-    """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset, by :func:`information`.
+    """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset, by :func:`_information`.
 
     Labels are unused, so unlabeled datasets are accepted. A
     near-singular result (smallest eigenvalue below ``1e-10`` times the
     largest) emits a ``RuntimeWarning``; downstream inversions apply a
     ridge instead of failing here.
     """
-    m = information(beta, data.X)
+    beta = _check_beta(beta, data)
+    if data.n == 0:
+        raise ValueError("empty dataset")
+    m = _information(beta, data.X, None, None)
     eigs = np.linalg.eigvalsh(m)
     near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))
     if near_singular:

@@ -52,7 +52,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from copsamp.model import Coefficients, Dataset, _check_integer, _check_nonnegative, _loss_sum
+from copsamp.model import (
+    Coefficients, Dataset, _check_beta, _check_integer, _check_nonnegative, _loss_sum,
+)
 from copsamp.sampler import (
     SamplingConfig,
     draw_subsample,
@@ -276,8 +278,10 @@ def regret(
 
     ``counts``, when given, finite, nonnegative and not all zero, is the
     multiplicity of each row of ``test``, so a table of distinct rows
-    stands for the expanded test set.
+    stands for the expanded test set. Both coefficient matrices must be
+    finite ``(test.K, test.d)`` matrices.
     """
+    beta_bar, beta_star = _check_beta(beta_bar, test), _check_beta(beta_star, test)
     if not test.labeled:
         raise ValueError("regret needs labeled test data")
     w = np.ones(test.n) if counts is None else _check_nonnegative("counts", counts, (test.n,))
@@ -285,7 +289,7 @@ def regret(
         raise ValueError("counts must not be all zero")
 
     def mean_loss(beta: Coefficients) -> float:
-        return _loss_sum(np.asarray(beta, float), test.X, test.y, w) / float(w.sum())
+        return _loss_sum(beta, test.X, test.y, w) / float(w.sum())
 
     return mean_loss(beta_bar) - mean_loss(beta_star)
 

@@ -14,10 +14,11 @@ constant; the reported ``final_loss`` is always of the caller's original
 objective. The gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM
 of the weighted class-major residuals against ``X``, a GEMM even at K = 1,
 where a ``(1, n)`` GEMV would round by X's layout and the BLAS thread
-count (see :mod:`copsamp.model`). The Hessian ``H`` is
-:func:`copsamp.model.information` of the mean-one weights, read through
-its unchecked kernel: a fit's weights are checked once, by
-:func:`_weights_error`, not on every Newton step. It is one GEMM per
+count (see :mod:`copsamp.model`). The Hessian ``H`` is the information
+matrix of the mean-one weights, from the unchecked kernel
+``copsamp.model._information`` that :func:`copsamp.model.fisher_info`
+also reads: a fit's weights are checked once, by :func:`_weights_error`,
+and nothing is checked on a Newton step. It is one GEMM per
 block of rows between the weighted class-pair coefficients ``w phi_kl``
 (``k <= l``) and the feature products ``x_a x_b`` (``a <= b``), whose
 ``(P, T)`` sum over the blocks is mirrored into the exactly symmetric
@@ -26,7 +27,7 @@ n*d(d+1)/2 floats fit ``copsamp.model.PAIR_TABLE_BYTES``, a fit builds
 them once and every Newton step of every batch element reads them, so
 the fit holds at most that budget besides its O(n*K) per-row arrays;
 over it, each step builds them per block of rows, as
-:func:`~copsamp.model.information` alone does. Either way a batch
+:func:`~copsamp.model.fisher_info` always does. Either way a batch
 element gets the GEMMs its fit alone would get, bit for bit. Each
 Newton step is one LU solve of ``(H + RIDGE * I) step =
 grad``, a zero step where that matrix is exactly singular. A step whose

@@ -9,9 +9,11 @@ probe members' logits, and ``C`` at their mean. Each member fits n' rows
 and ``n' * Cov(vec beta_m) ~ M^-1``, so ensemble scores times n' approach
 the exact ones; the subsampling pipelines plan on that scale.
 
-Batched exact scores pack ``M^-1`` into the feature-pair table of
-:func:`copsamp.model.information`: one ``(P, T) @ (T, b)`` GEMM per block
-of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
+Batched exact scores pack ``M^-1``, the inverse of
+:func:`copsamp.model.fisher_info`, into the feature-pair table of the
+information kernel ``copsamp.model._information``: one
+``(P, T) @ (T, b)`` GEMM per block of rows,
+O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
 scorers read the members' logit deviations from one function; the batched
 one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of
 both scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
@@ -32,6 +34,7 @@ from copsamp.model import (
     Coefficients,
     Dataset,
     FisherInfo,
+    _check_beta,
     _check_integer,
     _pair_blocks,
     _probabilities,
@@ -214,7 +217,9 @@ def exact_scores(
 
     ``M^-1`` is packed into the ``(P, T)`` table ``W``: per block of rows
     of ``_pair_blocks`` the scores are ``sum_p C[p] * (W @ Q)[p]``.
+    ``beta`` must be a finite ``(data.K, data.d)`` matrix.
     """
+    beta = _check_beta(beta, data)
     y = _scored_labels(data, kind, info.m.shape[0])
     factor_inv = np.linalg.inv(_factorize(info))
     W = _trace_weights(factor_inv.T @ factor_inv, data.K, data.d)

@@ -168,6 +168,15 @@ class TestFit:
         assert '"converged": false' in out.read_text()
         assert run(["fit", FIXTURES / "singular_hessian.csv", "--out", out, "--strict"]) == 1
 
+    @pytest.mark.parametrize("name, steps", [("singular_hessian.csv", 1), ("tiny_binary.csv", 0)])
+    def test_non_descent_steps_reported(self, tmp_path, name, steps):
+        # the singular step is the one non-descent step, written right after "converged"
+        out = tmp_path / "fit.json"
+        assert run(["fit", FIXTURES / name, "--out", out]) == 0
+        keys = list(json.loads(out.read_text()))
+        assert keys[keys.index("converged") + 1] == "non_descent_steps"
+        assert f'"non_descent_steps": {steps}' in out.read_text()
+
     @pytest.mark.parametrize("name", ["singular_hessian.csv", "tiny_binary.csv"])
     def test_fit_is_the_library_fit_bit_for_bit(self, tmp_path, name):
         # the reader's X is a strided view of its parse; the library's is C-contiguous
@@ -178,8 +187,9 @@ class TestFit:
         X, y = np.ascontiguousarray(table[:, :-1]), table[:, -1].astype(int)
         report = solver.fit_mle(Dataset(X, y, doc["k"]))
         assert doc["coefficients"] == report.beta.tolist()
-        assert (doc["iterations"], doc["final_grad_norm"], doc["final_loss"]) == (
-            report.iterations, report.final_grad_norm, report.final_loss)
+        assert (doc["iterations"], doc["final_grad_norm"], doc["final_loss"],
+                doc["non_descent_steps"]) == (report.iterations, report.final_grad_norm,
+                                              report.final_loss, report.non_descent_steps)
 
     def test_manifest_records_solver_settings(self, tmp_path, monkeypatch):
         # the settings are read from the solver's constants when the fit runs

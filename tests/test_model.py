@@ -12,17 +12,18 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copsamp import model
 from copsamp.model import (
     BLOCK_ROWS,
     Dataset,
+    _information,
     _pair_blocks,
     _pair_table,
     _pair_layout,
+    _residuals,
     dataset_loss,
     fisher_info,
-    information,
     probability_matrix,
-    residual_matrix,
 )
 from copsamp.selfcheck import (
     class_probabilities,
@@ -38,6 +39,7 @@ from copsamp.selfcheck import (
     random_instance,
     score_vector,
 )
+from copsamp.solver import fit_mle
 
 
 class TestProbabilities:
@@ -321,7 +323,7 @@ class TestInformation:
         X = rng.normal(size=(300, d))
         beta = rng.normal(scale=0.8, size=(K, d))
         w = rng.uniform(0.0, 3.0, size=300) if weighted else None
-        m = information(beta, X, w)
+        m = _information(beta, X, w, None)
         oracle = mean_kron_hessian(beta, X, w)
         assert m.shape == (K * d, K * d)
         npt.assert_array_equal(m, m.T)
@@ -329,7 +331,7 @@ class TestInformation:
         # a (B, K, d) stack on the same rows, with (B, n) weights if weighted
         betas = np.stack([beta, rng.normal(scale=0.8, size=(K, d)), np.zeros((K, d))])
         ws = None if w is None else np.stack([w, rng.uniform(0.0, 3.0, size=300), w[::-1]])
-        stack = information(betas, X, ws)
+        stack = _information(betas, X, ws, None)
         assert stack.shape == (3, K * d, K * d)
         for b in range(3):
             oracle = mean_kron_hessian(betas[b], X, None if ws is None else ws[b])
@@ -346,14 +348,14 @@ class TestInformation:
         beta = rng.normal(scale=0.8, size=(K, d))
         w = rng.uniform(0.0, 3.0, size=n)
         for weights in (None, w):
-            m = information(beta, X, weights)
+            m = _information(beta, X, weights, None)
             oracle = mean_kron_hessian(beta, X, weights)
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
         # a (B, K, d) stack with (B, n) weights, block by block
         betas = np.stack([beta, -beta])
         ws = np.stack([w, rng.uniform(0.0, 3.0, size=n)])
-        for b, m in enumerate(information(betas, X, ws)):
+        for b, m in enumerate(_information(betas, X, ws, None)):
             oracle = mean_kron_hessian(betas[b], X, ws[b])
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -366,19 +368,31 @@ class TestInformation:
         w = rng.uniform(0.0, 2.0, size=100_000)
         tracemalloc.start()
         try:
-            information(beta, X, w)
+            _information(beta, X, w, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < X.nbytes, f"peak {peak / 1e6:.1f} MB for {X.nbytes / 1e6:.1f} MB of X"
 
-    def test_weights_length_rejected(self):
-        with pytest.raises(ValueError):
-            information(np.zeros((1, 2)), np.ones((3, 2)), np.ones(2))
-        with pytest.raises(ValueError):  # one weight row per stacked beta
-            information(np.zeros((2, 1, 2)), np.ones((3, 2)), np.ones((1, 3)))
-        with pytest.raises(ValueError, match="pairs has shape"):  # the table of other rows
-            information(np.zeros((1, 2)), np.ones((3, 2)), None, _pair_table(np.ones((4, 2))))
+    def test_newton_steps_check_nothing(self, monkeypatch):
+        # beta is checked where it comes in, at the public entries; a fit
+        # makes its own coefficients, so none of its Newton steps checks them
+        calls = []
+        real_check = model._check_beta
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_check_beta", counted)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(400, 3))
+        data = Dataset(X, rng.integers(0, 3, size=400), 2)
+        report = fit_mle(data)
+        assert report.converged and report.iterations >= 3
+        assert calls == []
+        fisher_info(report.beta, data)  # an entry checks once
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -446,7 +460,7 @@ def test_class_major_probabilities_match_row_major(K):
         # from 8 classes on, numpy's row sum is pairwise; the column sum is not
         npt.assert_allclose(P, expected, rtol=1e-15, atol=0)
     y = rng.integers(0, K + 1, size=n)
-    S = residual_matrix(beta, X, y)
+    S = _residuals(beta, X, y)[1:].T
     onehot = (y[:, None] == np.arange(1, K + 1)).astype(float)
     npt.assert_array_equal(S, onehot - P[:, 1:])
 
@@ -457,6 +471,19 @@ LABELED = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 1)
 REFUSALS = {
     "X not 2-d": (lambda: Dataset(np.ones(3), None, 1), "X must be 2-dimensional"),
     "K below 1": (lambda: Dataset(np.ones((3, 2)), None, 0), "K must be >= 1"),
+    "K not an integer": (lambda: Dataset(np.ones((3, 2)), None, 2.5),
+                         "K must be an integer, got 2.5"),
+    "K a bool": (lambda: Dataset(np.ones((3, 2)), None, True), "K must be an integer, got True"),
+    # labels are refused before the integer cast, whose RuntimeWarning on NaN,
+    # inf or 1e30 this suite's filterwarnings would turn into a failure
+    "fractional label": (lambda: Dataset(np.ones((3, 2)), [0.0, 0.5, 1.7], 1),
+                         "label 0.5 of row 1 is not an integer"),
+    "NaN label": (lambda: Dataset(np.ones((3, 2)), [0.0, 1.0, np.nan], 1),
+                  "label nan of row 2 is not an integer"),
+    "infinite label": (lambda: Dataset(np.ones((3, 2)), [np.inf, 1.0, 0.0], 1),
+                       "label inf of row 0 is not an integer"),
+    "integral label outside int64": (lambda: Dataset(np.ones((3, 2)), [0.0, 1e30, 0.0], 1),
+                                     r"labels must lie in \[0, 1\]"),
     "y of the wrong shape": (lambda: Dataset(np.ones((3, 2)), np.zeros(2, dtype=int), 1),
                              r"y has shape \(2,\), expected \(3,\)"),
     "label above K": (lambda: Dataset(np.ones((3, 2)), np.array([0, 2, 1]), 1),
@@ -466,7 +493,23 @@ REFUSALS = {
     "beta not finite": (lambda: dataset_loss(np.array([[0.0, np.inf]]), LABELED),
                         "beta contains non-finite entries"),
     "beta of the wrong d": (lambda: dataset_loss(np.zeros((1, 3)), LABELED),
-                            "beta has feature dimension 3, data has 2"),
+                            r"beta has feature dimension 3, data has 2: "
+                            r"shape \(1, 3\), expected \(1, 2\)"),
+    # a (2, 2) beta on K=1 data used to give a three-class loss, log 3
+    "loss beta of the wrong K": (lambda: dataset_loss(np.zeros((2, 2)), LABELED),
+                                 r"beta has class count 2, data has 1: "
+                                 r"shape \(2, 2\), expected \(1, 2\)"),
+    # and fisher_info a 4x4 matrix
+    "Fisher beta of the wrong K": (lambda: fisher_info(np.zeros((2, 2)), LABELED),
+                                   r"beta has class count 2, data has 1: "
+                                   r"shape \(2, 2\), expected \(1, 2\)"),
+    "Fisher beta of the wrong d": (lambda: fisher_info(np.zeros((1, 3)), LABELED),
+                                   r"beta has feature dimension 3, data has 2: "
+                                   r"shape \(1, 3\), expected \(1, 2\)"),
+    "Fisher beta not finite": (lambda: fisher_info(np.array([[np.nan, 0.0]]), LABELED),
+                               "beta contains non-finite entries"),
+    "Fisher beta stacked": (lambda: fisher_info(np.zeros((2, 1, 2)), LABELED),
+                            r"beta must be a \(K, d\) matrix"),
     "loss of unlabeled data": (lambda: dataset_loss(np.zeros((1, 2)), Dataset(LABELED.X, None, 1)),
                                "dataset_loss needs labels"),
     "loss of empty data": (lambda: dataset_loss(np.zeros((1, 2)),
@@ -478,17 +521,19 @@ REFUSALS = {
                                 "weights must be finite and nonnegative"),
     "loss weights with an inf": (lambda: dataset_loss(np.zeros((1, 2)), LABELED, [1.0, np.inf, 1.0]),
                                  "weights must be finite and nonnegative"),
-    "information weights with a NaN": (
-        lambda: information(np.zeros((1, 2)), LABELED.X, [1.0, np.nan, 1.0]),
-        "weights must be finite and nonnegative"),
-    "information weights with a negative": (
-        lambda: information(np.zeros((1, 2)), LABELED.X, [1.0, -1.0, 1.0]),
-        "weights must be finite and nonnegative"),
     "label above K of one row": (lambda: cross_entropy(np.zeros((1, 2)), np.ones(2), 2),
                                  r"label 2 outside \[0, 1\]"),
     "rows of the wrong d": (lambda: probability_matrix(np.zeros((1, 2)), np.ones((3, 3))),
                             r"X has shape \(3, 3\), expected \(n, 2\)"),
 }
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0], [False, True, False], [0.0, 1.0, -0.0],
+                                    np.array([0, 1, 0], dtype=np.uint8)])
+def test_integral_labels_accepted(labels):
+    y = Dataset(np.ones((3, 2)), labels, 1).y
+    assert y.dtype == int
+    npt.assert_array_equal(y, [0, 1, 0])
 
 
 @pytest.mark.parametrize("case", REFUSALS)

@@ -507,6 +507,25 @@ REFUSALS = {
                           "counts must be finite and nonnegative"),
     "all-zero regret counts": (lambda: regret(*REGRET_ARGS, np.zeros(3, dtype=int)),
                                "counts must not be all zero"),
+    # a NaN beta used to give a nan regret, a two-class beta on binary rows a
+    # finite number, and a beta of the wrong d a numpy gufunc error
+    "regret of a NaN beta": (lambda: regret(np.full((1, 2), np.nan), *REGRET_ARGS[1:]),
+                             "beta contains non-finite entries"),
+    "regret against a NaN truth": (
+        lambda: regret(REGRET_ARGS[0], np.full((1, 2), np.nan), REGRET_ARGS[2]),
+        "beta contains non-finite entries"),
+    "regret of a two-class beta on binary rows": (
+        lambda: regret(np.array([[0.3, -0.2], [0.1, 0.4]]), *REGRET_ARGS[1:]),
+        r"beta has class count 2, data has 1: shape \(2, 2\), expected \(1, 2\)"),
+    "regret against a two-class truth": (
+        lambda: regret(REGRET_ARGS[0], np.ones((2, 2)), REGRET_ARGS[2]),
+        r"beta has class count 2, data has 1: shape \(2, 2\), expected \(1, 2\)"),
+    "regret of a beta of the wrong d": (lambda: regret(np.zeros((1, 3)), *REGRET_ARGS[1:]),
+                                        r"beta has feature dimension 3, data has 2: "
+                                        r"shape \(1, 3\), expected \(1, 2\)"),
+    "regret against a truth of the wrong d": (
+        lambda: regret(REGRET_ARGS[0], np.ones((1, 1)), REGRET_ARGS[2]),
+        r"beta has feature dimension 1, data has 2: shape \(1, 1\), expected \(1, 2\)"),
     "clip method without a multiplier": (lambda: Method.parse("cops-clip-withY"),
                                          "unrecognized method id 'cops-clip-withY'"),
     "clip method with a word for a multiplier": (lambda: Method.parse("cops-clipx-withY"),

@@ -352,6 +352,7 @@ class TestExactScores:
 
 ENSEMBLE = constant_ensemble(np.array([[0.5, -0.2]]))
 ROWS = Dataset(np.ones((3, 2)), np.array([0, 1, 0]), 1)
+ROWS_K2 = Dataset(np.ones((3, 2)), np.array([0, 2, 1]), 2)
 
 #: each refused input of the scoring layer, and the message it raises
 REFUSALS = {
@@ -376,6 +377,20 @@ REFUSALS = {
                           "unknown estimator 'bogus'"),
     "x of the wrong d": (lambda: logit_covariance(ENSEMBLE, np.ones(3)),
                          r"x has shape \(3,\), expected \(2,\)"),
+    # a beta of 1 or 3 classes on K=2 data used to fail inside the kernel,
+    # with an IndexError or a broadcast error
+    "exact scores with a beta of too few classes": (
+        lambda: exact_scores(np.zeros((1, 2)), FisherInfo(np.eye(4)), ROWS_K2, "coreset"),
+        r"beta has class count 1, data has 2: shape \(1, 2\), expected \(2, 2\)"),
+    "exact scores with a beta of too many classes": (
+        lambda: exact_scores(np.zeros((3, 2)), FisherInfo(np.eye(4)), ROWS_K2, "active"),
+        r"beta has class count 3, data has 2: shape \(3, 2\), expected \(2, 2\)"),
+    "exact scores with a beta of the wrong d": (
+        lambda: exact_scores(np.zeros((2, 3)), FisherInfo(np.eye(4)), ROWS_K2, "coreset"),
+        r"beta has feature dimension 3, data has 2: shape \(2, 3\), expected \(2, 2\)"),
+    "exact scores with a non-finite beta": (
+        lambda: exact_scores(np.full((2, 2), np.nan), FisherInfo(np.eye(4)), ROWS_K2, "coreset"),
+        "beta contains non-finite entries"),
     "exact score of the wrong d": (
         lambda: exact_score_coreset(np.zeros((1, 2)), FisherInfo(np.eye(3)), np.ones(2), 1),
         "beta/x dimensions do not match the information matrix"),
