@@ -15,13 +15,13 @@ Batched functions hold their per-row quantities class-major as
 ``(K + 1, n)``: logits, probabilities and residuals, so that every
 reduction over the classes runs along the long axis and the loss
 gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM, even at K = 1.
-Rows 1..K of the residuals are the score vectors. One private builder writes
-``beta @ X.T`` into rows 1..K of a ``(K + 1, n)`` array whose row 0 is
-zero and max-shifts each column; probabilities, residuals, losses
-and the feature-pair table all start from it. The public
-:func:`probability_matrix` returns the row-major ``(n, K + 1)``
-transposed view. Every function here is batched over rows; the
-per-sample oracles live in :mod:`copsamp.selfcheck`.
+Rows 1..K of the residuals are the score vectors. One private kernel,
+:func:`_softmax`, gives the probabilities and, given labels, the cross
+entropies; the residuals, pair coefficients and information matrix take
+its probabilities, not ``beta``. The public :func:`probability_matrix`
+returns their row-major ``(n, K + 1)`` transposed view. Every function
+here is batched over rows; the per-sample oracles live in
+:mod:`copsamp.selfcheck`.
 
 All probabilities are computed with max-subtraction and all losses in
 log-space (a max-shifted log-sum-exp); nothing here exponentiates a
@@ -37,19 +37,19 @@ scores of :mod:`copsamp.uncertainty` also read. A Newton fit keeps the
 whole table for its life when it fits ``PAIR_TABLE_BYTES``; over the
 budget each call builds it block by block. Both give the same bits.
 
-The private builders, the weighted loss and :func:`_information` also
-take a ``(B, K, d)`` stack of coefficients on one design, with ``(B, n)``
-weights: the batched Newton solver's fits. Every per-row quantity gains
-the leading batch axis and the feature products are built once for the
-whole stack, but each element gets the GEMMs it would get alone.
+The softmax and the weighted loss also take a ``(B, K, d)`` stack of
+coefficients on one design, with ``(B, n)`` weights, and the other
+kernels its ``(B, K + 1, n)`` probabilities: the batched Newton fits.
+Every per-row quantity gains the leading batch axis, and the feature
+products are built once; each element gets the GEMMs it would get alone.
 
 A public function that takes ``beta`` from outside the package checks
 once, on entry, that it is a finite ``(data.K, data.d)`` matrix
 (:func:`_check_beta`); the private kernels, and so the Newton steps,
 check nothing.
 
-Every function in this module is a pure function of its inputs and is
-safe to call concurrently.
+Every function in this module is safe to call concurrently and pure, but
+the residuals are written over the probabilities they are formed from.
 """
 
 from __future__ import annotations
@@ -129,8 +129,10 @@ class Dataset:
         return self.y is not None
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Rows at ``indices`` (repeats allowed) as a new dataset."""
-        idx = np.asarray(indices, dtype=int)
+        """Rows at ``indices``, integers in ``[0, n)`` (repeats allowed), as a new dataset."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu" or (idx.size and (idx.min() < 0 or idx.max() >= self.n)):
+            raise ValueError(f"indices must be integers in [0, {self.n}), got {idx}")
         y = None if self.y is None else self.y[idx]
         return Dataset(self.X[idx], y, self.K)
 
@@ -201,20 +203,28 @@ def _shifted_logits(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return z
 
 
-def _probabilities(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Class-major probabilities, shape ``(K + 1, n)``: each column sums to 1."""
+def _softmax(beta: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> tuple:
+    """Class-major probabilities ``(K + 1, n)`` and, given labels ``y``, each row's cross entropy.
+
+    Both come from one :func:`_shifted_logits`, one ``exp`` and one column
+    sum ``s``: the probabilities are ``exp(z) / s``, the cross entropy is
+    ``-(z_y - log s)``, finite as ``s >= 1``, or None without labels. A
+    ``(B, K, d)`` stack of coefficients gives ``(B, K + 1, n)`` and ``(B, n)``.
+    """
     z = _shifted_logits(beta, X)
+    z_y = None if y is None else z[..., y, np.arange(X.shape[0])]
     np.exp(z, out=z)
-    z /= z.sum(axis=-2, keepdims=True)
-    return z
+    s = z.sum(axis=-2, keepdims=True)
+    z /= s
+    return z, None if y is None else -(z_y - np.log(s[..., 0, :]))
 
 
-def _residuals(beta: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Class-major residuals of classes 0..K, ``(K + 1, n)``: ``indicator(y_i == k) - p_k(x_i)``."""
-    S = _probabilities(beta, X)
-    np.negative(S, out=S)
-    S[..., np.asarray(y, dtype=int), np.arange(X.shape[0])] += 1.0
-    return S
+def _residuals(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Class-major residuals ``indicator(y_i == k) - p_k(x_i)``, written over ``probs``."""
+    np.negative(probs, out=probs)
+    # a class mask, not a fancy index: no O(n) index arrays
+    np.add(probs, 1.0, out=probs, where=y == np.arange(probs.shape[-2])[:, None])
+    return probs
 
 
 def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
@@ -226,32 +236,18 @@ def probability_matrix(beta: Coefficients, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != beta.shape[1]:
         raise ValueError(f"X has shape {X.shape}, expected (n, {beta.shape[1]})")
-    return _probabilities(beta, X).T
+    return _softmax(beta, X)[0].T
 
 
-def _log_probability_of_label(
-    beta: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """``log p_y`` per row, computed as ``(z_y - m) - log(sum(exp(z - m)))``.
-
-    ``m`` is the column maximum of the logits, so every exponent is at
-    most 0 and the sum is at least 1: nothing overflows and the log is
-    finite.
-    """
-    z = _shifted_logits(beta, X)
-    z_y = z[..., y, np.arange(X.shape[0])]
-    np.exp(z, out=z)
-    return z_y - np.log(z.sum(axis=-2))
-
-
-def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_i w_i * cross_entropy_i``, the one weighted-loss reduction.
+def _loss_sum(beta: np.ndarray, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple:
+    """``sum_i w_i * cross_entropy_i``, the one weighted-loss reduction, and the probabilities.
 
     numpy's pairwise sum along each row, not a BLAS dot: its rounding is
     smaller and does not depend on the BLAS thread count. A ``(B, K, d)``
     stack of coefficients with ``(B, n)`` weights gives ``B`` sums.
     """
-    return np.sum(w * -_log_probability_of_label(beta, X, y), axis=-1)
+    probs, loss = _softmax(beta, X, y)
+    return np.sum(w * loss, axis=-1), probs
 
 
 def dataset_loss(
@@ -270,7 +266,7 @@ def dataset_loss(
     if data.n == 0:
         raise ValueError("empty dataset")
     w = np.ones(data.n) if weights is None else _check_nonnegative("weights", weights, (data.n,))
-    return float(_loss_sum(beta, data.X, data.y, w) / data.n)
+    return float(_loss_sum(beta, data.X, data.y, w)[0] / data.n)
 
 
 #: rows per block of the row-blocked kernels: the feature-pair ones take
@@ -390,7 +386,7 @@ def _pair_table(X: np.ndarray) -> np.ndarray | None:
 
 
 def _pair_blocks(
-    beta: np.ndarray,
+    probs: np.ndarray,
     X: np.ndarray,
     y: np.ndarray | None = None,
     w: np.ndarray | None = None,
@@ -398,20 +394,22 @@ def _pair_blocks(
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The feature-pair table of ``X`` in row blocks, as ``(start, stop, C, Q)``.
 
-    ``Q`` is a block of :func:`_feature_pair_blocks`, read from ``pairs``,
-    the whole table of :func:`_pair_table`, when given. ``C`` is
-    ``(P, b)``: row ``p`` holds the coefficient of class pair ``p``, with
-    labels ``s_k s_l`` from the score vectors (the entries of ``psi``),
-    without them ``phi_kl = [k == l] p_k - p_k p_l``, times ``w`` if given.
+    ``probs`` holds the class-major probabilities of the rows of ``X``;
+    given labels ``y``, they are overwritten by the residuals. ``Q`` is a
+    block of :func:`_feature_pair_blocks`, read from ``pairs``, the whole
+    table of :func:`_pair_table`, when given. ``C`` is ``(P, b)``: row
+    ``p`` holds the coefficient of class pair ``p``, with labels ``s_k s_l``
+    from the score vectors (the entries of ``psi``), without them
+    ``phi_kl = [k == l] p_k - p_k p_l``, times ``w`` if given.
     So ``sum_i w_i C_i kron x_i x_i^T`` has block ``(k, l)`` entry
     ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. ``C`` and
     a built ``Q`` are scratch reused by the next block.
 
-    A ``(B, K, d)`` stack of coefficients, with ``(B, n)`` weights, gives
-    a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is built
-    once for the whole stack.
+    A ``(B, K + 1, n)`` stack of probabilities, with ``(B, n)`` weights,
+    gives a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is
+    built once for the whole stack.
     """
-    rows = (_probabilities(beta, X) if y is None else _residuals(beta, X, y))[..., 1:, :]
+    rows = (probs if y is None else _residuals(probs, y))[..., 1:, :]
     n = X.shape[0]
     K = rows.shape[-2]
     size = min(n, BLOCK_ROWS)
@@ -439,7 +437,7 @@ def _pair_blocks(
 
 
 def _information(
-    beta: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
+    probs: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
 ) -> np.ndarray:
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
@@ -451,21 +449,19 @@ def _information(
     positions, so the result is exactly symmetric. ``w``, finite and
     nonnegative, stands for all ones when None. ``pairs``, the ``(T, n)``
     table of ``X`` that :func:`_pair_table` builds, gives the feature
-    products; without it each call builds them block by block. Extra
-    memory is O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2), less the
-    BLOCK_ROWS*d^2 scratch of the products when ``pairs`` is given; the
-    table itself is held by the caller, a Newton fit, and is at most
-    ``PAIR_TABLE_BYTES``.
-
-    A ``(B, K, d)`` stack of coefficients, with ``w`` of shape ``(B, n)``
-    if given, gives the ``(B, K*d, K*d)`` stack of matrices on the one
-    design ``X``, each element from its own ``(P, b) @ (b, T)`` GEMMs,
-    the same GEMMs whether or not ``pairs`` is given. Nothing is checked:
-    :func:`fisher_info` checks ``beta`` and a Newton fit its weights.
+    products; without it each call builds them block by block, in
+    O(BLOCK_ROWS*d^2) scratch. ``probs``, the class-major probabilities of
+    the rows of ``X``, is only read; besides it and ``pairs``, the call
+    takes O(BLOCK_ROWS*K^2 + (K*d)^2) memory. A ``(B, K + 1, n)`` stack,
+    with ``w`` of shape ``(B, n)`` if given, gives the ``(B, K*d, K*d)``
+    stack of matrices on the one design ``X``, each element from its own
+    ``(P, b) @ (b, T)`` GEMMs, the same GEMMs whether or not ``pairs`` is
+    given. Nothing is checked: :func:`fisher_info` checks ``beta`` and a
+    Newton fit its weights.
     """
-    kk, _, aa, _, unpack = _pair_layout(beta.shape[-2], X.shape[1])
-    G = np.zeros(beta.shape[:-2] + (len(kk), len(aa)))
-    for _, _, C, Q in _pair_blocks(beta, X, w=w, pairs=pairs):
+    kk, _, aa, _, unpack = _pair_layout(probs.shape[-2] - 1, X.shape[1])
+    G = np.zeros(probs.shape[:-2] + (len(kk), len(aa)))
+    for _, _, C, Q in _pair_blocks(probs, X, w=w, pairs=pairs):
         G += C @ Q.T
     G /= X.shape[0]
     return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
@@ -482,7 +478,7 @@ def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
     beta = _check_beta(beta, data)
     if data.n == 0:
         raise ValueError("empty dataset")
-    m = _information(beta, data.X, None, None)
+    m = _information(_softmax(beta, data.X)[0], data.X, None, None)
     eigs = np.linalg.eigvalsh(m)
     near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))
     if near_singular:

@@ -14,8 +14,8 @@ covariance, the exact and ensemble scores, and the variance objective of
 a plan. No pipeline stage calls them. Each one that needs probabilities
 computes its own softmax in :func:`class_probabilities`, independent of
 the batched builder it checks; :func:`cross_entropy` alone reads the
-batched log-probability. The score twins share the members' logit
-deviations and the Cholesky factor with the batched scorers.
+cross entropy of the batched softmax. The score twins share the members'
+logit deviations and the Cholesky factor with the batched scorers.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from copsamp.model import (
     Dataset,
     FisherInfo,
     _check_beta,
-    _log_probability_of_label,
+    _softmax,
     fisher_info,
     probability_matrix,
 )
@@ -85,14 +85,14 @@ def class_probabilities(beta: Coefficients, x: np.ndarray) -> np.ndarray:
 def cross_entropy(beta: Coefficients, x: np.ndarray, y: int) -> float:
     """Negative log-probability of label ``y`` at ``x``.
 
-    Read from the batched log-probability of :mod:`copsamp.model`, not
-    from :func:`class_probabilities`.
+    Read from the batched softmax of :mod:`copsamp.model`, not from
+    :func:`class_probabilities`.
     """
     beta = _check_beta(beta)
     x = _check_x(x, beta)
     if not 0 <= y <= beta.shape[0]:
         raise ValueError(f"label {y} outside [0, {beta.shape[0]}]")
-    return float(-_log_probability_of_label(beta, x[None, :], np.array([y]))[0])
+    return float(_softmax(beta, x[None, :], np.array([y]))[1][0])
 
 
 def score_vector(beta: Coefficients, x: np.ndarray, y: int) -> np.ndarray:

@@ -289,7 +289,7 @@ def regret(
         raise ValueError("counts must not be all zero")
 
     def mean_loss(beta: Coefficients) -> float:
-        return _loss_sum(beta, test.X, test.y, w) / float(w.sum())
+        return _loss_sum(beta, test.X, test.y, w)[0] / float(w.sum())
 
     return mean_loss(beta_bar) - mean_loss(beta_star)
 

@@ -11,29 +11,24 @@ The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
-objective. The gradient is rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM
-of the weighted class-major residuals against ``X``, a GEMM even at K = 1,
-where a ``(1, n)`` GEMV would round by X's layout and the BLAS thread
-count (see :mod:`copsamp.model`). The Hessian ``H`` is the information
-matrix of the mean-one weights, from the unchecked kernel
-``copsamp.model._information`` that :func:`copsamp.model.fisher_info`
-also reads: a fit's weights are checked once, by :func:`_weights_error`,
-and nothing is checked on a Newton step. It is one GEMM per
-block of rows between the weighted class-pair coefficients ``w phi_kl``
-(``k <= l``) and the feature products ``x_a x_b`` (``a <= b``), whose
-``(P, T)`` sum over the blocks is mirrored into the exactly symmetric
-``(K*d, K*d)`` matrix. The products depend on ``X`` alone: when their
-n*d(d+1)/2 floats fit ``copsamp.model.PAIR_TABLE_BYTES``, a fit builds
-them once and every Newton step of every batch element reads them, so
-the fit holds at most that budget besides its O(n*K) per-row arrays;
-over it, each step builds them per block of rows, as
-:func:`~copsamp.model.fisher_info` always does. Either way a batch
-element gets the GEMMs its fit alone would get, bit for bit. Each
-Newton step is one LU solve of ``(H + RIDGE * I) step =
-grad``, a zero step where that matrix is exactly singular. A step whose
-predicted decrease ``0.5 grad^T step`` is positive is a descent step;
-every other step counts in ``FitReport.non_descent_steps``, and on the
-convex objective its line search stalls, but for rounding. Each step is
+objective. Each iterate is evaluated once: the softmax that accepts it in
+the line search gives its loss and its probabilities, which the next
+gradient and Hessian read. The gradient is rows 1..K of one
+``(K + 1, n) @ (n, d)`` GEMM of the weighted class-major residuals
+against ``X``, a GEMM even at K = 1, where a ``(1, n)`` GEMV would round
+by X's layout and the BLAS thread count (see :mod:`copsamp.model`). The
+Hessian ``H`` is the information matrix of the mean-one weights, from
+the unchecked kernel ``copsamp.model._information`` that
+:func:`copsamp.model.fisher_info` also reads: a fit's weights are checked
+once, by :func:`_weights_error`, and nothing is checked on a Newton step.
+A fit builds the feature products ``x_a x_b`` once if they fit
+``copsamp.model.PAIR_TABLE_BYTES``, else per Newton step; either way a
+batch element gets the GEMMs its fit alone would get, bit for bit. Each
+Newton step is one LU solve of ``(H + RIDGE * I) step = grad``, a zero
+step where that matrix is exactly singular. A step whose predicted
+decrease ``0.5 grad^T step`` is positive is a descent step; every other
+step counts in ``FitReport.non_descent_steps``, and on the convex
+objective its line search stalls, but for rounding. Each step is
 halved until the objective decreases, so the objective is non-increasing
 across accepted steps; a descent step whose predicted decrease is within
 a few ulps of the objective, where rounding alone would decide, is taken
@@ -98,20 +93,21 @@ class FitReport:
     non_descent_steps: int = 0
 
 
-def _objective(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
-    return _loss_sum(beta, data.X, data.y, w) / data.n
-
-
-def _gradient(beta: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
+def _gradient(probs: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     """Gradients of the weighted mean losses w.r.t. vec(beta), shape (B, K*d).
 
-    Per element rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM of the
-    weighted class-major residuals against ``X``.
+    Per element rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM of the weighted
+    class-major residuals, made from a copy of ``probs``, against ``X``.
     """
-    S = _residuals(beta, data.X, data.y)
+    S = _residuals(probs.copy(), data.y)
     S *= w[:, None, :]
     grad_mat = -(S @ data.X)[:, 1:] / data.n
-    return grad_mat.reshape(len(beta), -1)
+    return grad_mat.reshape(-1, data.K * data.d)
+
+
+def _rows(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``a[ids]`` for sorted distinct ``ids``; ``a`` itself, not a copy, when they are all of it."""
+    return a if len(ids) == len(a) else a[ids]
 
 
 def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -187,24 +183,26 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     w = weights * (data.n / weights.sum(axis=1))[:, None]
     B, K, d = len(w), data.K, data.d
     beta = np.zeros((B, K, d))
-    loss = _objective(beta, data, w)
+    loss, probs = _loss_sum(beta, data.X, data.y, w)  # each iterate's one evaluation
+    loss /= data.n
     iterations = np.zeros(B, dtype=int)
     non_descent = np.zeros(B, dtype=int)
+    grad_norm = np.empty(B)
     eye = np.eye(K * d)
     # the feature products depend on X alone: one table serves every
     # Newton step of every element, when it fits the budget
     pairs = _pair_table(data.X)
-    active = np.arange(B)  # elements still iterating
+    active = np.arange(B)  # elements still iterating; probs holds their iterates'
 
-    for _ in range(MAX_ITERS):
-        if active.size == 0:  # the last elements stalled in the line search
+    for iteration in range(MAX_ITERS + 1):
+        g = _gradient(probs, data, _rows(w, active))
+        grad_norm[active] = np.abs(g).max(axis=1)
+        moving = grad_norm[active] > GRAD_TOL
+        if iteration == MAX_ITERS or not moving.any():  # all converged or stalled
             break
-        g = _gradient(beta[active], data, w[active])
-        moving = np.abs(g).max(axis=1) > GRAD_TOL
-        active, g = active[moving], g[moving]
-        if active.size == 0:
-            break
-        H = _information(beta[active], data.X, w[active], pairs) + RIDGE * eye
+        active, g, probs = active[moving], g[moving], _rows(probs, np.flatnonzero(moving))
+        H = _information(probs, data.X, _rows(w, active), pairs) + RIDGE * eye
+        del probs  # held through the line search, they would double the per-row memory
         step = _newton_steps(H, g[:, :, None])
         # a descent step predicts a positive decrease 0.5 g^T H^-1 g; within a few
         # ulps of the loss it is below the line search's resolution: taken whole
@@ -215,28 +213,33 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
         step = step.reshape(-1, K, d)
         iterations[active] += 1
         # the elements still searching have all halved their steps equally often
-        t, pending = 1.0, active
+        t, pending, rounds = 1.0, active, []
         for _ in range(STEP_HALVING_MAX + 1):
             candidate = beta[pending] - t * step
-            candidate_loss = _objective(candidate, data, w[pending])
+            candidate_loss, probs = _loss_sum(candidate, data.X, data.y, _rows(w, pending))
+            candidate_loss /= data.n
             taken = (candidate_loss < loss[pending]) | negligible
             beta[pending[taken]] = candidate[taken]
             loss[pending[taken]] = candidate_loss[taken]
+            rounds.append((pending[taken], _rows(probs, np.flatnonzero(taken))))
             if taken.all():
                 break
             pending, step, negligible = pending[~taken], step[~taken], negligible[~taken]
             t *= 0.5
-        else:  # no descent at the smallest step: numerically stationary
-            active = np.setdiff1d(active, pending, assume_unique=True)
+        # the elements that stepped go on; one that could not is numerically stationary
+        active = np.concatenate([ids for ids, _ in rounds])
+        probs = rounds[-1][1] if active.size == len(rounds[-1][0]) else np.concatenate(
+            [p for _, p in rounds])[np.argsort(active)]
+        active.sort()
+    probs = rounds = None  # freed before the report's evaluation
 
-    final_grad_norm = np.abs(_gradient(beta, data, w)).max(axis=1)
-    final_loss = _objective(beta, data, weights)
+    final_loss = _loss_sum(beta, data.X, data.y, weights)[0] / data.n
     return [
         FitReport(
             beta=beta[b],
             iterations=int(iterations[b]),
-            final_grad_norm=float(final_grad_norm[b]),
-            converged=bool(final_grad_norm[b] <= GRAD_TOL),
+            final_grad_norm=float(grad_norm[b]),
+            converged=bool(grad_norm[b] <= GRAD_TOL),
             final_loss=float(final_loss[b]),
             non_descent_steps=int(non_descent[b]),
         )

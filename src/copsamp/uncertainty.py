@@ -37,8 +37,8 @@ from copsamp.model import (
     _check_beta,
     _check_integer,
     _pair_blocks,
-    _probabilities,
     _residuals,
+    _softmax,
     _trace_weights,
     fisher_info,
 )
@@ -74,8 +74,7 @@ class ProbeEnsemble:
             raise ValueError("members must be (M, K, d) with M >= 2")
         if not np.all(np.isfinite(self.members)):
             raise ValueError("members must be finite")
-        if self.probe_size < 1:
-            raise ValueError(f"probe_size must be >= 1, got {self.probe_size}")
+        _check_integer("probe_size", self.probe_size, 1)
 
     @property
     def mean(self) -> Coefficients:
@@ -181,7 +180,8 @@ def ensemble_scores(
     y = _scored_labels(data, kind, ensemble.K * ensemble.d)
     K, mean = ensemble.K, ensemble.mean
     # class-major (K, n) probabilities or score vectors at the mean, built once
-    c = (_probabilities(mean, data.X) if y is None else _residuals(mean, data.X, y))[1:]
+    probs, _ = _softmax(mean, data.X)
+    c = (probs if y is None else _residuals(probs, y))[1:]
     u = np.empty(data.n)
     for start in range(0, data.n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
@@ -224,7 +224,7 @@ def exact_scores(
     factor_inv = np.linalg.inv(_factorize(info))
     W = _trace_weights(factor_inv.T @ factor_inv, data.K, data.d)
     u = np.empty(data.n)
-    for start, stop, C, Q in _pair_blocks(beta, data.X, y):
+    for start, stop, C, Q in _pair_blocks(_softmax(beta, data.X)[0], data.X, y):
         np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])
     return _clamp(u)
 

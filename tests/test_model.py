@@ -21,6 +21,7 @@ from copsamp.model import (
     _pair_table,
     _pair_layout,
     _residuals,
+    _softmax,
     dataset_loss,
     fisher_info,
     probability_matrix,
@@ -323,7 +324,7 @@ class TestInformation:
         X = rng.normal(size=(300, d))
         beta = rng.normal(scale=0.8, size=(K, d))
         w = rng.uniform(0.0, 3.0, size=300) if weighted else None
-        m = _information(beta, X, w, None)
+        m = _information(_softmax(beta, X)[0], X, w, None)
         oracle = mean_kron_hessian(beta, X, w)
         assert m.shape == (K * d, K * d)
         npt.assert_array_equal(m, m.T)
@@ -331,7 +332,7 @@ class TestInformation:
         # a (B, K, d) stack on the same rows, with (B, n) weights if weighted
         betas = np.stack([beta, rng.normal(scale=0.8, size=(K, d)), np.zeros((K, d))])
         ws = None if w is None else np.stack([w, rng.uniform(0.0, 3.0, size=300), w[::-1]])
-        stack = _information(betas, X, ws, None)
+        stack = _information(_softmax(betas, X)[0], X, ws, None)
         assert stack.shape == (3, K * d, K * d)
         for b in range(3):
             oracle = mean_kron_hessian(betas[b], X, None if ws is None else ws[b])
@@ -348,14 +349,14 @@ class TestInformation:
         beta = rng.normal(scale=0.8, size=(K, d))
         w = rng.uniform(0.0, 3.0, size=n)
         for weights in (None, w):
-            m = _information(beta, X, weights, None)
+            m = _information(_softmax(beta, X)[0], X, weights, None)
             oracle = mean_kron_hessian(beta, X, weights)
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
         # a (B, K, d) stack with (B, n) weights, block by block
         betas = np.stack([beta, -beta])
         ws = np.stack([w, rng.uniform(0.0, 3.0, size=n)])
-        for b, m in enumerate(_information(betas, X, ws, None)):
+        for b, m in enumerate(_information(_softmax(betas, X)[0], X, ws, None)):
             oracle = mean_kron_hessian(betas[b], X, ws[b])
             npt.assert_array_equal(m, m.T)
             assert np.abs(m - oracle).max() <= 1e-12 * np.abs(oracle).max()
@@ -368,7 +369,7 @@ class TestInformation:
         w = rng.uniform(0.0, 2.0, size=100_000)
         tracemalloc.start()
         try:
-            _information(beta, X, w, None)
+            _information(_softmax(beta, X)[0], X, w, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -414,7 +415,7 @@ def test_pair_coefficients_match_pointwise(K, labeled):
     assert table is not None
     for pairs in (None, table):
         blocks = [(start, stop, C.copy(), Q.copy())
-                  for start, stop, C, Q in _pair_blocks(beta, X, y, w, pairs)]
+                  for start, stop, C, Q in _pair_blocks(_softmax(beta, X)[0], X, y, w, pairs)]
         assert [(start, stop) for start, stop, _, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
         C = np.concatenate([c for _, _, c, _ in blocks], axis=1)
         Q = np.concatenate([q for _, _, _, q in blocks], axis=1)
@@ -460,7 +461,7 @@ def test_class_major_probabilities_match_row_major(K):
         # from 8 classes on, numpy's row sum is pairwise; the column sum is not
         npt.assert_allclose(P, expected, rtol=1e-15, atol=0)
     y = rng.integers(0, K + 1, size=n)
-    S = _residuals(beta, X, y)[1:].T
+    S = _residuals(_softmax(beta, X)[0], y)[1:].T
     onehot = (y[:, None] == np.arange(1, K + 1)).astype(float)
     npt.assert_array_equal(S, onehot - P[:, 1:])
 
@@ -488,6 +489,17 @@ REFUSALS = {
                              r"y has shape \(2,\), expected \(3,\)"),
     "label above K": (lambda: Dataset(np.ones((3, 2)), np.array([0, 2, 1]), 1),
                       r"labels must lie in \[0, 1\]"),
+    # subset used to read a bool mask as rows 0 and 1, cut fractional
+    # indices down, count a negative index from the end and raise numpy's
+    # IndexError past the last row
+    "subset by a bool mask": (lambda: LABELED.subset(np.array([True, False, True])),
+                              r"indices must be integers in \[0, 3\)"),
+    "subset by fractional indices": (lambda: LABELED.subset([2.7, 0.2]),
+                                     r"indices must be integers in \[0, 3\)"),
+    "subset by a negative index": (lambda: LABELED.subset([0, -1]),
+                                   r"indices must be integers in \[0, 3\)"),
+    "subset past the last row": (lambda: LABELED.subset([0, 3]),
+                                 r"indices must be integers in \[0, 3\), got \[0 3\]"),
     "beta not (K, d)": (lambda: dataset_loss(np.zeros(2), LABELED),
                         r"beta must be a \(K, d\) matrix"),
     "beta not finite": (lambda: dataset_loss(np.array([[0.0, np.inf]]), LABELED),
@@ -534,6 +546,15 @@ def test_integral_labels_accepted(labels):
     y = Dataset(np.ones((3, 2)), labels, 1).y
     assert y.dtype == int
     npt.assert_array_equal(y, [0, 1, 0])
+
+
+def test_subset_takes_integer_rows():
+    # repeats and any integer dtype are taken; so is an empty index array
+    for idx in ([2, 0, 2], np.array([2, 0, 2], dtype=np.uint8)):
+        sub = LABELED.subset(idx)
+        npt.assert_array_equal(sub.y, [0, 0, 0])
+        npt.assert_array_equal(sub.X, LABELED.X[[2, 0, 2]])
+    assert LABELED.subset(np.arange(0)).n == 0
 
 
 @pytest.mark.parametrize("case", REFUSALS)

@@ -13,7 +13,7 @@ import pytest
 from numpy.linalg import LinAlgError
 
 from copsamp import model, solver
-from copsamp.model import BLOCK_ROWS, Dataset, _loss_sum, _residuals, dataset_loss
+from copsamp.model import BLOCK_ROWS, Dataset, _loss_sum, _residuals, _softmax, dataset_loss
 from copsamp.simulation import SimulationSpec, generate_dataset
 from copsamp.solver import fit_mle, fit_weighted_batch, fit_weighted_mle
 from helpers import synthetic
@@ -152,15 +152,16 @@ def reference_fit(data, weights):
     The reference of the batched solver: the same stop test, step solve,
     descent test, negligible-decrease rule and step halving, written for
     one weight vector with scalar losses, on the solver's settings and
-    its information kernel.
+    its information kernel. Loss, gradient and Hessian each evaluate
+    beta afresh.
     """
     w = weights * (data.n / weights.sum())
 
     def objective(beta, weights):
-        return float(_loss_sum(beta, data.X, data.y, weights)) / data.n
+        return float(_loss_sum(beta, data.X, data.y, weights)[0]) / data.n
 
     def gradient(beta):
-        S = _residuals(beta, data.X, data.y) * w
+        S = _residuals(_softmax(beta, data.X)[0], data.y) * w
         return (-(S @ data.X)[1:] / data.n).reshape(-1)
 
     K, d = data.K, data.d
@@ -170,7 +171,8 @@ def reference_fit(data, weights):
         g = gradient(beta)
         if np.abs(g).max() <= solver.GRAD_TOL:
             break
-        H = solver._information(beta, data.X, w, None) + solver.RIDGE * np.eye(K * d)
+        probs = _softmax(beta, data.X)[0]
+        H = solver._information(probs, data.X, w, None) + solver.RIDGE * np.eye(K * d)
         try:
             step = np.linalg.solve(H, g)
         except LinAlgError:
@@ -222,11 +224,11 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
     assert {fit.non_descent_steps for fit in check()} == {0}
     real_information = solver._information
 
-    def ascending_once_moved(beta, X, w, pairs):
-        # the Hessian negated at every iterate but beta = 0: the second
-        # Newton step ascends
-        H = real_information(beta, X, w, pairs)
-        moved = np.any(beta != 0, axis=(-2, -1))
+    def ascending_once_moved(probs, X, w, pairs):
+        # the Hessian negated at every iterate but beta = 0, the one whose
+        # probabilities are all equal: the second Newton step ascends
+        H = real_information(probs, X, w, pairs)
+        moved = np.any(probs != probs[..., :1, :1], axis=(-2, -1))
         return np.where(moved[..., None, None], -H, H)
 
     monkeypatch.setattr(solver, "_information", ascending_once_moved)
@@ -251,8 +253,8 @@ def test_batch_matches_one_at_a_time(monkeypatch):
     # indefinite, and its third Newton step is the first that does not descend
     real_information = solver._information
 
-    def shifted(beta, X, w, pairs):
-        H = real_information(beta, X, w, pairs)
+    def shifted(probs, X, w, pairs):
+        H = real_information(probs, X, w, pairs)
         near_singular = (w == 0).any(axis=1)
         return H - 1e-3 * near_singular[:, None, None] * np.eye(H.shape[-1])
 
@@ -305,9 +307,9 @@ def test_kept_pair_table_changes_no_bit(monkeypatch, K, d, n, B):
     real_information = solver._information
     kept = []
 
-    def spy(beta, X, w, pairs):
+    def spy(probs, X, w, pairs):
         kept.append(pairs is not None)
-        return real_information(beta, X, w, pairs)
+        return real_information(probs, X, w, pairs)
 
     monkeypatch.setattr(solver, "_information", spy)
     fits = {}
@@ -441,8 +443,8 @@ def batch_with_first_information(monkeypatch, replace):
     alone = fit_weighted_mle(data, weights[1])
     real_information = solver._information
 
-    def replace_first(beta, X, w, pairs):
-        H = real_information(beta, X, w, pairs)
+    def replace_first(probs, X, w, pairs):
+        H = real_information(probs, X, w, pairs)
         if len(H) == 2:
             H[0] = replace(H[0])
         return H
@@ -512,3 +514,24 @@ def test_weights_that_cannot_be_rescaled_rejected(kind):
 def test_refused_data():
     with pytest.raises(ValueError, match="fitting requires labels"):
         fit_weighted_batch(Dataset(np.ones((3, 2)), None, 1), np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("K, d, n", [(2, 10, 200_000), (6, 30, 1200)])
+def test_each_iterate_is_evaluated_once(monkeypatch, K, d, n):
+    # one softmax per evaluated iterate, the start and each line-search
+    # candidate, gives its loss, its gradient and its Hessian; the report
+    # may evaluate the last iterate once more, for the caller's weights
+    data, _ = synthetic(K * d + n, n, K, d)
+    evaluated = []
+    real_shifted_logits = model._shifted_logits
+
+    def counted(beta, X):
+        evaluated.append(beta.tobytes())
+        return real_shifted_logits(beta, X)
+
+    monkeypatch.setattr(model, "_shifted_logits", counted)
+    report = fit_mle(data)
+    assert report.converged and report.iterations >= 4
+    assert len(set(evaluated)) >= report.iterations + 1
+    assert len(evaluated) <= len(set(evaluated)) + 1, (
+        f"{len(evaluated)} softmaxes of {len(set(evaluated))} iterates")

@@ -358,6 +358,15 @@ ROWS_K2 = Dataset(np.ones((3, 2)), np.array([0, 2, 1]), 2)
 REFUSALS = {
     "members not (M, K, d)": (lambda: ProbeEnsemble(np.zeros((3, 2)), probe_size=50),
                               r"members must be \(M, K, d\)"),
+    # a probe size that is not an integer used to scale the ensemble
+    # scores of cops_coreset and cops_active by itself
+    "probe size not an integer": (lambda: ProbeEnsemble(np.zeros((2, 1, 2)), probe_size=2.5),
+                                  "probe_size must be an integer, got 2.5"),
+    "probe size a bool": (lambda: ProbeEnsemble(np.zeros((2, 1, 2)), probe_size=True),
+                          "probe_size must be an integer, got True"),
+    "probe size a numpy float": (
+        lambda: ProbeEnsemble(np.zeros((2, 1, 2)), probe_size=np.float64(3.0)),
+        r"probe_size must be an integer, got (np\.float64\()?3\.0"),
     "unlabeled probe": (lambda: train_ensemble(Dataset(ROWS.X, None, 1), 2),
                         "probe data must be labeled"),
     "member count not an integer": (lambda: train_ensemble(ROWS, 2.5),
