@@ -62,7 +62,7 @@ from copsamp.sampler import (
     plan_scores,
 )
 from copsamp.solver import fit_weighted_batch
-from copsamp.uncertainty import ProbeEnsemble, shard_indices
+from copsamp.uncertainty import ProbeEnsemble, _shard_rows, shard_indices
 
 __all__ = [
     "SimulationSpec",
@@ -137,8 +137,11 @@ class SimulationSpec:
     ``atom_x`` is (A, d); ``counts`` gives the number of rows per atom;
     ``zeta`` holds the per-atom corruption offsets of one corruption
     case. Binary labels only (K = 1). ``methods`` are the distinct
-    methods an experiment compares. ``score_transform`` and
-    ``beta_floor`` default to :class:`~copsamp.sampler.SamplingConfig`'s.
+    methods an experiment compares; when one of them plans from scores,
+    each of the ``probe_members`` shards of a replica must hold the
+    ``K + d`` rows that :func:`~copsamp.uncertainty.train_ensemble` asks
+    of its shards. ``score_transform`` and ``beta_floor`` default to
+    :class:`~copsamp.sampler.SamplingConfig`'s.
     """
 
     atom_x: np.ndarray
@@ -182,6 +185,8 @@ class SimulationSpec:
         ids = [method.id for method in self.methods]
         if not ids or len(set(ids)) != len(ids):
             raise ValueError(f"methods must be distinct and not empty, got {ids}")
+        if any(method.scheme != "uniform" for method in self.methods):
+            _shard_rows(int(self.counts.sum()), self.probe_members, self.cells.K, self.cells.d)
         # each method's own SamplingConfig checks score_transform, beta_floor
         # and its clip multiplier, before any trial runs
         for method in self.methods:
@@ -406,9 +411,11 @@ def run_experiment(
     every method's aggregates cover the same trials, and it is never
     fatal. Per-trial seeds hash (``spec.seed``, case, trial index);
     method order is immaterial. Trials are independent given their
-    derived seeds, so a pool of ``threads`` workers runs them; results
-    are assembled in deterministic order regardless of the pool size.
+    derived seeds, so a pool of ``threads`` workers, an integer of at
+    least 1, runs them; results are assembled in deterministic order
+    regardless of the pool size.
     """
+    _check_integer("threads", threads, 1)
     if zeta_cases is None:
         zeta_cases = {"base": spec.zeta}
 

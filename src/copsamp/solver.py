@@ -5,18 +5,18 @@ fits B weight vectors on one shared design at once, each with its own
 stop test, step halving and :class:`FitReport`, and
 :func:`fit_weighted_mle` is its one-element case. Batching saves the
 per-iteration Python overhead that dominates fits on a few rows, such
-as the simulation's probe members and refits on its six cells.
+as the simulation's probe members and refits on its six cells; an
+element that stops keeps its place, at a zero step.
 
 The weighted objective is ``(1/n) sum_i w_i * cross_entropy_i``. Weights
 are rescaled internally to mean one before iterating, so fits are
 invariant (to round-off) under rescaling all weights by a positive
 constant; the reported ``final_loss`` is always of the caller's original
 objective. Each iterate is evaluated once: the softmax that accepts it in
-the line search gives its loss and its probabilities, which the next
-gradient and Hessian read. The gradient is rows 1..K of one
-``(K + 1, n) @ (n, d)`` GEMM of the weighted class-major residuals
-against ``X``, a GEMM even at K = 1, where a ``(1, n)`` GEMV would round
-by X's layout and the BLAS thread count (see :mod:`copsamp.model`). The
+the line search gives its loss, the report's when the caller's weights
+are already mean one, and its probabilities, which the next gradient and
+Hessian read. The gradient is one GEMM of the weighted class-major
+residuals against ``X``, even at K = 1 (see :func:`_gradient`). The
 Hessian ``H`` is the information matrix of the mean-one weights, from
 the unchecked kernel ``copsamp.model._information`` that
 :func:`copsamp.model.fisher_info` also reads: a fit's weights are checked
@@ -97,17 +97,14 @@ def _gradient(probs: np.ndarray, data: Dataset, w: np.ndarray) -> np.ndarray:
     """Gradients of the weighted mean losses w.r.t. vec(beta), shape (B, K*d).
 
     Per element rows 1..K of one ``(K + 1, n) @ (n, d)`` GEMM of the weighted
-    class-major residuals, made from a copy of ``probs``, against ``X``.
+    class-major residuals, made from a copy of ``probs``, against ``X``: a GEMM
+    even at K = 1, where a ``(1, n)`` GEMV would round by X's layout and the
+    BLAS thread count.
     """
     S = _residuals(probs.copy(), data.y)
     S *= w[:, None, :]
     grad_mat = -(S @ data.X)[:, 1:] / data.n
     return grad_mat.reshape(-1, data.K * data.d)
-
-
-def _rows(a: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """``a[ids]`` for sorted distinct ``ids``; ``a`` itself, not a copy, when they are all of it."""
-    return a if len(ids) == len(a) else a[ids]
 
 
 def _newton_steps(H: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -162,11 +159,12 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
 
     Row ``b`` of the ``(B, n)`` array ``weights`` gives the fit that
     :func:`fit_weighted_mle` would make with those weights, and its own
-    :class:`FitReport`: each element has its own convergence test, step
-    halving, iteration count and non-descent steps. An element leaves
-    the batch when it converges or its line search fails, and each
-    round of the line search evaluates only the elements still
-    searching. A bad row raises the ``ValueError`` that
+    :class:`FitReport`, bit for bit: each element has its own convergence
+    test, step halving, iteration count and non-descent steps. Every
+    element keeps its place, and a mask marks those still iterating: each
+    round of the line search evaluates the whole stack, a stopped element
+    at its own iterate, and only the elements still searching take their
+    candidates. A bad row raises the ``ValueError`` that
     :func:`fit_weighted_mle` raises for it, for the first bad row.
     """
     if not data.labeled:
@@ -178,62 +176,63 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     if error is not None:
         raise ValueError(error)
 
-    # Mean-one rescaling keeps conditioning and stop criteria independent
-    # of the caller's weight scale; the argmin is unchanged.
+    # mean-one weights: conditioning and stop tests do not depend on the caller's scale
     w = weights * (data.n / weights.sum(axis=1))[:, None]
     B, K, d = len(w), data.K, data.d
     beta = np.zeros((B, K, d))
     loss, probs = _loss_sum(beta, data.X, data.y, w)  # each iterate's one evaluation
     loss /= data.n
-    iterations = np.zeros(B, dtype=int)
-    non_descent = np.zeros(B, dtype=int)
+    iterations, non_descent = np.zeros((2, B), dtype=int)
     grad_norm = np.empty(B)
     eye = np.eye(K * d)
     # the feature products depend on X alone: one table serves every
     # Newton step of every element, when it fits the budget
     pairs = _pair_table(data.X)
-    active = np.arange(B)  # elements still iterating; probs holds their iterates'
+    running = np.ones(B, dtype=bool)  # the elements still iterating
 
     for iteration in range(MAX_ITERS + 1):
-        g = _gradient(probs, data, _rows(w, active))
-        grad_norm[active] = np.abs(g).max(axis=1)
-        moving = grad_norm[active] > GRAD_TOL
-        if iteration == MAX_ITERS or not moving.any():  # all converged or stalled
+        g = _gradient(probs, data, w)
+        grad_norm[running] = np.abs(g[running]).max(axis=1)
+        running &= grad_norm > GRAD_TOL
+        if iteration == MAX_ITERS or not running.any():  # all converged or stalled
             break
-        active, g, probs = active[moving], g[moving], _rows(probs, np.flatnonzero(moving))
-        H = _information(probs, data.X, _rows(w, active), pairs) + RIDGE * eye
+        H = _information(probs, data.X, w, pairs) + RIDGE * eye
         del probs  # held through the line search, they would double the per-row memory
+        H[~running] = eye  # a stopped element's singular matrix would fail the stack's solve
         step = _newton_steps(H, g[:, :, None])
+        step[~running] = 0.0  # a stopped element is evaluated at its own iterate
         # a descent step predicts a positive decrease 0.5 g^T H^-1 g; within a few
         # ulps of the loss it is below the line search's resolution: taken whole
         decrease = 0.5 * (g[:, None, :] @ step)[:, 0, 0]
         descent = decrease > 0
-        non_descent[active] += ~descent
-        negligible = descent & (decrease <= NEGLIGIBLE_ULPS * loss[active])
+        non_descent += running & ~descent
+        negligible = descent & (decrease <= NEGLIGIBLE_ULPS * loss)
         step = step.reshape(-1, K, d)
-        iterations[active] += 1
+        iterations += running
         # the elements still searching have all halved their steps equally often
-        t, pending, rounds = 1.0, active, []
+        t, pending, probs = 1.0, running.copy(), None
         for _ in range(STEP_HALVING_MAX + 1):
-            candidate = beta[pending] - t * step
-            candidate_loss, probs = _loss_sum(candidate, data.X, data.y, _rows(w, pending))
+            candidate = beta - t * step
+            candidate_loss, candidate_probs = _loss_sum(candidate, data.X, data.y, w)
             candidate_loss /= data.n
-            taken = (candidate_loss < loss[pending]) | negligible
-            beta[pending[taken]] = candidate[taken]
-            loss[pending[taken]] = candidate_loss[taken]
-            rounds.append((pending[taken], _rows(probs, np.flatnonzero(taken))))
-            if taken.all():
+            taken = pending & ((candidate_loss < loss) | negligible)
+            beta[taken] = candidate[taken]
+            loss[taken] = candidate_loss[taken]
+            if probs is None:
+                probs = candidate_probs
+            else:
+                np.copyto(probs, candidate_probs, where=taken[:, None, None])
+            pending &= ~taken
+            if not pending.any():
                 break
-            pending, step, negligible = pending[~taken], step[~taken], negligible[~taken]
             t *= 0.5
-        # the elements that stepped go on; one that could not is numerically stationary
-        active = np.concatenate([ids for ids, _ in rounds])
-        probs = rounds[-1][1] if active.size == len(rounds[-1][0]) else np.concatenate(
-            [p for _, p in rounds])[np.argsort(active)]
-        active.sort()
-    probs = rounds = None  # freed before the report's evaluation
+        del candidate_probs  # held into the next gradient, they would add a third copy
+        running &= ~pending  # an element that could not step is numerically stationary
+    del probs  # freed before the report's evaluation
 
-    final_loss = _loss_sum(beta, data.X, data.y, weights)[0] / data.n
+    # weights already mean one: the last accepted loss is the caller's, bit for bit
+    final_loss = loss if np.array_equal(w, weights) else (
+        _loss_sum(beta, data.X, data.y, weights)[0] / data.n)
     return [
         FitReport(
             beta=beta[b],

@@ -104,6 +104,14 @@ def shard_indices(n: int, M: int, seed: int) -> list[np.ndarray]:
     return [perm[m * shard_size : (m + 1) * shard_size] for m in range(M)]
 
 
+def _shard_rows(n: int, M: int, K: int, d: int) -> int:
+    """Rows of each of the ``M`` shards of ``n`` rows, refused below the ``K + d`` a member fits."""
+    rows = n // M
+    if rows < K + d:
+        raise ValueError(f"probe too small: shards of {rows} rows for K+d={K + d}")
+    return rows
+
+
 def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
     """Fit M probe models, one per disjoint equal shard of ``probe``.
 
@@ -114,11 +122,7 @@ def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
     _check_integer("seed", seed, 0)
     if not probe.labeled:
         raise ValueError("probe data must be labeled")
-    probe_size = probe.n // M
-    if probe_size < probe.K + probe.d:
-        raise ValueError(
-            f"probe too small: shards of {probe_size} rows for K+d={probe.K + probe.d}"
-        )
+    probe_size = _shard_rows(probe.n, M, probe.K, probe.d)
 
     members = np.empty((M, probe.K, probe.d))
     for m, idx in enumerate(shard_indices(probe.n, M, seed)):

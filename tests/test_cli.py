@@ -701,12 +701,24 @@ class TestSimulate:
         assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_probe_shards_too_small_to_fit_exit_2(self, tmp_path, capsys):
+        # nine rows in ten probe shards: refused before any trial runs
+        cfg = json.loads(tiny_sim_config(tmp_path).read_text())
+        cfg["atoms"] = [{**atom, "count": count} for atom, count in zip(cfg["atoms"], [2, 3, 4])]
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["simulate", path, "--out", out]) == 2
+        assert "config: probe too small: shards of 0 rows for K+d=3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_trial_failing_is_recorded(self, tmp_path, capsys):
-        # nine probe rows in nine one-row shards: no member has two classes,
-        # so every trial's probe fit fails, for each of its methods
+        # every atom's logit is 200, so every label is 1: no member of three
+        # three-row shards has two classes, and every trial's probe fit
+        # fails, for each of its methods
         cfg = json.loads(tiny_sim_config(tmp_path, trials=1).read_text())
-        cfg.update(atoms=[{"x": x, "count": 3} for x in ([1.0, 0.0], [0.1, 0.1], [0.0, 1.0])],
-                   zeta_cases={"clean": [0.0, 0.0, 0.0]}, r=5, probe_members=9)
+        cfg.update(atoms=[{"x": x, "count": 3} for x in ([100.0, 0.0], [50.0, 50.0], [0.0, 100.0])],
+                   zeta_cases={"clean": [0.0, 0.0, 0.0]}, r=5, probe_members=3)
         path = tmp_path / "failing.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "run"

@@ -199,6 +199,17 @@ class TestGenerateDataset:
             with pytest.raises(ValueError, match=field):
                 paper_spec(**{field: value})
 
+    def test_spec_refuses_probe_shards_too_small_to_fit(self):
+        # nine rows in ten shards: every shard is empty, and every trial's
+        # probe fit would fail; train_ensemble's own message, on entry
+        with pytest.raises(ValueError, match=r"^probe too small: shards of 0 rows for K\+d=3$"):
+            small_spec(counts=np.array([2, 3, 4]))
+        with pytest.raises(ValueError, match="shards of 2 rows"):
+            small_spec(counts=np.array([2, 3, 4]), probe_members=4)
+        # three-row shards fit; uniform sampling trains no probe
+        small_spec(counts=np.array([2, 3, 4]), probe_members=3)
+        small_spec(counts=np.array([2, 3, 4]), methods=(Method("uniform"),))
+
     def test_spec_equality(self):
         # value equality over the compared fields, array fields included
         assert (small_spec() == small_spec()) is True
@@ -446,6 +457,11 @@ class TestRunExperiment:
         assert {f["error"] for f in report.failures} == {
             "ValueError: weights must be finite and nonnegative"}
         assert report.rows == [row for row in clean.rows if row.trial_index == 0]
+
+    @pytest.mark.parametrize("threads", [2.5, True, 0])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ValueError, match="threads must be"):
+            run_experiment(small_spec(trials=1, methods=[Method("uniform")]), threads=threads)
 
     def test_threaded_matches_sequential(self):
         spec = small_spec(trials=2, methods=[Method("uniform"), Method("vanilla")])

@@ -300,8 +300,8 @@ def test_batch_element_is_its_fit_alone_bit_for_bit(K, d, n, B):
 def test_kept_pair_table_changes_no_bit(monkeypatch, K, d, n, B):
     # a fit that keeps its feature-pair table feeds every block to the GEMM
     # that a fit building the blocks per Newton step uses: (6, 30, 1200) has
-    # two blocks, the last one partial, and the batch's elements leave the
-    # active set at different iterations
+    # two blocks, the last one partial, and the batch's elements stop at
+    # different iterations
     data, _ = synthetic(K * d + n, n, K, d)
     weights = 2 * np.random.default_rng(1).random((B, n))
     real_information = solver._information
@@ -425,8 +425,8 @@ def separable_scaled_data():
 
 
 def test_fit_stops_when_its_last_elements_stall():
-    # the only element leaves the batch in the line search, not by
-    # converging; the loop then stops with the report it has
+    # the only element stops in the line search, not by converging; the
+    # loop then stops with the report it has
     rep = fit_mle(separable_scaled_data())
     assert not rep.converged
     assert (rep.iterations, rep.non_descent_steps) == (42, 0)
@@ -436,7 +436,8 @@ def test_fit_stops_when_its_last_elements_stall():
 def batch_with_first_information(monkeypatch, replace):
     """Element 0's report of a two-element batch whose element 0's information is ``replace``d.
 
-    Checks that element 1's report is its fit alone, bit for bit.
+    Every Newton step's information holds both elements, the stopped one
+    too. Checks that element 1's report is its fit alone, bit for bit.
     """
     data, _ = synthetic(9, 50, 1, 2)
     weights = np.stack([np.ones(data.n), np.random.default_rng(9).uniform(0.2, 3.0, data.n)])
@@ -445,8 +446,7 @@ def batch_with_first_information(monkeypatch, replace):
 
     def replace_first(probs, X, w, pairs):
         H = real_information(probs, X, w, pairs)
-        if len(H) == 2:
-            H[0] = replace(H[0])
+        H[0] = replace(H[0])
         return H
 
     monkeypatch.setattr(solver, "_information", replace_first)
@@ -489,10 +489,16 @@ def test_singular_element_leaves_the_batch(monkeypatch):
     # element 0's information is -RIDGE * I, so its ridged Hessian is exactly
     # zero; it stops after one step that is not taken, and the other
     # element's fit is its fit alone
+    solves = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or real_solve(a, b))
     singular = batch_with_first_information(monkeypatch,
                                             lambda H: -solver.RIDGE * np.eye(len(H)))
     assert (singular.converged, singular.iterations, singular.non_descent_steps) == (False, 1, 1)
     npt.assert_array_equal(singular.beta, 0.0)
+    # only the first Newton step solves one matrix at a time: a stopped
+    # element's singular matrix does not fail the later steps' stack solves
+    assert solves.count((2, 2)) == 2 and solves.count((2, 2, 2)) > 2
 
 OVERFLOWING_WEIGHTS = {
     "sum overflows": np.full(50, 1e308),
@@ -519,8 +525,8 @@ def test_refused_data():
 @pytest.mark.parametrize("K, d, n", [(2, 10, 200_000), (6, 30, 1200)])
 def test_each_iterate_is_evaluated_once(monkeypatch, K, d, n):
     # one softmax per evaluated iterate, the start and each line-search
-    # candidate, gives its loss, its gradient and its Hessian; the report
-    # may evaluate the last iterate once more, for the caller's weights
+    # candidate, gives its loss, its gradient and its Hessian; with the
+    # caller's weights all one, the last accepted loss is the report's
     data, _ = synthetic(K * d + n, n, K, d)
     evaluated = []
     real_shifted_logits = model._shifted_logits
@@ -533,5 +539,37 @@ def test_each_iterate_is_evaluated_once(monkeypatch, K, d, n):
     report = fit_mle(data)
     assert report.converged and report.iterations >= 4
     assert len(set(evaluated)) >= report.iterations + 1
-    assert len(evaluated) <= len(set(evaluated)) + 1, (
+    assert len(evaluated) == len(set(evaluated)), (
         f"{len(evaluated)} softmaxes of {len(set(evaluated))} iterates")
+    assert report.final_loss == dataset_loss(report.beta, data)
+
+
+def test_rescaled_weights_report_the_callers_loss():
+    # weights that do not sum to n are fitted at mean one; the report's loss
+    # is the caller's objective, as dataset_loss evaluates it, bit for bit
+    data, _ = synthetic(3, 500, 2, 3)
+    weights = 7.3 * np.random.default_rng(3).uniform(0.2, 3.0, size=data.n)
+    report = fit_weighted_mle(data, weights)
+    assert report.converged
+    assert report.final_loss == dataset_loss(report.beta, data, weights)
+
+
+def test_element_converged_at_the_start_stays_its_fit_alone():
+    # an intercept on balanced labels: the gradient at beta = 0 is exactly
+    # zero for unit weights, so element 0 never steps, while element 1, on
+    # skewed weights, iterates; element 0 is evaluated at its own iterate
+    # in every line search, and both reports are their fits alone
+    n = 40
+    data = Dataset(np.ones((n, 1)), np.arange(n) % 2, 1)
+    weights = np.stack([np.ones(n), np.where(data.y == 1, 3.0, 1.0)])
+    batch = fit_weighted_batch(data, weights)
+    assert batch[0].iterations == 0 and batch[1].iterations > 0
+    for fit, w in zip(batch, weights, strict=True):
+        alone = fit_weighted_mle(data, w)
+        npt.assert_array_equal(fit.beta, alone.beta)
+        assert (fit.iterations, fit.final_grad_norm, fit.converged, fit.final_loss,
+                fit.non_descent_steps) == (alone.iterations, alone.final_grad_norm,
+                                           alone.converged, alone.final_loss,
+                                           alone.non_descent_steps)
+    npt.assert_array_equal(batch[0].beta, 0.0)
+    assert batch[0].converged and batch[0].final_grad_norm == 0.0
