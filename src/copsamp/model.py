@@ -31,11 +31,12 @@ finite regardless.
 
 The information matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)`` is the
 Newton Hessian of every fit (:func:`_information`) and the Fisher matrix
-of exact scoring (:func:`fisher_info`). It is built from one feature-pair
-table, the products ``x_a x_b`` with ``a <= b``, which only the exact
-scores of :mod:`copsamp.uncertainty` also read. A Newton fit keeps the
-whole table for its life when it fits ``PAIR_TABLE_BYTES``; over the
-budget each call builds it block by block. Both give the same bits.
+of exact scoring (:func:`fisher_info`); only exact scoring inverts it and
+judges its conditioning. It is built from one feature-pair table, the
+products ``x_a x_b`` with ``a <= b``, which only the exact scores of
+:mod:`copsamp.uncertainty` also read. A Newton fit keeps the whole table
+for its life when it fits ``PAIR_TABLE_BYTES``; over the budget each
+call builds it block by block. Both give the same bits.
 
 The softmax and the weighted loss also take a ``(B, K, d)`` stack of
 coefficients on one design, with ``(B, n)`` weights, and the other
@@ -54,9 +55,8 @@ the residuals are written over the probabilities they are formed from.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -73,10 +73,6 @@ __all__ = [
 # Coefficients are plain (K, d) float arrays; the alias documents intent
 # in signatures without wrapping every matrix in a class.
 Coefficients = np.ndarray
-
-#: Relative eigenvalue threshold below which Fisher information is
-#: flagged as numerically singular (diagnostic only, never an error).
-NEAR_SINGULAR_RTOL = 1e-10
 
 
 @dataclass
@@ -142,11 +138,15 @@ class FisherInfo:
     """Averaged loss Hessian ``(1/n) sum_i kron(phi_i, x_i x_i^T)``.
 
     ``m`` is ``(K*d, K*d)`` symmetric positive semidefinite up to
-    round-off.
+    round-off; an ``m`` that is not finite, square and nonempty is refused.
     """
 
     m: np.ndarray
-    near_singular: bool = field(default=False)
+
+    def __post_init__(self) -> None:
+        m = self.m = np.asarray(self.m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.all(np.isfinite(m)):
+            raise ValueError(f"information matrix must be finite, square, nonempty, got {m.shape}")
 
 
 def _check_integer(name: str, value, minimum: int | None = None) -> None:
@@ -470,23 +470,11 @@ def _information(
 def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
     """Average of ``kron(phi_i, x_i x_i^T)`` over the dataset, by :func:`_information`.
 
-    Labels are unused, so unlabeled datasets are accepted. A
-    near-singular result (smallest eigenvalue below ``1e-10`` times the
-    largest) emits a ``RuntimeWarning``; downstream inversions apply a
-    ridge instead of failing here.
+    Labels are unused, so unlabeled datasets are accepted. The matrix is
+    returned as built; how well it is conditioned is judged where exact
+    scoring inverts it (``copsamp.uncertainty._factorize``).
     """
     beta = _check_beta(beta, data)
     if data.n == 0:
         raise ValueError("empty dataset")
-    m = _information(_softmax(beta, data.X)[0], data.X, None, None)
-    eigs = np.linalg.eigvalsh(m)
-    near_singular = bool(eigs[0] < NEAR_SINGULAR_RTOL * max(eigs[-1], 0.0))
-    if near_singular:
-        warnings.warn(
-            "Fisher information is numerically singular "
-            f"(eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}]); "
-            "inverse-based scores will rely on ridge regularization",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return FisherInfo(m=m, near_singular=near_singular)
+    return FisherInfo(_information(_softmax(beta, data.X)[0], data.X, None, None))

@@ -15,7 +15,7 @@ a plan. No pipeline stage calls them. Each one that needs probabilities
 computes its own softmax in :func:`class_probabilities`, independent of
 the batched builder it checks; :func:`cross_entropy` alone reads the
 cross entropy of the batched softmax. The score twins share the members'
-logit deviations and the Cholesky factor with the batched scorers.
+logit deviations and the inverse Cholesky factor with the batched scorers.
 """
 
 from __future__ import annotations
@@ -158,6 +158,13 @@ def ensemble_score_active(ensemble: ProbeEnsemble, x: np.ndarray) -> float:
     return float(_clamp(np.sum(phi(ensemble.mean, x) * sigma)))
 
 
+def _check_exact(beta: Coefficients, info: FisherInfo, x: np.ndarray) -> np.ndarray:
+    x = _check_x(x, _check_beta(beta))
+    if np.size(beta) != info.m.shape[0]:
+        raise ValueError("beta/x dimensions do not match the information matrix")
+    return x
+
+
 def exact_score_coreset(
     beta: Coefficients,
     info: FisherInfo,
@@ -165,11 +172,8 @@ def exact_score_coreset(
     y: int,
 ) -> float:
     """``Tr((psi kron xx^T) M^-1)`` as the quadratic form of ``kron(s, x)``."""
-    factor = _factorize(info)
-    g = np.kron(score_vector(beta, x, y), np.asarray(x, dtype=float))
-    if g.shape[0] != info.m.shape[0]:
-        raise ValueError("beta/x dimensions do not match the information matrix")
-    z = np.linalg.solve(factor, g)  # g^T M^-1 g = |L^-1 g|^2
+    x = _check_exact(beta, info, x)
+    z = _factorize(info) @ np.kron(score_vector(beta, x, y), x)  # g^T M^-1 g = |L^-1 g|^2
     return float(_clamp(z @ z))
 
 
@@ -179,16 +183,10 @@ def exact_score_active(
     x: np.ndarray,
 ) -> float:
     """``Tr((phi kron xx^T) M^-1)`` via the eigendecomposition of phi."""
-    factor = _factorize(info)
-    x = np.asarray(x, dtype=float)
+    x = _check_exact(beta, info, x)
     eigvals, eigvecs = np.linalg.eigh(phi(beta, x))
-    u = 0.0
-    for lam, v in zip(eigvals, eigvecs.T):
-        if lam <= 0:
-            continue
-        z = np.linalg.solve(factor, np.kron(v, x))
-        u += lam * float(z @ z)
-    return float(_clamp(u))
+    Z = _factorize(info) @ np.kron(eigvecs, x[:, None])  # column j: L^-1 kron(v_j, x)
+    return float(_clamp(np.maximum(eigvals, 0.0) @ np.sum(Z * Z, axis=0)))
 
 
 def subsample_objective(u: np.ndarray, pi: np.ndarray) -> float:

@@ -9,11 +9,11 @@ probe members' logits, and ``C`` at their mean. Each member fits n' rows
 and ``n' * Cov(vec beta_m) ~ M^-1``, so ensemble scores times n' approach
 the exact ones; the subsampling pipelines plan on that scale.
 
-Batched exact scores pack ``M^-1``, the inverse of
-:func:`copsamp.model.fisher_info`, into the feature-pair table of the
-information kernel ``copsamp.model._information``: one
-``(P, T) @ (T, b)`` GEMM per block of rows,
-O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
+``M^-1``, the inverse of :func:`copsamp.model.fisher_info`, is formed and
+judged in one place, ``_factorize``. Batched exact scores pack it into
+the feature-pair table of the information kernel
+``copsamp.model._information``: one ``(P, T) @ (T, b)`` GEMM per block
+of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
 scorers read the members' logit deviations from one function; the batched
 one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of
 both scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
@@ -201,14 +201,26 @@ def ensemble_scores(
 
 
 def _factorize(info: FisherInfo) -> np.ndarray:
-    """Lower Cholesky factor of ``M + ridge * I``, ``ridge = 1e-10 * Tr(M) / (K*d)``."""
+    """``F = L^-1`` with ``L L^T = M + ridge * I``, ``ridge = 1e-10 * Tr(M) / (K*d)``.
+
+    Warns once the ridge's share of the inverse's trace, ``ridge * |F|_F^2
+    = sum_i ridge / (lambda_i + ridge)``, reaches 1/2: always when
+    ``lambda_min <= ridge``, never when ``lambda_min >= 2 * K*d * ridge``.
+    """
     ridge = 1e-10 * float(np.trace(info.m)) / info.m.shape[0]
     try:
-        return cholesky(info.m + ridge * np.eye(info.m.shape[0]))
+        factor = cholesky(info.m + ridge * np.eye(info.m.shape[0]))
     except LinAlgError as err:
         raise SingularInformationError(
             f"information matrix not positive definite with ridge {ridge:.3e}"
         ) from err
+    factor_inv = np.linalg.inv(factor)
+    share = ridge * np.vdot(factor_inv, factor_inv)
+    if share >= 0.5:
+        warnings.warn(f"Fisher information is numerically singular (ridge share {share:.3f} of the "
+                      "inverse's trace); inverse-based scores will rely on ridge regularization",
+                      RuntimeWarning, stacklevel=3)
+    return factor_inv
 
 
 def exact_scores(
@@ -225,7 +237,7 @@ def exact_scores(
     """
     beta = _check_beta(beta, data)
     y = _scored_labels(data, kind, info.m.shape[0])
-    factor_inv = np.linalg.inv(_factorize(info))
+    factor_inv = _factorize(info)
     W = _trace_weights(factor_inv.T @ factor_inv, data.K, data.d)
     u = np.empty(data.n)
     for start, stop, C, Q in _pair_blocks(_softmax(beta, data.X)[0], data.X, y):

@@ -255,8 +255,8 @@ def test_batch_matches_one_at_a_time(monkeypatch):
 
     def shifted(probs, X, w, pairs):
         H = real_information(probs, X, w, pairs)
-        near_singular = (w == 0).any(axis=1)
-        return H - 1e-3 * near_singular[:, None, None] * np.eye(H.shape[-1])
+        zero_weighted = (w == 0).any(axis=1)
+        return H - 1e-3 * zero_weighted[:, None, None] * np.eye(H.shape[-1])
 
     monkeypatch.setattr(solver, "_information", shifted)
 

@@ -1,6 +1,7 @@
 """Uncertainty scores: ensemble machinery, exact traces, and their agreement."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -339,6 +340,33 @@ class TestExactScores:
         with pytest.raises(SingularInformationError):
             exact_scores(np.zeros((1, 2)), info, Dataset(np.ones((3, 2)), None, 1), "active")
 
+    def test_rank_deficient_information_warns_where_inverted(self):
+        # a zero feature column: fisher_info returns the matrix without a
+        # warning, and each route that inverts it warns
+        data = Dataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([0, 1, 1]), 1)
+        beta = np.zeros((1, 2))
+        info = fisher_info(beta, data)
+        for score in (lambda: exact_scores(beta, info, data, "coreset"),
+                      lambda: exact_scores(beta, info, data, "active"),
+                      lambda: exact_score_coreset(beta, info, data.X[0], 1),
+                      lambda: exact_score_active(beta, info, data.X[0])):
+            with pytest.warns(RuntimeWarning, match="numerically singular"):
+                score()
+
+    @pytest.mark.parametrize("smallest, warns", [(0.1, True), (1.0, True), (16.0, False)])
+    def test_singularity_warning_band(self, smallest, warns):
+        # M = diag(1, 1, 1, smallest * ridge) at K = d = 2, where ridge solves
+        # the scorers' ridge = 1e-10 * Tr(M) / 4: the warning always fires
+        # once lambda_min <= ridge, and never once every eigenvalue is at
+        # least 2*K*d*ridge; 16 * ridge is 4*K*d*ridge
+        ridge = 3e-10 / (4 - 1e-10 * smallest)
+        info = FisherInfo(np.diag([1.0, 1.0, 1.0, smallest * ridge]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exact_scores(np.zeros((2, 2)), info, ROWS_K2, "active")
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == warns and all("numerically singular" in m for m in messages)
+
     def test_scores_nonnegative(self):
         data, beta = synthetic(19, 400, 3, 3)
         info = fisher_info(beta, data)
@@ -403,6 +431,24 @@ REFUSALS = {
     "exact score of the wrong d": (
         lambda: exact_score_coreset(np.zeros((1, 2)), FisherInfo(np.eye(3)), np.ones(2), 1),
         "beta/x dimensions do not match the information matrix"),
+    # the active oracle used to fail inside np.linalg.solve
+    "exact active score of the wrong d": (
+        lambda: exact_score_active(np.zeros((1, 2)), FisherInfo(np.eye(3)), np.ones(2)),
+        "beta/x dimensions do not match the information matrix"),
+    # a matrix that is not square used to fail inside _factorize with a
+    # broadcast error
+    "information matrix not square": (
+        lambda: exact_scores(np.zeros((2, 2)), FisherInfo(np.ones((2, 3))), ROWS_K2, "coreset"),
+        r"information matrix must be finite, square, nonempty, got \(2, 3\)"),
+    "information matrix not 2-d": (
+        lambda: FisherInfo(np.ones(4)),
+        r"information matrix must be finite, square, nonempty, got \(4,\)"),
+    "information matrix empty": (
+        lambda: FisherInfo(np.zeros((0, 0))),
+        r"information matrix must be finite, square, nonempty, got \(0, 0\)"),
+    "information matrix not finite": (
+        lambda: FisherInfo(np.diag([1.0, np.inf])),
+        r"information matrix must be finite, square, nonempty, got \(2, 2\)"),
 }
 
 
