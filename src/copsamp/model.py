@@ -34,9 +34,10 @@ Newton Hessian of every fit (:func:`_information`) and the Fisher matrix
 of exact scoring (:func:`fisher_info`); only exact scoring inverts it and
 judges its conditioning. It is built from one feature-pair table, the
 products ``x_a x_b`` with ``a <= b``, which only the exact scores of
-:mod:`copsamp.uncertainty` also read. A Newton fit keeps the whole table
-for its life when it fits ``PAIR_TABLE_BYTES``; over the budget each
-call builds it block by block. Both give the same bits.
+:mod:`copsamp.uncertainty` also read; one index, :func:`_pair_layout`,
+maps between the matrix and the table both ways. A Newton fit keeps the
+whole table for its life when it fits ``PAIR_TABLE_BYTES``; over the
+budget each call builds it block by block. Both give the same bits.
 
 The softmax and the weighted loss also take a ``(B, K, d)`` stack of
 coefficients on one design, with ``(B, n)`` weights, and the other
@@ -138,15 +139,17 @@ class FisherInfo:
     """Averaged loss Hessian ``(1/n) sum_i kron(phi_i, x_i x_i^T)``.
 
     ``m`` is ``(K*d, K*d)`` symmetric positive semidefinite up to
-    round-off; an ``m`` that is not finite, square and nonempty is refused.
+    round-off; one that is not square and nonempty, or not finite, is refused.
     """
 
     m: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.m = np.asarray(self.m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size or not np.all(np.isfinite(m)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
             raise ValueError(f"information matrix must be finite, square, nonempty, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("information matrix contains non-finite entries")
 
 
 def _check_integer(name: str, value, minimum: int | None = None) -> None:
@@ -279,16 +282,18 @@ PAIR_TABLE_BYTES = 6 * 2**20
 
 
 @lru_cache(maxsize=32)
-def _pair_layout(K: int, d: int) -> tuple[np.ndarray, ...]:
-    """Index arrays of the class pairs ``k <= l`` and feature pairs ``a <= b``.
+def _pair_layout(K: int, d: int) -> np.ndarray:
+    """The one map between a ``(K*d, K*d)`` matrix and the ``(P, T)`` pair table.
 
-    Returns ``(kk, ll, aa, bb, unpack)``. ``(kk[p], ll[p])`` is class pair
-    ``p`` of P = K(K+1)/2 and ``(aa[t], bb[t])`` is feature pair ``t`` of
-    T = d(d+1)/2, both in ``triu_indices`` order. ``unpack`` is the
-    ``(K*d, K*d)`` index into a flattened ``(P, T)`` pair table: entry
-    ``(k*d + a, l*d + b)`` reads pair ``(min(k, l), max(k, l))``,
-    ``(min(a, b), max(a, b))``, so a matrix gathered through it is exactly
-    symmetric. The arrays are read-only.
+    The table has a row per class pair ``k <= l`` (P = K(K+1)/2) and a
+    column per feature pair ``a <= b`` (T = d(d+1)/2), both in
+    ``triu_indices`` order. The returned read-only ``(K*d, K*d)`` index
+    gives entry ``(k*d + a, l*d + b)`` the flat position of pair
+    ``(min(k, l), max(k, l))``, ``(min(a, b), max(a, b))``. Gathered
+    through it, a flattened table is a matrix, exactly symmetric
+    (:func:`_information`); scattered through it by ``np.bincount``, a
+    matrix sums each entry into its pair, the table of ``M^-1`` that the
+    exact scores read.
     """
     kk, ll = np.triu_indices(K)
     aa, bb = np.triu_indices(d)
@@ -298,27 +303,8 @@ def _pair_layout(K: int, d: int) -> tuple[np.ndarray, ...]:
     feature_pair[aa, bb] = feature_pair[bb, aa] = np.arange(len(aa))
     unpack = (class_pair[:, None, :, None] * len(aa)
               + feature_pair[None, :, None, :]).reshape(K * d, K * d)
-    layout = (kk, ll, aa, bb, unpack)
-    for arr in layout:
-        arr.setflags(write=False)
-    return layout
-
-
-def _trace_weights(V: np.ndarray, K: int, d: int) -> np.ndarray:
-    """The ``(P, T)`` table ``W`` with ``sum_pt W[p, t] C[p] Q[t] = sum_kl c_kl x^T V_kl x``.
-
-    ``V`` is a symmetric ``(K*d, K*d)`` matrix, so each class pair ``k < l``
-    counts twice, and a quadratic form ``x^T A x`` reads only the products
-    ``x_a x_b`` with ``a <= b``: entry ``(k, l), (a, b)`` is
-    ``V_kl[a, b] + V_kl[b, a]``, halved for ``a == b`` and doubled for
-    ``k < l``. ``C`` and ``Q`` are the tables of :func:`_pair_blocks`.
-    """
-    kk, ll, aa, bb, _ = _pair_layout(K, d)
-    rows, cols = kk[:, None] * d, ll[:, None] * d
-    W = V[rows + aa, cols + bb] + V[rows + bb, cols + aa]
-    W[:, aa == bb] *= 0.5
-    W[kk < ll] *= 2.0
-    return W
+    unpack.setflags(write=False)
+    return unpack
 
 
 def _pair_product_views(
@@ -459,12 +445,12 @@ def _information(
     given. Nothing is checked: :func:`fisher_info` checks ``beta`` and a
     Newton fit its weights.
     """
-    kk, _, aa, _, unpack = _pair_layout(probs.shape[-2] - 1, X.shape[1])
-    G = np.zeros(probs.shape[:-2] + (len(kk), len(aa)))
+    K, d = probs.shape[-2] - 1, X.shape[1]
+    G = np.zeros(probs.shape[:-2] + (K * (K + 1) // 2, d * (d + 1) // 2))
     for _, _, C, Q in _pair_blocks(probs, X, w=w, pairs=pairs):
         G += C @ Q.T
     G /= X.shape[0]
-    return G.reshape(G.shape[:-2] + (-1,))[..., unpack]
+    return G.reshape(G.shape[:-2] + (-1,))[..., _pair_layout(K, d)]
 
 
 def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
@@ -477,4 +463,5 @@ def fisher_info(beta: Coefficients, data: Dataset) -> FisherInfo:
     beta = _check_beta(beta, data)
     if data.n == 0:
         raise ValueError("empty dataset")
-    return FisherInfo(_information(_softmax(beta, data.X)[0], data.X, None, None))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is FisherInfo's to refuse
+        return FisherInfo(_information(_softmax(beta, data.X)[0], data.X, None, None))

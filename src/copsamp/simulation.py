@@ -369,33 +369,24 @@ _METRICS = ("param_error_l2", "regret")
 def aggregate_rows(rows: Iterable[TrialResult]) -> dict[str, dict[str, dict[str, float]]]:
     """mean/median/std of each metric, keyed by "case/method_id".
 
-    Groups with the same trial count are reduced together, one call per
-    statistic along a contiguous trials axis. numpy sums each such row
-    pairwise, as it sums one group's 1-d column, so every figure is the
-    per-group call's bit for bit.
+    Each group is reduced on its own, one call per statistic along a
+    contiguous trials axis.
     """
     grouped: dict[str, list[TrialResult]] = {}
     for row in rows:
         grouped.setdefault(f"{row.case}/{row.method_id}", []).append(row)
-    out: dict[str, dict[str, dict[str, float]]] = {key: {} for key in sorted(grouped)}
     metrics = attrgetter(*_METRICS)
-    shapes: dict[tuple[int, int], list[str]] = {}
-    for key in out:
+    out: dict[str, dict[str, dict[str, float]]] = {}
+    for key in sorted(grouped):
         group = grouped[key]
-        shapes.setdefault((len(group), len(group[0].param_error_components)), []).append(key)
-    for (trials, d), keys in shapes.items():
-        names = [*_METRICS, *(f"param_error_d{j + 1}" for j in range(d))]
-        table = np.array([  # (groups, trials, metrics)
-            [(*metrics(row), *row.param_error_components) for row in grouped[key]]
-            for key in keys
-        ])
-        table = np.ascontiguousarray(table.transpose(0, 2, 1))  # trials last, contiguous
-        mean, median, std = table.mean(axis=-1), np.median(table, axis=-1), table.std(axis=-1)
-        for g, key in enumerate(keys):
-            for m, name in enumerate(names):
-                out[key][name] = {"mean": float(mean[g, m]), "median": float(median[g, m]),
-                                  "std": float(std[g, m])}
-            out[key]["trials"] = {"count": float(trials)}
+        names = [*_METRICS, *(f"param_error_d{j + 1}"
+                              for j in range(len(group[0].param_error_components)))]
+        # (metrics, trials), trials contiguous: numpy sums each row pairwise
+        table = np.array([(*metrics(row), *row.param_error_components) for row in group]).T.copy()
+        mean, median, std = table.mean(axis=1), np.median(table, axis=1), table.std(axis=1)
+        out[key] = {name: {"mean": float(mean[m]), "median": float(median[m]),
+                           "std": float(std[m])} for m, name in enumerate(names)}
+        out[key]["trials"] = {"count": float(len(group))}
     return out
 
 

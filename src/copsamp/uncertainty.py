@@ -10,19 +10,22 @@ and ``n' * Cov(vec beta_m) ~ M^-1``, so ensemble scores times n' approach
 the exact ones; the subsampling pipelines plan on that scale.
 
 ``M^-1``, the inverse of :func:`copsamp.model.fisher_info`, is formed and
-judged in one place, ``_factorize``. Batched exact scores pack it into
-the feature-pair table of the information kernel
-``copsamp.model._information``: one ``(P, T) @ (T, b)`` GEMM per block
-of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble
-scorers read the members' logit deviations from one function; the batched
-one takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of
-both scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
-thread-safe.
+judged in one place, ``_factorize``. Batched exact scores sum it, entry
+by entry, into the pair table of class pairs by feature pairs, through
+the index ``copsamp.model._pair_layout`` that the information kernel
+gathers its matrix with: one ``(P, T) @ (T, b)`` GEMM per block of rows,
+O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble scorers
+read the members' logit deviations from one function; the batched one
+takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of both
+scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
+thread-safe. Its warnings name the first caller outside the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import os
+import sys
 from typing import Literal
 import warnings
 
@@ -37,9 +40,9 @@ from copsamp.model import (
     _check_beta,
     _check_integer,
     _pair_blocks,
+    _pair_layout,
     _residuals,
     _softmax,
-    _trace_weights,
     fisher_info,
 )
 from copsamp.solver import fit_mle
@@ -52,6 +55,19 @@ __all__ = [
     "exact_scores",
     "score_rows",
 ]
+
+# the path form the package's code objects name their files in
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _warn(message: str) -> None:
+    """A RuntimeWarning that names the first frame outside the package, not a line of it."""
+    # warnings.warn's skip_file_prefixes does this walk, from Python 3.12 on
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
+
 
 class SingularInformationError(RuntimeError):
     """Fisher information could not be factorized even after the ridge."""
@@ -128,12 +144,8 @@ def train_ensemble(probe: Dataset, M: int, seed: int = 0) -> ProbeEnsemble:
     for m, idx in enumerate(shard_indices(probe.n, M, seed)):
         report = fit_mle(probe.subset(idx))
         if not report.converged:
-            warnings.warn(
-                f"ensemble member {m} did not converge "
-                f"(grad norm {report.final_grad_norm:.3e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            _warn(f"ensemble member {m} did not converge "
+                  f"(grad norm {report.final_grad_norm:.3e})")
         members[m] = report.beta
     return ProbeEnsemble(members=members, probe_size=probe_size)
 
@@ -217,9 +229,8 @@ def _factorize(info: FisherInfo) -> np.ndarray:
     factor_inv = np.linalg.inv(factor)
     share = ridge * np.vdot(factor_inv, factor_inv)
     if share >= 0.5:
-        warnings.warn(f"Fisher information is numerically singular (ridge share {share:.3f} of the "
-                      "inverse's trace); inverse-based scores will rely on ridge regularization",
-                      RuntimeWarning, stacklevel=3)
+        _warn(f"Fisher information is numerically singular (ridge share {share:.3f} of the "
+              "inverse's trace); inverse-based scores will rely on ridge regularization")
     return factor_inv
 
 
@@ -231,14 +242,17 @@ def exact_scores(
 ) -> np.ndarray:
     """Vectorized exact scores ``Tr((C_i kron x_i x_i^T) M^-1)`` over every row.
 
-    ``M^-1`` is packed into the ``(P, T)`` table ``W``: per block of rows
-    of ``_pair_blocks`` the scores are ``sum_p C[p] * (W @ Q)[p]``.
+    Each entry of ``M^-1`` is summed into its pair of the ``(P, T)`` table
+    ``W`` through the index of ``_pair_layout``: per block of rows of
+    ``_pair_blocks`` the scores are ``sum_p C[p] * (W @ Q)[p]``.
     ``beta`` must be a finite ``(data.K, data.d)`` matrix.
     """
     beta = _check_beta(beta, data)
     y = _scored_labels(data, kind, info.m.shape[0])
     factor_inv = _factorize(info)
-    W = _trace_weights(factor_inv.T @ factor_inv, data.K, data.d)
+    # every pair of the table has an entry, so the sums fill all P*T of it
+    W = np.bincount(_pair_layout(data.K, data.d).ravel(),
+                    (factor_inv.T @ factor_inv).ravel()).reshape(-1, data.d * (data.d + 1) // 2)
     u = np.empty(data.n)
     for start, stop, C, Q in _pair_blocks(_softmax(beta, data.X)[0], data.X, y):
         np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])

@@ -291,6 +291,21 @@ class TestScore:
                          for r in out.read_text().strip().splitlines()[1:]])
         assert vals.shape == (300,) and np.all(vals >= 0) and vals.max() > 0
 
+    def test_scoring_failure_exit_1(self, tmp_path, capsys):
+        # products of features scaled by 1e160 overflow: the information
+        # matrix is refused as non-finite, with no numpy warning on the way
+        data = synthetic_csv(tmp_path / "data.csv", seed=6, n=50)
+        ens_path = tmp_path / "ens.json"
+        write_ensemble(ens_path, train_ensemble(data, 2, seed=0))
+        data_path = tmp_path / "scaled.csv"
+        data_path.write_text("x0,x1,y\n" + "".join(
+            f"{a!r},{b * 1e160!r},{y}\n" for (a, b), y in zip(data.X.tolist(), data.y.tolist())))
+        out = tmp_path / "scores.csv"
+        assert run(["score", data_path, ens_path, "--estimator", "exact", "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "copsamp: error: scoring failed: information matrix contains non-finite entries\n")
+        assert not out.exists()
+
     def test_legacy_mode_key_ignored(self, tmp_path):
         # documents written with a "mode" key still load and score the same
         data_path = tmp_path / "data.csv"

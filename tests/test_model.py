@@ -411,9 +411,15 @@ def test_pair_coefficients_match_pointwise(K, labeled):
     X = rng.normal(size=(n, d))
     y = rng.integers(0, K + 1, size=n) if labeled else None
     w = rng.uniform(0.0, 2.0, size=n)
-    kk, ll, aa, bb, _ = _pair_layout(K, d)
-    assert list(zip(kk, ll)) == [(k, l) for k in range(K) for l in range(k, K)]
-    assert list(zip(aa, bb)) == [(a, b) for a in range(d) for b in range(a, d)]
+    kk, ll = np.triu_indices(K)
+    aa, bb = np.triu_indices(d)
+    # the layout's index sends entry (k*d + a, l*d + b) of a matrix to the
+    # pair of its sorted class and feature indices, numbered as the blocks' rows
+    position = {(k, l, a, b): p * len(aa) + t
+                for p, (k, l) in enumerate(zip(kk, ll)) for t, (a, b) in enumerate(zip(aa, bb))}
+    unpack = _pair_layout(K, d)
+    for k, l, a, b in np.ndindex(K, K, d, d):
+        assert unpack[k * d + a, l * d + b] == position[min(k, l), max(k, l), min(a, b), max(a, b)]
     table = _pair_table(X)
     assert table is not None
     for pairs in (None, table):
