@@ -32,12 +32,13 @@ finite regardless.
 The information matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)`` is the
 Newton Hessian of every fit (:func:`_information`) and the Fisher matrix
 of exact scoring (:func:`fisher_info`); only exact scoring inverts it and
-judges its conditioning. It is built from one feature-pair table, the
-products ``x_a x_b`` with ``a <= b``, which only the exact scores of
-:mod:`copsamp.uncertainty` also read; one index, :func:`_pair_layout`,
-maps between the matrix and the table both ways. A Newton fit keeps the
-whole table for its life when it fits ``PAIR_TABLE_BYTES``; over the
-budget each call builds it block by block. Both give the same bits.
+judges its conditioning. It is built from pair products of rows, the
+feature pairs ``x_a x_b`` (``a <= b``) and the class pairs of
+:func:`_class_pairs`, all from one block loop, :func:`_pair_products`,
+which the exact scores of :mod:`copsamp.uncertainty` also read; one
+index, :func:`_pair_layout`, maps between the matrix and the pair table
+both ways. A Newton fit keeps its feature products when they fit
+``PAIR_TABLE_BYTES``, else each call builds them: the same bits.
 
 The softmax and the weighted loss also take a ``(B, K, d)`` stack of
 coefficients on one design, with ``(B, n)`` weights, and the other
@@ -307,147 +308,111 @@ def _pair_layout(K: int, d: int) -> np.ndarray:
     return unpack
 
 
-def _pair_product_views(
-    src: np.ndarray, out: np.ndarray, b: int
-) -> list[tuple[np.ndarray, ...]]:
-    """``(src[a], src[a:], rows of out)`` for each ``a``, cut to the first ``b`` columns.
-
-    Multiplying each first view into the second, out to the third, fills
-    ``out`` with ``src[a] * src[c]`` for the pairs ``a <= c`` in
-    ``triu_indices`` order; the third view's row 0 is the pair ``(a, a)``.
-    Rows are the second-to-last axis, so a stack of tables is filled
-    element by element with the same calls.
-    """
-    m, views, t = src.shape[-2], [], 0
-    for a in range(m):
-        views.append((src[..., a : a + 1, :b], src[..., a:, :b], out[..., t : t + m - a, :b]))
-        t += m - a
-    return views
-
-
-def _feature_pair_blocks(
-    X: np.ndarray, table: np.ndarray | None = None
+def _pair_products(
+    src: np.ndarray, out: np.ndarray | None = None
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The feature products of ``X`` in row blocks, as ``(start, stop, Q)``.
+    """The one builder of pair products: of the rows of ``src``, as ``(start, stop, R)`` blocks.
 
-    ``Q`` is ``(T, b)``: row ``t`` holds ``x_a x_b`` of the rows
-    ``start:stop`` for feature pair ``t`` of :func:`_pair_layout`. Each
-    block is built into scratch reused by the next block or, given the
-    ``(T, n)`` ``table``, into its columns ``start:stop``, so that one pass
-    fills the table. This is the one builder of the products.
+    For a ``(..., m, n)`` source, row ``t`` of ``R``, ``(..., m(m+1)/2, b)``,
+    holds ``src[a] * src[c]`` of the columns ``start:stop`` for the ``t``-th
+    pair ``a <= c`` in ``triu_indices`` order, the order of
+    :func:`_pair_layout`. Each block of ``BLOCK_ROWS`` columns is copied
+    into contiguous scratch, and its products go into scratch reused by the
+    next block or, given ``out``, into its columns ``start:stop``. Rows are
+    the second-to-last axis, so a stack of sources is built element by
+    element with the same calls.
     """
-    n, d = X.shape
-    xt = np.empty((d, min(n, BLOCK_ROWS)))
-    scratch = np.empty((d * (d + 1) // 2, xt.shape[1])) if table is None else None
+    m, n = src.shape[-2:]
+    size = min(n, BLOCK_ROWS)
+    block = np.empty(src.shape[:-1] + (size,))
+    scratch = np.empty(src.shape[:-2] + (m * (m + 1) // 2, size)) if out is None else None
     width = None
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         # scratch views are made once per block width: per block, the
-        # Python work is d ufunc calls on them
+        # Python work is m ufunc calls on them
         if scratch is None or stop - start != width:
             width = stop - start
-            Q = scratch[:, :width] if table is None else table[:, start:stop]
-            views = _pair_product_views(xt, Q, width)
-        # a per-block transpose of X: a whole-array copy would cost O(n * d)
-        np.copyto(xt[:, :width], X[start:stop].T)
-        for x_a, x_rest, out in views:
-            np.multiply(x_a, x_rest, out=out)
-        yield start, stop, Q
+            R = scratch[..., :width] if out is None else out[..., start:stop]
+            views, t = [], 0
+            for a in range(m):
+                views.append((block[..., a : a + 1, :width], block[..., a:, :width],
+                              R[..., t : t + m - a, :]))
+                t += m - a
+        # a per-block copy: a whole-array one would cost O(n * m)
+        np.copyto(block[..., :width], src[..., start:stop])
+        for src_a, src_rest, R_a in views:
+            np.multiply(src_a, src_rest, out=R_a)
+        yield start, stop, R
 
 
-def _pair_table(X: np.ndarray) -> np.ndarray | None:
-    """The whole ``(T, n)`` feature-pair table of ``X``, or None over ``PAIR_TABLE_BYTES``.
+def _pair_table(X: np.ndarray) -> list[tuple[int, int, np.ndarray]] | None:
+    """The feature-product blocks of ``X`` in one kept table, or None over ``PAIR_TABLE_BYTES``.
 
-    A fit builds it once and passes it to :func:`_information` on every
-    Newton step, which then reads its blocks instead of building them.
+    A fit builds them once and passes them to :func:`_information` on
+    every Newton step, which reads them as it would read built blocks.
     """
     n, d = X.shape
     T = d * (d + 1) // 2
     if n * T * 8 > PAIR_TABLE_BYTES:
         return None
-    table = np.empty((T, n))
-    for _ in _feature_pair_blocks(X, table):
-        pass
-    return table
+    return list(_pair_products(X.T, np.empty((T, n))))
 
 
-def _pair_blocks(
-    probs: np.ndarray,
-    X: np.ndarray,
-    y: np.ndarray | None = None,
-    w: np.ndarray | None = None,
-    pairs: np.ndarray | None = None,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The feature-pair table of ``X`` in row blocks, as ``(start, stop, C, Q)``.
+def _class_pairs(
+    probs: np.ndarray, y: np.ndarray | None = None, w: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """The class-pair coefficients ``C``, ``(P, b)``, in the blocks of :func:`_pair_products`.
 
-    ``probs`` holds the class-major probabilities of the rows of ``X``;
-    given labels ``y``, they are overwritten by the residuals. ``Q`` is a
-    block of :func:`_feature_pair_blocks`, read from ``pairs``, the whole
-    table of :func:`_pair_table`, when given. ``C`` is ``(P, b)``: row
-    ``p`` holds the coefficient of class pair ``p``, with labels ``s_k s_l``
-    from the score vectors (the entries of ``psi``), without them
-    ``phi_kl = [k == l] p_k - p_k p_l``, times ``w`` if given.
-    So ``sum_i w_i C_i kron x_i x_i^T`` has block ``(k, l)`` entry
-    ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over the blocks. ``C`` and
-    a built ``Q`` are scratch reused by the next block.
-
-    A ``(B, K + 1, n)`` stack of probabilities, with ``(B, n)`` weights,
-    gives a ``(B, P, b)`` stack ``C``; ``Q`` depends on ``X`` alone and is
-    built once for the whole stack.
+    ``probs`` holds class-major probabilities; given labels ``y``, they are
+    overwritten by the residuals. Row ``p`` of ``C`` holds the coefficient
+    of class pair ``p``: with labels ``s_k s_l`` from the score vectors
+    (the entries of ``psi``), without them ``phi_kl = [k == l] p_k - p_k
+    p_l``, times ``w`` if given. So ``sum_i w_i C_i kron x_i x_i^T`` has
+    block ``(k, l)`` entry ``(a, b)`` equal to ``C[p] @ Q[t]`` summed over
+    the blocks ``Q`` of the feature products. A ``(B, K + 1, n)`` stack of
+    probabilities, with ``(B, n)`` weights, gives ``(B, P, b)`` blocks.
     """
     rows = (probs if y is None else _residuals(probs, y))[..., 1:, :]
-    n = X.shape[0]
     K = rows.shape[-2]
-    size = min(n, BLOCK_ROWS)
-    rt = np.empty(rows.shape[:-1] + (size,))
-    C = np.empty(rows.shape[:-2] + (K * (K + 1) // 2, size))
-    q_blocks = _feature_pair_blocks(X) if pairs is None else (
-        (start, min(start + BLOCK_ROWS, n), pairs[:, start : start + BLOCK_ROWS])
-        for start in range(0, n, BLOCK_ROWS))
-    width = None
-    for start, stop, Q in q_blocks:
-        # the views are made once per block width, as the products' are
-        if stop - start != width:
-            width = stop - start
-            views = _pair_product_views(rt, C, width)
-        # the class-major rows are copied as they are
-        np.copyto(rt[..., :width], rows[..., start:stop])
-        for r_k, r_rest, out in views:
-            np.multiply(r_k, r_rest, out=out)
-            if y is None:
-                np.negative(out, out=out)
-                out[..., :1, :] += r_k
+    diagonal = [k * K - k * (k - 1) // 2 for k in range(K)]  # the rows of the pairs (k, k)
+    for start, stop, C in _pair_products(rows):
+        if y is None:
+            np.negative(C, out=C)
+            for k, t in enumerate(diagonal):
+                C[..., t, :] += rows[..., k, start:stop]
         if w is not None:
-            C[..., :width] *= w[..., None, start:stop]
-        yield start, stop, C[..., :width], Q
+            C *= w[..., None, start:stop]
+        yield C
 
 
 def _information(
-    probs: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: np.ndarray | None
+    probs: np.ndarray, X: np.ndarray, w: np.ndarray | None, pairs: list | None
 ) -> np.ndarray:
     """``(K*d, K*d)`` matrix ``(1/n) sum_i w_i kron(phi_i, x_i x_i^T)``.
 
     Every ``(d, d)`` block ``sum_i w_i phi_kl,i x_i x_i^T`` is symmetric and
     every block reads the same products, so the matrix is the ``(P, T)``
-    table ``G = sum C @ Q^T`` over the row blocks of :func:`_pair_blocks`,
-    P = K(K+1)/2 class pairs by T = d(d+1)/2 feature pairs: one GEMM per
-    block of rows, then each entry of ``G / n`` is copied to its mirror
-    positions, so the result is exactly symmetric. ``w``, finite and
-    nonnegative, stands for all ones when None. ``pairs``, the ``(T, n)``
-    table of ``X`` that :func:`_pair_table` builds, gives the feature
-    products; without it each call builds them block by block, in
-    O(BLOCK_ROWS*d^2) scratch. ``probs``, the class-major probabilities of
-    the rows of ``X``, is only read; besides it and ``pairs``, the call
-    takes O(BLOCK_ROWS*K^2 + (K*d)^2) memory. A ``(B, K + 1, n)`` stack,
-    with ``w`` of shape ``(B, n)`` if given, gives the ``(B, K*d, K*d)``
-    stack of matrices on the one design ``X``, each element from its own
-    ``(P, b) @ (b, T)`` GEMMs, the same GEMMs whether or not ``pairs`` is
-    given. Nothing is checked: :func:`fisher_info` checks ``beta`` and a
-    Newton fit its weights.
+    table ``G = sum C @ Q^T`` over the blocks of :func:`_class_pairs` and
+    the feature products ``Q``, P = K(K+1)/2 class pairs by T = d(d+1)/2
+    feature pairs: one GEMM per block of rows, then each entry of ``G / n``
+    is copied to its mirror positions, so the result is exactly symmetric.
+    ``w``, finite and nonnegative, stands for all ones when None.
+    ``pairs``, the kept blocks of :func:`_pair_table`, gives the feature
+    products; without it each call builds them by :func:`_pair_products`
+    from ``X.T``, in O(BLOCK_ROWS*d^2) scratch. ``probs``, the class-major
+    probabilities of the rows of ``X``, is only read; besides it and
+    ``pairs``, the call takes O(BLOCK_ROWS*K^2 + (K*d)^2) memory. A
+    ``(B, K + 1, n)`` stack, with ``w`` of shape ``(B, n)`` if given, gives
+    the ``(B, K*d, K*d)`` stack of matrices on the one design ``X``, each
+    element from its own ``(P, b) @ (b, T)`` GEMMs, the same GEMMs whether
+    or not ``pairs`` is given. Nothing is checked: :func:`fisher_info`
+    checks ``beta`` and a Newton fit its weights.
     """
     K, d = probs.shape[-2] - 1, X.shape[1]
     G = np.zeros(probs.shape[:-2] + (K * (K + 1) // 2, d * (d + 1) // 2))
-    for _, _, C, Q in _pair_blocks(probs, X, w=w, pairs=pairs):
+    q_blocks = _pair_products(X.T) if pairs is None else pairs
+    for (_, _, Q), C in zip(q_blocks, _class_pairs(probs, w=w)):
         G += C @ Q.T
     G /= X.shape[0]
     return G.reshape(G.shape[:-2] + (-1,))[..., _pair_layout(K, d)]

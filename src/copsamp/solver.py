@@ -21,23 +21,27 @@ Hessian ``H`` is the information matrix of the mean-one weights, from
 the unchecked kernel ``copsamp.model._information`` that
 :func:`copsamp.model.fisher_info` also reads: a fit's weights are checked
 once, by :func:`_weights_error`, and nothing is checked on a Newton step.
-A fit builds the feature products ``x_a x_b`` once if they fit
-``copsamp.model.PAIR_TABLE_BYTES``, else per Newton step; either way a
-batch element gets the GEMMs its fit alone would get, bit for bit. Each
-Newton step is one LU solve of ``(H + RIDGE * I) step = grad``, a zero
-step where that matrix is exactly singular. A step whose predicted
-decrease ``0.5 grad^T step`` is positive is a descent step; every other
-step counts in ``FitReport.non_descent_steps``, and on the convex
-objective its line search stalls, but for rounding. Each step is
-halved until the objective decreases, so the objective is non-increasing
-across accepted steps; a descent step whose predicted decrease is within
-a few ulps of the objective, where rounding alone would decide, is taken
-whole. A fit stops when the infinity norm of its gradient is at most
-``GRAD_TOL``, after ``MAX_ITERS`` Newton steps, or when its line search
-stalls, at its last accepted iterate. Iteration starts at ``beta = 0``;
-the objective is convex, so the optimum does not depend on that choice,
-only reproducibility does. The solver's settings are the module
-constants below, read when a fit runs.
+A fit builds the feature products ``x_a x_b`` by
+``copsamp.model._pair_products`` once if they fit
+``copsamp.model.PAIR_TABLE_BYTES``, else per Newton step, and each
+Hessian its class-pair coefficients by ``copsamp.model._class_pairs``;
+either way a batch element gets the GEMMs its fit alone would get, bit
+for bit. Features whose products overflow give a non-finite Hessian,
+without a warning, and so a non-descent step. Each Newton step is one LU
+solve of ``(H + RIDGE * I) step = grad``, a zero step where that matrix
+is exactly singular. A step whose predicted decrease ``0.5 grad^T step``
+is positive is a descent step; every other step counts in
+``FitReport.non_descent_steps``, and on the convex objective its line
+search stalls, but for rounding. Each step is halved until the objective
+decreases, so the objective is non-increasing across accepted steps; a
+descent step whose predicted decrease is within a few ulps of the
+objective, where rounding alone would decide, is taken whole. A fit
+stops when the infinity norm of its gradient is at most ``GRAD_TOL``,
+after ``MAX_ITERS`` Newton steps, or when its line search stalls, at its
+last accepted iterate. Iteration starts at ``beta = 0``; the objective
+is convex, so the optimum does not depend on that choice, only
+reproducibility does. The solver's settings are the module constants
+below, read when a fit runs.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ class FitReport:
     ``converged`` implies ``final_grad_norm <= GRAD_TOL``.
     ``non_descent_steps`` counts the Newton steps whose predicted decrease
     ``0.5 grad^T step`` is not positive, a singular Hessian's zero step
-    among them; none is taken whole as negligible, and each ends its fit at
-    the iterate before it, unconverged.
+    and a non-finite Hessian's step among them; none is taken whole as
+    negligible, and each ends its fit at the iterate before it, unconverged.
     """
 
     beta: Coefficients
@@ -186,8 +190,10 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
     grad_norm = np.empty(B)
     eye = np.eye(K * d)
     # the feature products depend on X alone: one table serves every
-    # Newton step of every element, when it fits the budget
-    pairs = _pair_table(data.X)
+    # Newton step of every element, when it fits the budget. An overflow
+    # there or in a Hessian gives a non-finite Hessian: a non-descent step
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = _pair_table(data.X)
     running = np.ones(B, dtype=bool)  # the elements still iterating
 
     for iteration in range(MAX_ITERS + 1):
@@ -196,7 +202,8 @@ def fit_weighted_batch(data: Dataset, weights: np.ndarray) -> list[FitReport]:
         running &= grad_norm > GRAD_TOL
         if iteration == MAX_ITERS or not running.any():  # all converged or stalled
             break
-        H = _information(probs, data.X, w, pairs) + RIDGE * eye
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = _information(probs, data.X, w, pairs) + RIDGE * eye
         del probs  # held through the line search, they would double the per-row memory
         H[~running] = eye  # a stopped element's singular matrix would fail the stack's solve
         step = _newton_steps(H, g[:, :, None])

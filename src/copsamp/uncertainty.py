@@ -13,12 +13,14 @@ the exact ones; the subsampling pipelines plan on that scale.
 judged in one place, ``_factorize``. Batched exact scores sum it, entry
 by entry, into the pair table of class pairs by feature pairs, through
 the index ``copsamp.model._pair_layout`` that the information kernel
-gathers its matrix with: one ``(P, T) @ (T, b)`` GEMM per block of rows,
-O(n*K + BLOCK_ROWS*(d^2 + K^2) + (K*d)^2) memory. Both ensemble scorers
-read the members' logit deviations from one function; the batched one
-takes O(n*K + BLOCK_ROWS*M*K) memory. The per-sample oracles of both
-scorers live in :mod:`copsamp.selfcheck`. Scoring is pure and
-thread-safe. Its warnings name the first caller outside the package.
+gathers its matrix with, and read the blocks it reads, from
+``copsamp.model._class_pairs`` and ``_pair_products``: one ``(P, T) @
+(T, b)`` GEMM per block of rows, O(n*K + BLOCK_ROWS*(d^2 + K^2) +
+(K*d)^2) memory. Both ensemble scorers read the members' logit
+deviations from one function; the batched one takes O(n*K +
+BLOCK_ROWS*M*K) memory. The per-sample oracles of both scorers live in
+:mod:`copsamp.selfcheck`. Scoring is pure and thread-safe. Its warnings
+name the first caller outside the package.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from copsamp.model import (
     FisherInfo,
     _check_beta,
     _check_integer,
-    _pair_blocks,
+    _class_pairs,
     _pair_layout,
+    _pair_products,
     _residuals,
     _softmax,
     fisher_info,
@@ -243,8 +246,10 @@ def exact_scores(
     """Vectorized exact scores ``Tr((C_i kron x_i x_i^T) M^-1)`` over every row.
 
     Each entry of ``M^-1`` is summed into its pair of the ``(P, T)`` table
-    ``W`` through the index of ``_pair_layout``: per block of rows of
-    ``_pair_blocks`` the scores are ``sum_p C[p] * (W @ Q)[p]``.
+    ``W`` through the index of ``_pair_layout``: per block of rows, with
+    the class-pair coefficients ``C`` of ``_class_pairs`` and the feature
+    products ``Q`` of ``_pair_products``, the scores are
+    ``sum_p C[p] * (W @ Q)[p]``.
     ``beta`` must be a finite ``(data.K, data.d)`` matrix.
     """
     beta = _check_beta(beta, data)
@@ -254,7 +259,8 @@ def exact_scores(
     W = np.bincount(_pair_layout(data.K, data.d).ravel(),
                     (factor_inv.T @ factor_inv).ravel()).reshape(-1, data.d * (data.d + 1) // 2)
     u = np.empty(data.n)
-    for start, stop, C, Q in _pair_blocks(_softmax(beta, data.X)[0], data.X, y):
+    C_blocks = _class_pairs(_softmax(beta, data.X)[0], y)
+    for (start, stop, Q), C in zip(_pair_products(data.X.T), C_blocks):
         np.einsum("pb,pb->b", C, W @ Q, out=u[start:stop])
     return _clamp(u)
 

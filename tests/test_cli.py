@@ -168,6 +168,30 @@ class TestFit:
         assert '"converged": false' in out.read_text()
         assert run(["fit", FIXTURES / "singular_hessian.csv", "--out", out, "--strict"]) == 1
 
+    def test_overflowing_products_reported_not_converged(self, tmp_path, capsys):
+        # x1 scaled by 1e160: its square overflows, so the Newton Hessian is
+        # non-finite; the fit stops unconverged and nothing reaches stderr
+        data_path = tmp_path / "scaled.csv"
+        lines = (FIXTURES / "tiny_binary.csv").read_text().splitlines()
+        data_path.write_text("\n".join([lines[0]] + [
+            f"{x0},{float(x1) * 1e160!r},{y}" for x0, x1, y in (l.split(",") for l in lines[1:])]))
+        out = tmp_path / "fit.json"
+        assert run(["fit", data_path, "--out", out]) == 0
+        assert '"converged": false' in out.read_text()
+        assert capsys.readouterr().err == ""
+        assert run(["fit", data_path, "--out", out, "--strict"]) == 1
+
+    def test_unexpected_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # an exception no command handler expects ends in main's last resort
+        def broken(data, weights):
+            raise RuntimeError("broken solver")
+
+        monkeypatch.setattr(cli, "fit_weighted_mle", broken)
+        out = tmp_path / "fit.json"
+        assert run(["fit", FIXTURES / "tiny_binary.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == "copsamp: unexpected failure: broken solver\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, steps", [("singular_hessian.csv", 1), ("tiny_binary.csv", 0)])
     def test_non_descent_steps_reported(self, tmp_path, name, steps):
         # the singular step is the one non-descent step, written right after "converged"
@@ -743,6 +767,18 @@ class TestSimulate:
         assert doc["rows"] == []
         assert [f["method_id"] for f in doc["failures"]] == cfg["methods"]
         assert all("2 distinct classes" in f["error"] for f in doc["failures"])
+
+    def test_simulation_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a failure of the experiment itself, not of one trial, ends the run
+        def broken(spec, zeta_cases, threads):
+            raise RuntimeError("worker pool died")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        out = tmp_path / "run"
+        assert run(["simulate", tiny_sim_config(tmp_path), "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "copsamp: error: simulation failed: worker pool died\n")
+        assert not (out / "report.json").exists()
 
     def test_report_aggregates_match_trial_rows(self, tmp_path):
         cfg = tiny_sim_config(tmp_path)

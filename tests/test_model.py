@@ -17,10 +17,11 @@ from copsamp import model
 from copsamp.model import (
     BLOCK_ROWS,
     Dataset,
+    _class_pairs,
     _information,
-    _pair_blocks,
-    _pair_table,
     _pair_layout,
+    _pair_products,
+    _pair_table,
     _residuals,
     _softmax,
     dataset_loss,
@@ -420,15 +421,17 @@ def test_pair_coefficients_match_pointwise(K, labeled):
     unpack = _pair_layout(K, d)
     for k, l, a, b in np.ndindex(K, K, d, d):
         assert unpack[k * d + a, l * d + b] == position[min(k, l), max(k, l), min(a, b), max(a, b)]
-    table = _pair_table(X)
-    assert table is not None
-    for pairs in (None, table):
-        blocks = [(start, stop, C.copy(), Q.copy())
-                  for start, stop, C, Q in _pair_blocks(_softmax(beta, X)[0], X, y, w, pairs)]
-        assert [(start, stop) for start, stop, _, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
-        C = np.concatenate([c for _, _, c, _ in blocks], axis=1)
-        Q = np.concatenate([q for _, _, _, q in blocks], axis=1)
-        npt.assert_array_equal(Q, table)
+    C_blocks = [C.copy() for C in _class_pairs(_softmax(beta, X)[0], y, w)]
+    assert [C.shape for C in C_blocks] == [(len(kk), BLOCK_ROWS), (len(kk), n - BLOCK_ROWS)]
+    C = np.concatenate(C_blocks, axis=1)
+    built = [(start, stop, Q.copy()) for start, stop, Q in _pair_products(X.T)]
+    kept = _pair_table(X)
+    assert kept is not None
+    Q_built = np.concatenate([Q for _, _, Q in built], axis=1)
+    for blocks in (built, kept):
+        assert [(start, stop) for start, stop, _ in blocks] == [(0, BLOCK_ROWS), (BLOCK_ROWS, n)]
+        Q = np.concatenate([Q for _, _, Q in blocks], axis=1)
+        npt.assert_array_equal(Q, Q_built)
         for i in list(range(0, n, 97)) + [BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]:
             pointwise = psi(beta, X[i], int(y[i])) if labeled else phi(beta, X[i])
             npt.assert_allclose(C[:, i], w[i] * pointwise[kk, ll], rtol=1e-13, atol=1e-16)

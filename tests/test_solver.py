@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,19 @@ def test_single_fit_is_the_reference_loop_bit_for_bit(monkeypatch):
     monkeypatch.setattr(solver, "_information", ascending_once_moved)
     assert {(fit.iterations, fit.non_descent_steps, fit.converged)
             for fit in check()} == {(2, 1, False)}
+
+
+def test_overflowing_feature_products_end_the_fit_unconverged():
+    # x1 of the tiny binary fixture scaled by 1e160: its square overflows,
+    # the Newton Hessian is non-finite, and its step is the one non-descent
+    # step, with no numpy warning on the way
+    table = np.loadtxt(Path(__file__).parent / "data" / "tiny_binary.csv",
+                       delimiter=",", skiprows=1)
+    data = Dataset(table[:, :2] * [1.0, 1e160], table[:, 2].astype(int), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_mle(data)
+    assert (report.converged, report.iterations, report.non_descent_steps) == (False, 1, 1)
 
 
 def test_batch_matches_one_at_a_time(monkeypatch):
